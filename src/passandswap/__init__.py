@@ -55,12 +55,10 @@ from .product_form import (
 from .closed import (
     ClassPartition,
     ClosedAnalysis,
-    ClosedDistribution,
     ClosedQueue,
     IsomorphicModel,
     PlacementOrder,
     TandemAnalysis,
-    TandemDistribution,
     TandemNetwork,
     TandemState,
     TandemTransition,
@@ -77,8 +75,6 @@ from .closed import (
     first_queue_macrostates,
     isomorphic_model,
     order_from_state,
-    stationary_closed,
-    stationary_tandem,
     tandem_step,
     tandem_transitions,
 )

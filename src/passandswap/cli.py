@@ -442,46 +442,26 @@ def _cmd_oracle_compare(args) -> tuple[dict, list[str]]:
             raise UsageError("comparing an open model needs --capacity")
         analytic = stationary_truncated(queue, args.capacity,
                                         budget=args.budget).probabilities()
-        gen = build_generator(
-            lambda s: [
-                (t.next_state, t.rate)
-                for t in open_transitions(queue, s, args.capacity)
-            ],
-            (),
-            budget=args.budget,
-        )
-        reference = solve_unique(gen)
-        key = _state_1based
+        moves = lambda s: open_transitions(queue, s, args.capacity)
+        start, key = (), _state_1based
     elif isinstance(loaded, LoadedClosed):
-        analysis = analyze_closed(loaded.queue, loaded.initial,
-                                  budget=args.budget)
-        analytic = dict(analysis.distribution)
-        gen = build_generator(
-            lambda s: [
-                (t.next_state, t.rate)
-                for t in closed_transitions(loaded.queue, s)
-            ],
-            loaded.initial,
-            budget=args.budget,
-        )
-        reference = solve_unique(gen)
-        key = _state_1based
+        analytic = analyze_closed(loaded.queue, loaded.initial,
+                                  budget=args.budget).distribution
+        moves = lambda s: closed_transitions(loaded.queue, s)
+        start, key = loaded.initial, _state_1based
     elif isinstance(loaded, LoadedTandem):
-        analysis = analyze_tandem(loaded.network, loaded.initial,
-                                  budget=args.budget)
-        analytic = dict(analysis.distribution)
-        gen = build_generator(
-            lambda s: [
-                (t.next_state, t.rate)
-                for t in tandem_transitions(loaded.network, s)
-            ],
-            loaded.initial,
-            budget=args.budget,
-        )
-        reference = solve_unique(gen)
-        key = _tandem_state_doc
+        analytic = analyze_tandem(loaded.network, loaded.initial,
+                                  budget=args.budget).distribution
+        moves = lambda s: tandem_transitions(loaded.network, s)
+        start, key = loaded.initial, _tandem_state_doc
     else:
         raise UsageError("oracle-compare needs an open, closed, or tandem model")
+    gen = build_generator(
+        lambda s: [(t.next_state, t.rate) for t in moves(s)],
+        start,
+        budget=args.budget,
+    )
+    reference = solve_unique(gen)
     tv = total_variation(analytic, reference)
     residuals = sorted(
         ((abs(analytic[s] - reference[s]), s) for s in analytic),

@@ -244,12 +244,6 @@ class ClosedQueue:
     def n_classes(self) -> int:
         return len(self.population)
 
-    def step(self, state: State, position: int) -> State:
-        return closed_step(self.swapping, state, position)
-
-    def transitions(self, state: State) -> list[Transition]:
-        return closed_transitions(self, state)
-
     def initial_state(self) -> State:
         """Canonical adhering state: classes in topological order."""
         if self.order is None:
@@ -309,12 +303,6 @@ class TandemNetwork:
     @property
     def n_classes(self) -> int:
         return len(self.population)
-
-    def step(self, s: TandemState, queue_index: int, position: int) -> TandemState:
-        return tandem_step(self.swapping, s, queue_index, position)
-
-    def transitions(self, s: TandemState) -> list["TandemTransition"]:
-        return tandem_transitions(self, s)
 
     def initial_state(self) -> TandemState:
         """Canonical adhering state with every token in the second queue,
@@ -548,82 +536,34 @@ _REDUCIBLE_WARNING = (
 )
 
 
-def _normalized(log_weights: Sequence[float]) -> list[float]:
-    z = _logsumexp(list(log_weights))
-    return [math.exp(w - z) for w in log_weights]
+def _solve(
+    states: Sequence[Hashable],
+    log_weight: Callable[[Any], float],
+    successors: Callable[[Any], Iterable[Any]],
+    start: Hashable,
+) -> tuple[
+    tuple[Hashable, ...], dict[Hashable, float], ClassPartition, tuple[str, ...]
+]:
+    """Weigh ``states`` in log space, partition them into communicating
+    classes, and normalize the weights.
 
-
-@dataclass(frozen=True)
-class ClosedDistribution:
-    """Balance-weight distribution over the adhering states of a closed
-    queue."""
-
-    states: tuple[State, ...]
-    probabilities: Mapping[State, float]
-    partition: ClassPartition
-    warnings: tuple[str, ...]
-
-
-def stationary_closed(
-    cq: ClosedQueue, budget: int = DEFAULT_STATE_BUDGET
-) -> ClosedDistribution:
-    """Normalized balance weights over the adhering states of ``cq``.
-
-    Irreducibility is verified, never assumed: if the transition digraph
-    splits into several communicating classes, the distribution is still
-    stationary but a warning marks that it need not be unique.
+    Irreducibility is verified, never assumed: when the space splits into
+    several communicating classes, the distribution is restricted to the
+    class of ``start`` and a warning marks that it need not be unique.
+    Returns the support, the distribution, the partition and the warnings.
     """
-    if cq.order is None:
-        raise UsageError(
-            "stationary_closed needs a placement order; "
-            "use analyze_closed for arbitrary initial states"
-        )
-    states = enumerate_adhering(cq.order, cq.population, budget)
-    log_w = [balance(cq.rate_fn, s).log_value for s in states]
-    probs = dict(zip(states, _normalized(log_w)))
-    partition = communicating_classes(
-        states, lambda s: [t.next_state for t in closed_transitions(cq, s)]
-    )
+    log_w = [log_weight(s) for s in states]
+    partition = communicating_classes(states, successors)
+    support = tuple(states)
     warnings: tuple[str, ...] = ()
     if partition.n_components > 1:
         warnings = (_REDUCIBLE_WARNING.format(k=partition.n_components),)
-    return ClosedDistribution(states, probs, partition, warnings)
-
-
-@dataclass(frozen=True)
-class TandemDistribution:
-    """Product of the two queues' balance weights over the adhering tandem
-    states."""
-
-    states: tuple[TandemState, ...]
-    probabilities: Mapping[TandemState, float]
-    partition: ClassPartition
-    warnings: tuple[str, ...]
-
-    def first_queue_marginal(self) -> dict[State, float]:
-        out: dict[State, float] = {}
-        for (c, _), p in self.probabilities.items():
-            out[c] = out.get(c, 0.0) + p
-        return out
-
-
-def stationary_tandem(
-    net: TandemNetwork, budget: int = DEFAULT_STATE_BUDGET
-) -> TandemDistribution:
-    """Normalized product of balance weights over the tandem state space."""
-    states = enumerate_sigma(net, budget)
-    log_w = [
-        balance(net.rate_fn_1, c).log_value + balance(net.rate_fn_2, d).log_value
-        for c, d in states
-    ]
-    probs = dict(zip(states, _normalized(log_w)))
-    partition = communicating_classes(
-        states, lambda s: [t.next_state for t in tandem_transitions(net, s)]
-    )
-    warnings: tuple[str, ...] = ()
-    if partition.n_components > 1:
-        warnings = (_REDUCIBLE_WARNING.format(k=partition.n_components),)
-    return TandemDistribution(states, probs, partition, warnings)
+        idxs = partition.classes[partition.component_of(start)]
+        support = tuple(states[i] for i in idxs)
+        log_w = [log_w[i] for i in idxs]
+    z = _logsumexp(log_w)
+    dist = {s: math.exp(w - z) for s, w in zip(support, log_w)}
+    return support, dist, partition, warnings
 
 
 class ProjectedRateFunction(RateFunction):
@@ -741,18 +681,6 @@ class ClosedAnalysis:
     warnings: tuple[str, ...]
 
 
-def _restrict(
-    states: Sequence[Hashable],
-    log_weights: Sequence[float],
-    partition: ClassPartition,
-    member: Hashable,
-) -> tuple[tuple[int, ...], list[float]]:
-    lab = partition.component_of(member)
-    idxs = partition.classes[lab]
-    probs = _normalized([log_weights[i] for i in idxs])
-    return idxs, probs
-
-
 def analyze_closed(
     cq: ClosedQueue, initial: State, budget: int = DEFAULT_STATE_BUDGET
 ) -> ClosedAnalysis:
@@ -766,52 +694,31 @@ def analyze_closed(
     """
     if macrostate(initial, cq.n_classes) != cq.population:
         raise UsageError("initial state does not match the fixed macrostate")
-    warnings: list[str] = []
     order = order_from_state(cq.swapping, initial)
     if order is not None:
-        states = enumerate_adhering(order, cq.population, budget)
-        log_w = [balance(cq.rate_fn, s).log_value for s in states]
-        work = ClosedQueue(cq.rate_fn, cq.swapping, cq.population, order)
-        partition = communicating_classes(
-            states,
-            lambda s: [t.next_state for t in closed_transitions(work, s)],
-        )
-        if partition.n_components > 1:
-            warnings.append(_REDUCIBLE_WARNING.format(k=partition.n_components))
-            idxs, probs = _restrict(states, log_w, partition, initial)
-            support = tuple(states[i] for i in idxs)
-            dist = dict(zip(support, probs))
-        else:
-            support = states
-            dist = dict(zip(states, _normalized(log_w)))
-        return ClosedAnalysis(
-            "direct", initial, support, dist, order, partition, None,
-            tuple(warnings),
-        )
-
-    iso = isomorphic_model(cq, initial)
-    iso_states = enumerate_adhering(
-        iso.iso_queue.order, iso.iso_queue.population, budget
-    )
-    log_w = [balance(iso.iso_queue.rate_fn, s).log_value for s in iso_states]
-    partition = communicating_classes(
-        iso_states,
-        lambda s: [t.next_state for t in closed_transitions(iso.iso_queue, s)],
-    )
-    if partition.n_components > 1:
-        warnings.append(_REDUCIBLE_WARNING.format(k=partition.n_components))
-        idxs, probs = _restrict(iso_states, log_w, partition, iso.iso_initial)
-        pairs = [(iso_states[i], p) for i, p in zip(idxs, probs)]
+        iso = None
+        work, work_order, start = cq, order, initial
     else:
-        pairs = list(zip(iso_states, _normalized(log_w)))
-    dist: dict[State, float] = {}
-    for iso_state, p in pairs:
+        iso = isomorphic_model(cq, initial)
+        work, start = iso.iso_queue, iso.iso_initial
+        work_order = work.order
+    support, dist, partition, warnings = _solve(
+        enumerate_adhering(work_order, work.population, budget),
+        lambda s: balance(work.rate_fn, s).log_value,
+        lambda s: [t.next_state for t in closed_transitions(work, s)],
+        start,
+    )
+    if iso is None:
+        return ClosedAnalysis(
+            "direct", initial, support, dist, order, partition, None, warnings
+        )
+    projected: dict[State, float] = {}
+    for iso_state, p in dist.items():
         orig = iso.project_state(iso_state)
-        dist[orig] = dist.get(orig, 0.0) + p
-    support = tuple(sorted(dist))
+        projected[orig] = projected.get(orig, 0.0) + p
     return ClosedAnalysis(
-        "isomorphic", initial, support, dist, None, partition, iso,
-        tuple(warnings),
+        "isomorphic", initial, tuple(sorted(projected)), projected, None,
+        partition, iso, warnings,
     )
 
 
@@ -842,22 +749,11 @@ def analyze_tandem(
             "initial tandem state does not adhere to the network's placement "
             "order; non-adhering tandem initial states are not supported"
         )
-    states = enumerate_sigma(net, budget)
-    log_w = [
-        balance(net.rate_fn_1, cc).log_value
-        + balance(net.rate_fn_2, dd).log_value
-        for cc, dd in states
-    ]
-    partition = communicating_classes(
-        states, lambda s: [t.next_state for t in tandem_transitions(net, s)]
+    support, dist, partition, warnings = _solve(
+        enumerate_sigma(net, budget),
+        lambda s: balance(net.rate_fn_1, s[0]).log_value
+        + balance(net.rate_fn_2, s[1]).log_value,
+        lambda s: [t.next_state for t in tandem_transitions(net, s)],
+        initial,
     )
-    warnings: list[str] = []
-    if partition.n_components > 1:
-        warnings.append(_REDUCIBLE_WARNING.format(k=partition.n_components))
-        idxs, probs = _restrict(states, log_w, partition, initial)
-        support = tuple(states[i] for i in idxs)
-        dist = dict(zip(support, probs))
-    else:
-        support = states
-        dist = dict(zip(states, _normalized(log_w)))
-    return TandemAnalysis(initial, support, dist, partition, tuple(warnings))
+    return TandemAnalysis(initial, support, dist, partition, warnings)

@@ -14,7 +14,12 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
-from .closed import ClosedQueue, TandemNetwork, tandem_transitions
+from .closed import (
+    ClosedQueue,
+    TandemNetwork,
+    closed_transitions,
+    tandem_transitions,
+)
 from .cluster import ClusterSpec
 from .dynamics import open_transitions
 from .errors import CapabilityError, DeadlockError, UsageError
@@ -76,54 +81,15 @@ def _aggregate(
     fraction_reps: list[dict],
     replications: int,
 ) -> SimResult:
-    occupancy: dict[Hashable, float] = {}
-    occupancy_err: dict[Hashable, float] = {}
-    keys: list[Hashable] = []
-    seen = set()
-    for rep in occ_reps:
-        for k in rep:
-            if k not in seen:
-                seen.add(k)
-                keys.append(k)
-    for k in keys:
-        mean, err = _mean_stderr([rep.get(k, 0.0) for rep in occ_reps])
-        occupancy[k] = mean
-        occupancy_err[k] = err
-    counters: dict[str, float] = {}
-    counter_err: dict[str, float] = {}
-    ckeys: list[str] = []
-    seen_c: set[str] = set()
-    for rep in counter_reps:
-        for k in rep:
-            if k not in seen_c:
-                seen_c.add(k)
-                ckeys.append(k)
-    for k in ckeys:
-        mean, err = _mean_stderr([rep.get(k, 0.0) for rep in counter_reps])
-        counters[k] = mean
-        counter_err[k] = err
-    fractions: dict[str, float] = {}
-    fraction_err: dict[str, float] = {}
-    fkeys: list[str] = []
-    seen_f: set[str] = set()
-    for rep in fraction_reps:
-        for k in rep:
-            if k not in seen_f:
-                seen_f.add(k)
-                fkeys.append(k)
-    for k in fkeys:
-        mean, err = _mean_stderr([rep.get(k, 0.0) for rep in fraction_reps])
-        fractions[k] = mean
-        fraction_err[k] = err
-    return SimResult(
-        occupancy,
-        occupancy_err,
-        counters,
-        counter_err,
-        fractions,
-        fraction_err,
-        replications,
-    )
+    tables: list[dict] = []
+    for reps in (occ_reps, counter_reps, fraction_reps):
+        means: dict[Hashable, float] = {}
+        errs: dict[Hashable, float] = {}
+        # dict.fromkeys keeps the first-seen key order across replications
+        for k in dict.fromkeys(k for rep in reps for k in rep):
+            means[k], errs[k] = _mean_stderr([rep.get(k, 0.0) for rep in reps])
+        tables += [means, errs]
+    return SimResult(*tables, replications)
 
 
 def _rep_rng(seed: int, rep: int) -> random.Random:
@@ -177,7 +143,7 @@ def _closed_provider(cq: ClosedQueue) -> Provider:
     def provider(state):
         return [
             (t.rate, t.next_state, ("complete", (0, t.index), t.outcome))
-            for t in cq.transitions(state)
+            for t in closed_transitions(cq, state)
         ]
 
     return _cached(provider)

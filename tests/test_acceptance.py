@@ -31,7 +31,6 @@ from passandswap import (
     simulate_protocol,
     solve_unique,
     stability_check,
-    stationary_closed,
     stationary_truncated,
     tandem_step,
     total_variation,
@@ -211,11 +210,11 @@ def test_a08_closed_queue_reachability_and_distribution():
     )
     single_class = partition.n_components == 1 and partition.closed == (True,)
 
-    dist = stationary_closed(cq)
+    dist = analyze_closed(cq, cq.initial_state())
     uniform_gap = max(
-        abs(p - 1.0 / len(dist.states)) for p in dist.probabilities.values()
+        abs(p - 1.0 / len(dist.states)) for p in dist.distribution.values()
     )
-    tv = total_variation(dict(dist.probabilities), solve_unique(gen))
+    tv = total_variation(dict(dist.distribution), solve_unique(gen))
     elapsed = time.perf_counter() - start
     check(
         "A8",

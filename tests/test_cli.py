@@ -41,6 +41,20 @@ CLOSED_DOC = {
     "initial_state": [1, 2, 1, 2, 2, 3],
 }
 
+# No swapping edges and one server for both classes: customers never
+# overtake, so the adhering space splits into communicating classes.
+REDUCIBLE_DOC = {
+    "schema": "pands-closed/1",
+    "classes": 2,
+    "rate_function": {
+        "kind": "multi_server",
+        "server_rates": [1.0],
+        "compat": [[1], [1]],
+    },
+    "swapping_edges": [],
+    "initial_state": [1, 1, 2, 2],
+}
+
 CLUSTER_DOC = {
     "schema": "pands-cluster/1",
     "job_types": [
@@ -142,6 +156,21 @@ def test_closed_analyze_adhering_initial(capsys, model_path):
     assert doc["result"]["adherence"]["placement_arcs"]
 
 
+def test_reducible_closed_model(capsys, model_path):
+    path = model_path(REDUCIBLE_DOC)
+    code, doc = run_json(capsys, ["closed-analyze", path])
+    assert code == 0
+    assert [c["size"] for c in doc["result"]["communicating_classes"]] == [4, 2]
+    assert "2 communicating classes" in doc["warnings"][0]
+    assert doc["result"]["states"] == 4
+    probs = [r["probability"] for r in doc["result"]["distribution"]]
+    assert probs == ["0.25"] * 4
+    code, doc = run_json(capsys, ["oracle-compare", path])
+    assert code == 0
+    assert doc["result"]["states"] == 4
+    assert float(doc["result"]["total_variation"]) < 1e-12
+
+
 def test_iso_summary(capsys, model_path):
     code, doc = run_json(capsys, ["iso", model_path(CLOSED_DOC)])
     assert code == 0
@@ -241,3 +270,23 @@ def test_table_output_contains_header(capsys, model_path):
     assert out.startswith("# schema: pands-output/1")
     assert "# tool: passandswap" in out
     assert "stable: True" in out
+
+
+def test_structure_error_exit_code(capsys, model_path):
+    one_server = {
+        "kind": "multi_server",
+        "server_rates": [1.0],
+        "compat": [[1], [1], [1], [1]],
+    }
+    doc = {
+        "schema": "pands-tandem/1",
+        "classes": 4,
+        "rate_function_1": one_server,
+        "rate_function_2": one_server,
+        "swapping_edges": [[2, 4]],
+        # classes 2 and 4 swap but interleave in the first queue
+        "initial_state_1": [2, 4, 2],
+        "initial_state_2": [1, 3],
+    }
+    assert main(["tandem-analyze", model_path(doc)]) == 1
+    assert "adheres to no placement order" in capsys.readouterr().err

@@ -26,8 +26,6 @@ from passandswap import (
     macrostate,
     order_from_state,
     solve_unique,
-    stationary_closed,
-    stationary_tandem,
     tandem_step,
     total_variation,
 )
@@ -281,10 +279,10 @@ def test_uniform_distribution_with_unit_increments(
     cq = ClosedQueue(
         UnitIncrementRates(6), six_class_graph, (1,) * 6, six_class_order
     )
-    dist = stationary_closed(cq)
+    dist = analyze_closed(cq, cq.initial_state())
     n = len(dist.states)
     assert n > 1
-    for p in dist.probabilities.values():
+    for p in dist.distribution.values():
         assert p == pytest.approx(1.0 / n)
     assert dist.partition.n_components == 1
     assert not dist.warnings
@@ -295,13 +293,13 @@ def test_closed_distribution_matches_oracle(six_class_graph, six_class_order):
         [1.0, 1.5, 2.0], [{0}, {1}, {2}, {0, 1}, {1, 2}, {0, 1, 2}]
     )
     cq = ClosedQueue(rf, six_class_graph, (1,) * 6, six_class_order)
-    dist = stationary_closed(cq)
+    dist = analyze_closed(cq, cq.initial_state())
     gen = build_generator(
         closed_transition_fn(cq), cq.initial_state()
     )
     ref = solve_unique(gen)
     assert set(gen.states) == set(dist.states)
-    assert total_variation(dict(dist.probabilities), ref) < 1e-10
+    assert total_variation(dict(dist.distribution), ref) < 1e-10
 
 
 def test_distinct_orders_have_disjoint_supports(six_class_graph):
@@ -332,11 +330,13 @@ def test_tandem_distribution_matches_oracle(six_class_graph, six_class_order):
     net = TandemNetwork(
         mu_fn, nu_fn, six_class_graph, (1,) * 6, six_class_order
     )
-    dist = stationary_tandem(net)
+    dist = analyze_tandem(net)
     gen = build_generator(tandem_transition_fn(net), net.initial_state())
     ref = solve_unique(gen)
-    assert total_variation(dict(dist.probabilities), ref) < 1e-10
-    marginal = dist.first_queue_marginal()
+    assert total_variation(dict(dist.distribution), ref) < 1e-10
+    marginal = {}
+    for (c, _), p in dist.distribution.items():
+        marginal[c] = marginal.get(c, 0.0) + p
     oracle_marginal = {}
     for (c, _), p in ref.items():
         oracle_marginal[c] = oracle_marginal.get(c, 0.0) + p
@@ -405,7 +405,7 @@ def test_multi_server_closed_queue_still_one_class(
         [1.0, 1.0, 1.0], [{0}, {1}, {2}, {0, 1}, {1, 2}, {0, 1, 2}]
     )
     cq = ClosedQueue(rf, six_class_graph, (1,) * 6, six_class_order)
-    dist = stationary_closed(cq)
+    dist = analyze_closed(cq, cq.initial_state())
     assert dist.partition.n_components == 1
     assert all(dist.partition.closed)
 
@@ -420,7 +420,7 @@ def test_tandem_unit_increments_single_closed_class(
         (1,) * 6,
         six_class_order,
     )
-    dist = stationary_tandem(net)
+    dist = analyze_tandem(net)
     assert dist.partition.n_components == 1
     assert dist.partition.closed == (True,)
 
@@ -433,18 +433,18 @@ def test_analytic_distributions_satisfy_global_balance(
         [1.0, 1.5, 2.0], [{0}, {1}, {2}, {0, 1}, {1, 2}, {0, 1, 2}]
     )
     cq = ClosedQueue(rf, six_class_graph, (1,) * 6, six_class_order)
-    dist = stationary_closed(cq)
+    dist = analyze_closed(cq, cq.initial_state())
     gen = build_generator(closed_transition_fn(cq), cq.initial_state())
     import numpy as np
 
-    pi = np.array([dist.probabilities[s] for s in gen.states])
+    pi = np.array([dist.distribution[s] for s in gen.states])
     assert np.abs(pi @ gen.matrix).max() < 1e-10
 
     nu_fn = MultiServerRates.build([1.0], [{0}] * 6)
     net = TandemNetwork(rf, nu_fn, six_class_graph, (1,) * 6, six_class_order)
-    tdist = stationary_tandem(net)
+    tdist = analyze_tandem(net)
     tgen = build_generator(tandem_transition_fn(net), net.initial_state())
-    tpi = np.array([tdist.probabilities[s] for s in tgen.states])
+    tpi = np.array([tdist.distribution[s] for s in tgen.states])
     assert np.abs(tpi @ tgen.matrix).max() < 1e-10
 
 
@@ -453,8 +453,31 @@ def test_no_transient_states_across_small_models(six_class_graph):
     g3 = SwappingGraph.from_pairs(3, [(0, 1), (1, 2)])
     o3 = PlacementOrder.orient(g3, [(0, 1), (1, 2)])
     cq = ClosedQueue(UnitIncrementRates(3), g3, (2, 1, 2), o3)
-    dist = stationary_closed(cq)
+    dist = analyze_closed(cq, cq.initial_state())
     assert not dist.partition.transient_state_indices()
+
+
+def test_reducible_space_restricts_to_initial_class():
+    # no swapping edges and one server for both classes: customers never
+    # overtake, so the cyclic order of the initial state is invariant
+    rf = MultiServerRates.build([1.0], [{0}, {0}])
+    cq = ClosedQueue(rf, SwappingGraph.edgeless(2), (2, 2))
+    initial = b(1, 1, 2, 2)
+    analysis = analyze_closed(cq, initial)
+    assert analysis.route == "direct"
+    assert [len(c) for c in analysis.partition.classes] == [4, 2]
+    assert analysis.warnings == (
+        "the adhering state space splits into 2 communicating classes; the "
+        "reported distribution is stationary but may not be the only one",
+    )
+    assert initial in analysis.states
+    assert set(analysis.distribution) == set(analysis.states)
+    assert len(analysis.states) == 4
+    for p in analysis.distribution.values():
+        assert p == pytest.approx(0.25)
+    gen = build_generator(closed_transition_fn(cq), initial)
+    assert set(gen.states) == set(analysis.states)
+    assert total_variation(analysis.distribution, solve_unique(gen)) < 1e-12
 
 
 # ----------------------------------------------------- duplicate splitting

@@ -9,9 +9,9 @@ from passandswap import (
     SwappingGraph,
     TableRates,
     UsageError,
+    analyze_closed,
     simulate,
     simulate_protocol,
-    stationary_closed,
     stationary_truncated,
     total_variation,
 )
@@ -80,7 +80,7 @@ def test_closed_simulation_uniform(six_class_graph):
     order_arcs = [(0, 2), (0, 3), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)]
     order = PlacementOrder.orient(six_class_graph, order_arcs)
     cq = ClosedQueue(UnitIncrementRates(6), six_class_graph, (1,) * 6, order)
-    analytic = dict(stationary_closed(cq).probabilities)
+    analytic = dict(analyze_closed(cq, cq.initial_state()).distribution)
     cfg = SimConfig(events=60_000, replications=3, seed=31)
     res = simulate(cq, cfg)
     for state, p in analytic.items():
