@@ -20,11 +20,12 @@ from . import __version__
 from .closed import (
     analyze_closed,
     analyze_tandem,
+    analyze_tandem_macrostates,
     closed_transitions,
     isomorphic_model,
     tandem_transitions,
 )
-from .cluster import compile_cluster, metrics
+from .cluster import compile_cluster, macrostate_metrics
 from .dynamics import apply_completion, open_transitions
 from .errors import (
     ModelFormatError,
@@ -353,11 +354,12 @@ def _cmd_cluster_analyze(args) -> tuple[dict, list[str]]:
     loaded = load_path(args.model)
     spec = _need(loaded, LoadedCluster, "cluster").spec
     ct = compile_cluster(spec)
-    analysis = analyze_tandem(ct.network, ct.initial, budget=args.budget)
-    m = metrics(ct, analysis.distribution)
+    analysis = analyze_tandem_macrostates(ct.network, ct.initial,
+                                          budget=args.budget)
+    m = macrostate_metrics(ct, analysis.distribution)
     payload = {
         "token_classes": list(ct.class_names),
-        "states": len(analysis.states),
+        "states": analysis.states,
         "blocking": {t: _fmt(v) for t, v in m.blocking.items()},
         "throughput": {t: _fmt(v) for t, v in m.throughput.items()},
         "mean_unassigned": {

@@ -12,7 +12,6 @@ splitting construction.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
@@ -30,7 +29,11 @@ from .model import (
     SwappingGraph,
     macrostate,
 )
-from .product_form import DEFAULT_STATE_BUDGET, _logsumexp, balance
+from .product_form import (
+    DEFAULT_STATE_BUDGET,
+    _logsumexp,
+    memoized_log_balance,
+)
 
 TandemState = tuple[State, State]
 
@@ -432,22 +435,41 @@ def first_queue_macrostates(
     population: Macrostate,
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> tuple[Macrostate, ...]:
-    """Feasible first-queue macrostates: componentwise below the population,
-    and a class can only be present if all classes preceding it are."""
-    count = 1
-    for k in population:
-        count *= k + 1
-        if count > budget:
-            raise ResourceError("macrostate grid exceeded budget")
-    out = []
-    for x in itertools.product(*(range(k + 1) for k in population)):
-        ok = True
-        for i, j in order.reach:
-            if x[i] == 0 and x[j] != 0:
-                ok = False
-                break
-        if ok:
-            out.append(x)
+    """First-queue macrostates of the adhering tandem states, listed by
+    total.
+
+    ``x`` occurs exactly when no class left in the second queue
+    (``population - x > 0``) precedes a class in the first (``x > 0``).
+    Dropping one customer of a class maximal in the first queue keeps that
+    condition, so the set grows one customer at a time from the empty queue.
+    """
+    n = order.n_classes
+    preceding = [0] * n
+    for a, b in order.reach:
+        preceding[b] |= 1 << a
+
+    def occurs(x: Macrostate) -> bool:
+        left = sum(1 << i for i in range(n) if x[i] < population[i])
+        return not any(x[b] and preceding[b] & left for b in range(n))
+
+    layer = [(0,) * n]
+    out = list(layer)
+    seen = set(layer)
+    while layer:
+        grown = []
+        for x in layer:
+            for i in range(n):
+                if x[i] < population[i]:
+                    y = x[:i] + (x[i] + 1,) + x[i + 1:]
+                    if y not in seen and occurs(y):
+                        seen.add(y)
+                        grown.append(y)
+        out += grown
+        if len(out) > budget:
+            raise ResourceError(
+                f"first-queue macrostates exceeded budget {budget}"
+            )
+        layer = grown
     return tuple(out)
 
 
@@ -490,43 +512,47 @@ def communicating_classes(
     Every successor must itself belong to ``states``.
     """
     index = {s: i for i, s in enumerate(states)}
-    rows, cols = [], []
+    cols: list[int] = []
+    out_degree: list[int] = []
     for s in states:
-        u = index[s]
-        for t in successors(s):
-            if t not in index:
-                raise UsageError(
-                    f"transition target {t!r} outside the enumerated space"
-                )
-            v = index[t]
-            if u != v:
-                rows.append(u)
-                cols.append(v)
+        targets = successors(s)
+        try:
+            moved = [index[t] for t in targets]
+        except KeyError as exc:
+            raise UsageError(
+                f"transition target {exc.args[0]!r} outside the enumerated "
+                "space"
+            ) from None
+        out_degree.append(len(moved))
+        cols += moved
     n = len(states)
+    rows_a = np.repeat(np.arange(n, dtype=np.intp), out_degree)
+    cols_a = np.asarray(cols, dtype=np.intp)
+    moves = rows_a != cols_a
+    rows_a, cols_a = rows_a[moves], cols_a[moves]
     graph = sp.coo_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n, n)
+        (np.ones(len(rows_a)), (rows_a, cols_a)), shape=(n, n)
     ).tocsr()
-    _, raw = connected_components(graph, directed=True, connection="strong")
+    n_comp, raw = connected_components(
+        graph, directed=True, connection="strong"
+    )
     # relabel components by first appearance for determinism
-    relabel: dict[int, int] = {}
-    labels = []
-    for lab in raw:
-        if lab not in relabel:
-            relabel[lab] = len(relabel)
-        labels.append(relabel[lab])
-    n_comp = len(relabel)
-    members: list[list[int]] = [[] for _ in range(n_comp)]
-    for idx, lab in enumerate(labels):
-        members[lab].append(idx)
-    closed = [True] * n_comp
-    for u, v in zip(rows, cols):
-        if labels[u] != labels[v]:
-            closed[labels[u]] = False
+    _, first = np.unique(raw, return_index=True)
+    relabel = np.empty(n_comp, dtype=np.intp)
+    relabel[raw[np.sort(first)]] = np.arange(n_comp)
+    labels = relabel[raw]
+    by_label = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels, minlength=n_comp)).tolist()
+    closed = np.ones(n_comp, dtype=bool)
+    leaving, entering = labels[rows_a], labels[cols_a]
+    closed[leaving[leaving != entering]] = False
     return ClassPartition(
         tuple(states),
-        tuple(labels),
-        tuple(tuple(m) for m in members),
-        tuple(closed),
+        tuple(labels.tolist()),
+        tuple(
+            tuple(by_label[a:b]) for a, b in zip([0] + ends[:-1], ends)
+        ),
+        tuple(closed.tolist()),
     )
 
 
@@ -704,7 +730,7 @@ def analyze_closed(
         work_order = work.order
     support, dist, partition, warnings = _solve(
         enumerate_adhering(work_order, work.population, budget),
-        lambda s: balance(work.rate_fn, s).log_value,
+        memoized_log_balance(work.rate_fn),
         lambda s: [t.next_state for t in closed_transitions(work, s)],
         start,
     )
@@ -731,13 +757,11 @@ class TandemAnalysis:
     warnings: tuple[str, ...]
 
 
-def analyze_tandem(
-    net: TandemNetwork,
-    initial: TandemState | None = None,
-    budget: int = DEFAULT_STATE_BUDGET,
-) -> TandemAnalysis:
-    """Stationary distribution of the tandem started in ``initial``
-    (default: every token available in the second queue)."""
+def _tandem_initial(
+    net: TandemNetwork, initial: TandemState | None
+) -> TandemState:
+    """``initial``, or the network's default, checked against the
+    population and the placement order."""
     if initial is None:
         initial = net.initial_state()
     c, d = initial
@@ -749,11 +773,176 @@ def analyze_tandem(
             "initial tandem state does not adhere to the network's placement "
             "order; non-adhering tandem initial states are not supported"
         )
+    return initial
+
+
+def analyze_tandem(
+    net: TandemNetwork,
+    initial: TandemState | None = None,
+    budget: int = DEFAULT_STATE_BUDGET,
+) -> TandemAnalysis:
+    """Stationary distribution of the tandem started in ``initial``
+    (default: every token available in the second queue)."""
+    initial = _tandem_initial(net, initial)
+    log_b1 = memoized_log_balance(net.rate_fn_1)
+    log_b2 = memoized_log_balance(net.rate_fn_2)
     support, dist, partition, warnings = _solve(
         enumerate_sigma(net, budget),
-        lambda s: balance(net.rate_fn_1, s[0]).log_value
-        + balance(net.rate_fn_2, s[1]).log_value,
+        lambda s: log_b1(s[0]) + log_b2(s[1]),
         lambda s: [t.next_state for t in tandem_transitions(net, s)],
         initial,
     )
     return TandemAnalysis(initial, support, dist, partition, warnings)
+
+
+def first_queue_marginal(
+    distribution: Mapping[TandemState, float], n_classes: int
+) -> dict[Macrostate, float]:
+    """Law of the first queue's macrostate under a tandem distribution."""
+    out: dict[Macrostate, float] = {}
+    for (c, _), p in distribution.items():
+        x = macrostate(c, n_classes)
+        out[x] = out.get(x, 0.0) + p
+    return out
+
+
+@dataclass(frozen=True)
+class MacrostateAnalysis:
+    """Stationary law of a tandem's first-queue macrostate.
+
+    ``space`` counts the adhering tandem states and ``states`` those in the
+    communicating class of the initial state; they agree exactly when the
+    chain is irreducible.
+    """
+
+    space: int
+    states: int
+    distribution: Mapping[Macrostate, float]
+    warnings: tuple[str, ...]
+
+
+def _balance_function(
+    rate_fn: RateFunction, later: Sequence[int], xs: Sequence[Macrostate]
+) -> tuple[dict[Macrostate, float], dict[Macrostate, int]]:
+    """Log balance function and content count of a queue, per macrostate.
+
+    ``Phi(x)`` sums the balance weights of the adhering contents with
+    macrostate ``x``.  Their last customer's class ``i`` precedes no class
+    left in ``x - e_i`` (``later[i]`` masks the classes ``i`` precedes;
+    none is ``i`` itself, so ``supp(x)`` stands for ``supp(x - e_i)``), so
+    ``Phi(x) = sum_i Phi(x - e_i) / mu(x)`` over those ``i``.  The same
+    recursion in integers counts the contents.  ``xs`` lists macrostates by
+    total, from zero, and holds every ``x - e_i`` the recursion reads.
+    """
+    log_phi = {xs[0]: 0.0}
+    count = {xs[0]: 1}
+    for x in xs[1:]:
+        held = sum(1 << i for i, k in enumerate(x) if k)
+        terms, total = [], 0
+        for i, k in enumerate(x):
+            if k and not later[i] & held:
+                prev = x[:i] + (k - 1,) + x[i + 1:]
+                terms.append(log_phi[prev])
+                total += count[prev]
+        r = rate_fn.rate(x)
+        if r <= 0.0:
+            raise UsageError(f"overall rate is not positive on macrostate {x}")
+        log_phi[x] = _logsumexp(terms) - math.log(r)
+        count[x] = total
+    return log_phi, count
+
+
+def _reachable_tandem_states(net: TandemNetwork, initial: TandemState) -> int:
+    """Number of tandem states reachable from ``initial``.
+
+    Each queue content's moves are computed once, whatever the content of
+    the other queue.
+    """
+    graph = net.swapping
+
+    def mover(rate_fn: RateFunction) -> Callable[[State], list]:
+        memo: dict[State, list[tuple[State, int]]] = {}
+
+        def moves(content: State) -> list[tuple[State, int]]:
+            out = memo.get(content)
+            if out is None:
+                out = memo[content] = []
+                for pos, inc in enumerate(rate_fn.increments(content)):
+                    if inc > 0.0:
+                        oc = apply_completion(graph, content, pos)
+                        out.append((oc.next_state, oc.departing_class))
+            return out
+
+        return moves
+
+    moves1, moves2 = mover(net.rate_fn_1), mover(net.rate_fn_2)
+    seen = {initial}
+    stack = [initial]
+    while stack:
+        c, d = stack.pop()
+        for c2, cls in moves1(c):
+            t = (c2, d + (cls,))
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+        for d2, cls in moves2(d):
+            t = (c + (cls,), d2)
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return len(seen)
+
+
+def analyze_tandem_macrostates(
+    net: TandemNetwork,
+    initial: TandemState | None = None,
+    budget: int = DEFAULT_STATE_BUDGET,
+) -> MacrostateAnalysis:
+    """Stationary law of the first-queue macrostate of the tandem started
+    in ``initial``, without enumerating tandem states.
+
+    The product form ``pi(c, d) ~ Phi_1(c) Phi_2(d)`` sums over the tandem
+    states sharing a first-queue macrostate ``x`` to
+    ``pi(x) ~ Phi_1(x) Phi_2(population - x)``.  That measure is positive
+    and balanced on the whole adhering space, so no state is transient and
+    the states reachable from ``initial`` form its communicating class;
+    irreducibility holds exactly when they are all the adhering states.
+    Otherwise the microstate analysis of :func:`analyze_tandem` restricts
+    the law to that class, and its marginal is returned with its warning.
+    """
+    initial = _tandem_initial(net, initial)
+    # There are never more macrostates than tandem states; a budget below
+    # the default still gets the exact count in its message.
+    xs = first_queue_macrostates(
+        net.order, net.population, max(budget, DEFAULT_STATE_BUDGET)
+    )
+    # The second queue is read in reverse, so its rule is the first's under
+    # the reversed order, over y = population - x.
+    ys = [
+        tuple(k - v for k, v in zip(net.population, x)) for x in reversed(xs)
+    ]
+    later = [0] * net.n_classes
+    earlier = [0] * net.n_classes
+    for a, b in net.order.reach:
+        later[a] |= 1 << b
+        earlier[b] |= 1 << a
+    log_phi1, count1 = _balance_function(net.rate_fn_1, later, xs)
+    log_phi2, count2 = _balance_function(net.rate_fn_2, earlier, ys)
+    pairs = list(zip(xs, reversed(ys)))
+    space = sum(count1[x] * count2[y] for x, y in pairs)
+    if space > budget:
+        raise ResourceError(
+            f"the adhering space needs {space} tandem states, budget {budget}"
+        )
+    if _reachable_tandem_states(net, initial) == space:
+        log_w = [log_phi1[x] + log_phi2[y] for x, y in pairs]
+        z = _logsumexp(log_w)
+        dist = {x: math.exp(w - z) for (x, _), w in zip(pairs, log_w)}
+        return MacrostateAnalysis(space, space, dist, ())
+    micro = analyze_tandem(net, initial, budget)
+    return MacrostateAnalysis(
+        space,
+        len(micro.states),
+        first_queue_marginal(micro.distribution, net.n_classes),
+        micro.warnings,
+    )

@@ -21,6 +21,7 @@ from .closed import (
     TandemNetwork,
     TandemState,
     adheres_tandem,
+    first_queue_marginal,
     tandem_step,
 )
 from .dynamics import apply_completion
@@ -29,7 +30,7 @@ from .errors import (
     UnsupportedFeatureError,
     UsageError,
 )
-from .model import MultiServerRates, SwappingGraph
+from .model import Macrostate, MultiServerRates, SwappingGraph
 
 
 @dataclass(frozen=True)
@@ -319,23 +320,27 @@ class ClusterMetrics:
     mean_committed: Mapping[str, float]
 
 
-def metrics(
-    ct: CompiledTandem, distribution: Mapping[TandemState, float]
+def macrostate_metrics(
+    ct: CompiledTandem, distribution: Mapping[Macrostate, float]
 ) -> ClusterMetrics:
     """Compute blocking, throughput, and token-count expectations from a
-    stationary distribution over the tandem states."""
+    stationary distribution over the first-queue macrostates.
+
+    A type is blocked when no class left in the second queue serves it.
+    """
     n = len(ct.class_names)
+    population = ct.network.population
     blocked = {t: 0.0 for t in ct.type_names}
     mean_counts = [0.0] * n
-    for (c, d), p in distribution.items():
+    for x, p in distribution.items():
         active: set[int] = set()
-        for cls in d:
-            active |= ct.second_compat[cls]
+        for cls in range(n):
+            if x[cls] < population[cls]:
+                active |= ct.second_compat[cls]
+            mean_counts[cls] += p * x[cls]
         for k, t in enumerate(ct.type_names):
             if k not in active:
                 blocked[t] += p
-        for cls in c:
-            mean_counts[cls] += p
     throughput = {
         t: ct.spec.type_rates[t] * (1.0 - blocked[t]) for t in ct.type_names
     }
@@ -350,6 +355,16 @@ def metrics(
         mean_committed={
             ct.class_names[i]: mean_counts[i] for i in ct.minimal
         },
+    )
+
+
+def metrics(
+    ct: CompiledTandem, distribution: Mapping[TandemState, float]
+) -> ClusterMetrics:
+    """:func:`macrostate_metrics` of a stationary distribution over the
+    tandem states."""
+    return macrostate_metrics(
+        ct, first_queue_marginal(distribution, len(ct.class_names))
     )
 
 

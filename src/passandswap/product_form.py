@@ -52,6 +52,41 @@ def balance(rate_fn: RateFunction, state: Sequence[int]) -> BalanceWeight:
     return BalanceWeight(math.exp(log_value), log_value)
 
 
+def memoized_log_balance(
+    rate_fn: RateFunction,
+) -> Callable[[Sequence[int]], float]:
+    """``lambda s: balance(rate_fn, s).log_value`` with one memo entry per
+    queue content.
+
+    A content's log weight is its parent's (the content without its last
+    customer) minus the log of the overall rate of its macrostate: the
+    float operations of :func:`balance`, in the same order.
+    """
+    memo: dict[tuple[int, ...], float] = {(): 0.0}
+
+    def log_weight(state: Sequence[int]) -> float:
+        state = tuple(state)
+        known = len(state)
+        while state[:known] not in memo:
+            known -= 1
+        log_value = memo[state[:known]]
+        counts = [0] * rate_fn.n_classes
+        for end, cls in enumerate(state, 1):
+            counts[cls] += 1
+            if end <= known:
+                continue
+            r = rate_fn.rate(tuple(counts))
+            if r <= 0.0:
+                raise UsageError(
+                    f"overall rate is not positive on prefix {tuple(counts)}"
+                )
+            log_value -= math.log(r)
+            memo[state[:end]] = log_value
+        return log_value
+
+    return log_weight
+
+
 def log_state_weight(queue: PandsQueue, state: Sequence[int]) -> float:
     """Log of the unnormalized product-form measure of ``state``."""
     w = balance(queue.rate_fn, state).log_value

@@ -264,6 +264,14 @@ def test_budget_exit_code(capsys, model_path):
     assert main(["analyze", path, "-N", "12", "--budget", "10"]) == 3
 
 
+def test_cluster_budget_names_the_exact_state_count(capsys, model_path):
+    path = model_path(CLUSTER_DOC)
+    for budget in ("50", "7"):
+        assert main(["cluster-analyze", path, "--budget", budget]) == 3
+        err = capsys.readouterr().err
+        assert f"needs 96 tandem states, budget {budget}" in err
+
+
 def test_table_output_contains_header(capsys, model_path):
     assert main(["stability", model_path(TWO_CLASS_DOC)]) == 0
     out = capsys.readouterr().out

@@ -25,6 +25,18 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 # Initial state 1,1,2,2,2,3 adheres to the order 1 < 2 < 3 (direct route).
 ADHERING_DOC = dict(CLOSED_DOC, initial_state=[1, 1, 2, 2, 2, 3])
 
+# Three one-slot groups on one machine, all serving type A: the tandem
+# state space splits into two communicating classes.
+REDUCIBLE_GROUPED_DOC = {
+    "schema": "pands-cluster/1",
+    "job_types": [{"name": "A", "rate": 1.0, "slots": 1}],
+    "machines": [{"name": "1", "rate": 1.0}],
+    "groups": [
+        {"name": g, "slots": 1, "machines": ["1"], "types": ["A"]}
+        for g in ("g1", "g2", "g3")
+    ],
+}
+
 # (case name, command, model document or None for the compiled tandem)
 CASES = [
     ("closed-analyze/isomorphic", "closed-analyze", CLOSED_DOC),
@@ -35,6 +47,8 @@ CASES = [
     ("classes/reducible", "classes", REDUCIBLE_DOC),
     ("tandem-analyze/cluster", "tandem-analyze", None),
     ("cluster-analyze/cluster", "cluster-analyze", CLUSTER_DOC),
+    ("cluster-analyze/reducible-grouped", "cluster-analyze",
+     REDUCIBLE_GROUPED_DOC),
 ]
 
 
