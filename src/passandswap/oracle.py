@@ -113,15 +113,40 @@ class StationarySolution:
 
 
 def _solve_direct(q_sub: sp.csr_matrix) -> np.ndarray:
+    """Stationary law of one closed communicating class by sparse LU.
+
+    The balance equation of the last state is dropped and its probability
+    fixed at 1, leaving ``Q[:-1, :-1]^T x = -Q[n-1, :-1]^T``; the result is
+    then normalized.  For a closed communicating class ``-Q[:-1, :-1]`` is a
+    nonsingular M-matrix, and Gaussian elimination in any symmetric order
+    keeps every Schur complement an M-matrix, so the diagonal pivots stay
+    positive (the GTH argument; Stewart, *Introduction to the Numerical
+    Solution of Markov Chains*, 1994, ch. 2).  The factorization therefore
+    takes the diagonal pivots as they come and orders rows and columns alike
+    by minimum degree on ``A^T + A``, which keeps the fill low.  In floating
+    point the reduced system grows ill-conditioned as the last state's
+    probability shrinks; a factor that meets an exactly zero pivot raises
+    ``ConvergenceError``.
+    """
     n = q_sub.shape[0]
     if n == 1:
         return np.array([1.0])
-    a = q_sub.transpose().tolil()
-    a[n - 1, :] = 1.0
-    b = np.zeros(n)
-    b[n - 1] = 1.0
-    pi = spla.spsolve(a.tocsc(), b)
-    return np.asarray(pi).ravel()
+    a = q_sub[:-1, :-1].transpose().tocsc()
+    b = -q_sub[n - 1, :-1].toarray().ravel()
+    try:
+        lu = spla.splu(
+            a,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise ConvergenceError(
+            f"direct solve broke down ({exc}): the reduced balance system "
+            "is singular in floating point"
+        ) from None
+    pi = np.append(lu.solve(b), 1.0)
+    return pi / pi.sum()
 
 
 def _solve_uniformized(
@@ -136,15 +161,17 @@ def _solve_uniformized(
     lam = margin * float(out_rates.max()) if n else 1.0
     if lam <= 0.0:
         return np.full(n, 1.0 / n), [0.0]
-    p = sp.eye(n, format="csr") + q_sub / lam
+    # transposed once here: ``pi @ p`` would build a transpose every step
+    p_t = (sp.eye(n, format="csr") + q_sub / lam).transpose().tocsr()
+    q_t = q_sub.transpose().tocsr()
     pi = np.full(n, 1.0 / n)
     history: list[float] = []
     for it in range(max_iterations):
-        pi = (1.0 - damping) * pi + damping * (pi @ p)
+        pi = (1.0 - damping) * pi + damping * (p_t @ pi)
         pi = np.maximum(pi, 0.0)
         pi /= pi.sum()
         if it % 50 == 0 or it == max_iterations - 1:
-            residual = float(np.abs(pi @ q_sub).max())
+            residual = float(np.abs(q_t @ pi).max())
             history.append(residual)
             if residual < residual_tol:
                 return pi, history
@@ -164,35 +191,36 @@ def solve_stationary(
 ) -> StationarySolution:
     """Stationary distribution of every closed communicating class.
 
-    Classes small enough solve directly through a sparse linear system;
-    larger ones fall back to damped power iteration on the uniformized
-    chain.  Either way the residual ``max |pi Q|`` must come in below
-    ``residual_tol``.
+    Classes are listed in order of their first state.  Classes of at most
+    ``direct_limit`` states solve directly: one balance equation is dropped,
+    the rest are factored by sparse LU ordered by minimum degree on
+    ``A^T + A``, without pivoting, which is safe because the reduced system
+    is a nonsingular M-matrix (see ``_solve_direct``).  Larger classes fall
+    back to damped power iteration on the uniformized chain.  Either way the
+    residual ``max |pi Q|`` must come in below ``residual_tol``.
     """
     n = g.n_states
-    adjacency = sp.csr_matrix(
-        (np.ones(g.matrix.nnz), g.matrix.indices, g.matrix.indptr), shape=(n, n)
-    )
+    q = g.matrix
+    adjacency = sp.csr_matrix((np.ones(q.nnz), q.indices, q.indptr), shape=(n, n))
     n_comp, labels = connected_components(
         adjacency, directed=True, connection="strong"
     )
+    coo = q.tocoo()
+    leaving, entering = labels[coo.row], labels[coo.col]
     closed = np.ones(n_comp, dtype=bool)
-    coo = g.matrix.tocoo()
-    for u, v, val in zip(coo.row, coo.col, coo.data):
-        if u != v and val > 0.0 and labels[u] != labels[v]:
-            closed[labels[u]] = False
+    closed[leaving[(coo.data > 0.0) & (leaving != entering)]] = False
+    _, first = np.unique(labels, return_index=True)
+    by_label = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels, minlength=n_comp))
     solutions: list[ClassSolution] = []
     transient = 0
-    seen_order: list[int] = []
-    for lab in labels:
-        if lab not in seen_order:
-            seen_order.append(lab)
-    for lab in seen_order:
-        members = np.flatnonzero(labels == lab)
+    # classes in order of their first state, as closed.communicating_classes
+    for lab in labels[np.sort(first)]:
+        members = by_label[ends[lab - 1] if lab else 0:ends[lab]]
         if not closed[lab]:
             transient += len(members)
             continue
-        q_sub = g.matrix[members][:, members].tocsr()
+        q_sub = q if len(members) == n else q[members][:, members].tocsr()
         if len(members) <= direct_limit:
             pi = _solve_direct(q_sub)
             method = "direct"

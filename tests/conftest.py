@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from passandswap import (
     MultiServerRates,
@@ -8,6 +9,14 @@ from passandswap import (
 )
 from passandswap.closed import closed_transitions, tandem_transitions
 from passandswap.dynamics import open_transitions
+
+# Property tests draw the same examples on every run and stop after a fixed
+# number, so a failure reproduces and the suite's wall time stays bounded.
+settings.register_profile(
+    "passandswap", derandomize=True, deadline=None, max_examples=60,
+    database=None,
+)
+settings.load_profile("passandswap")
 
 
 class UnitIncrementRates(RateFunction):
@@ -82,3 +91,37 @@ def tandem_transition_fn(net):
     return lambda s: [
         (t.next_state, t.rate) for t in tandem_transitions(net, s)
     ]
+
+
+def brute_reachability_partition(states, successors):
+    """Pairwise-reachability communicating classes, for cross-checking."""
+    idx = {s: i for i, s in enumerate(states)}
+    n = len(states)
+    reach = [set([i]) for i in range(n)]
+    for i, s in enumerate(states):
+        frontier = [s]
+        seen = {i}
+        while frontier:
+            cur = frontier.pop()
+            for t in successors(cur):
+                j = idx[t]
+                if j not in seen:
+                    seen.add(j)
+                    frontier.append(t)
+        reach[i] = seen
+    classes = []
+    assigned = [None] * n
+    for i in range(n):
+        if assigned[i] is not None:
+            continue
+        members = {j for j in reach[i] if i in reach[j]}
+        for j in members:
+            assigned[j] = len(classes)
+        classes.append(members)
+    closed = []
+    for members in classes:
+        leaves = any(
+            idx[t] not in members for j in members for t in successors(states[j])
+        )
+        closed.append(not leaves)
+    return classes, closed

@@ -32,6 +32,7 @@ from passandswap import (
 from passandswap import MultiServerRates
 from conftest import (
     UnitIncrementRates,
+    brute_reachability_partition,
     closed_transition_fn,
     tandem_transition_fn,
 )
@@ -347,40 +348,6 @@ def test_tandem_distribution_matches_oracle(six_class_graph, six_class_order):
 # --------------------------------------------------- communicating classes
 
 
-def _brute_reachability_partition(states, successors):
-    """Pairwise-reachability communicating classes, for cross-checking."""
-    idx = {s: i for i, s in enumerate(states)}
-    n = len(states)
-    reach = [set([i]) for i in range(n)]
-    for i, s in enumerate(states):
-        frontier = [s]
-        seen = {i}
-        while frontier:
-            cur = frontier.pop()
-            for t in successors(cur):
-                j = idx[t]
-                if j not in seen:
-                    seen.add(j)
-                    frontier.append(t)
-        reach[i] = seen
-    classes = []
-    assigned = [None] * n
-    for i in range(n):
-        if assigned[i] is not None:
-            continue
-        members = {j for j in reach[i] if i in reach[j]}
-        for j in members:
-            assigned[j] = len(classes)
-        classes.append(members)
-    closed = []
-    for members in classes:
-        leaves = any(
-            idx[t] not in members for j in members for t in successors(states[j])
-        )
-        closed.append(not leaves)
-    return classes, closed
-
-
 def test_single_closed_class_with_unit_increments(
     six_class_graph, six_class_order
 ):
@@ -392,7 +359,7 @@ def test_single_closed_class_with_unit_increments(
     partition = communicating_classes(states, succ)
     assert partition.n_components == 1
     assert partition.closed == (True,)
-    brute_classes, brute_closed = _brute_reachability_partition(states, succ)
+    brute_classes, brute_closed = brute_reachability_partition(states, succ)
     assert len(brute_classes) == 1 and brute_closed == [True]
 
 
