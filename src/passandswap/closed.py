@@ -12,6 +12,7 @@ splitting construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
@@ -20,7 +21,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .dynamics import CompletionOutcome, Transition, apply_completion
+from .dynamics import (
+    CompletionOutcome,
+    Transition,
+    apply_completion,
+    completions,
+)
 from .errors import ResourceError, StructureError, UsageError
 from .model import (
     Macrostate,
@@ -266,20 +272,12 @@ def closed_step(graph: SwappingGraph, state: State, position: int) -> State:
 
 
 def closed_transitions(cq: ClosedQueue, state: State) -> list[Transition]:
-    out: list[Transition] = []
-    for pos, inc in enumerate(cq.rate_fn.increments(state)):
-        if inc > 0.0:
-            oc = apply_completion(cq.swapping, state, pos)
-            out.append(
-                Transition(
-                    "completion",
-                    pos,
-                    inc,
-                    oc.next_state + (oc.departing_class,),
-                    oc,
-                )
-            )
-    return out
+    return [
+        Transition(
+            "completion", pos, inc, oc.next_state + (oc.departing_class,), oc
+        )
+        for pos, inc, oc in completions(cq.rate_fn, cq.swapping, state)
+    ]
 
 
 @dataclass(frozen=True)
@@ -346,24 +344,41 @@ def tandem_transitions(
     net: TandemNetwork, s: TandemState
 ) -> list[TandemTransition]:
     c, d = s
-    out: list[TandemTransition] = []
-    for pos, inc in enumerate(net.rate_fn_1.increments(c)):
-        if inc > 0.0:
-            oc = apply_completion(net.swapping, c, pos)
-            out.append(
-                TandemTransition(
-                    1, pos, inc, (oc.next_state, d + (oc.departing_class,)), oc
-                )
-            )
-    for pos, inc in enumerate(net.rate_fn_2.increments(d)):
-        if inc > 0.0:
-            oc = apply_completion(net.swapping, d, pos)
-            out.append(
-                TandemTransition(
-                    2, pos, inc, (c + (oc.departing_class,), oc.next_state), oc
-                )
-            )
-    return out
+    return [
+        TandemTransition(
+            1, pos, inc, (oc.next_state, d + (oc.departing_class,)), oc
+        )
+        for pos, inc, oc in completions(net.rate_fn_1, net.swapping, c)
+    ] + [
+        TandemTransition(
+            2, pos, inc, (c + (oc.departing_class,), oc.next_state), oc
+        )
+        for pos, inc, oc in completions(net.rate_fn_2, net.swapping, d)
+    ]
+
+
+def queue_moves(
+    rate_fn: RateFunction,
+    graph: SwappingGraph,
+    make: Callable[[State, int, float, CompletionOutcome], Any],
+) -> Callable[[State], tuple]:
+    """Memoized moves of one queue, keyed by its content.
+
+    ``moves(content)`` is the tuple of ``make(content, position, rate,
+    outcome)`` for each completion of :func:`completions`, in that order,
+    computed on the content's first visit and shared by every later one.  A tandem state is a pair of contents, so the
+    moves of both queues come from two such memos, whose size is the number
+    of distinct contents seen rather than of tandem states.
+    """
+
+    @functools.cache
+    def moves(content: State) -> tuple:
+        return tuple(
+            make(content, pos, inc, oc)
+            for pos, inc, oc in completions(rate_fn, graph, content)
+        )
+
+    return moves
 
 
 def enumerate_adhering(
@@ -858,24 +873,11 @@ def _reachable_tandem_states(net: TandemNetwork, initial: TandemState) -> int:
     Each queue content's moves are computed once, whatever the content of
     the other queue.
     """
-    graph = net.swapping
+    def make(content, pos, rate, oc):
+        return oc.next_state, oc.departing_class
 
-    def mover(rate_fn: RateFunction) -> Callable[[State], list]:
-        memo: dict[State, list[tuple[State, int]]] = {}
-
-        def moves(content: State) -> list[tuple[State, int]]:
-            out = memo.get(content)
-            if out is None:
-                out = memo[content] = []
-                for pos, inc in enumerate(rate_fn.increments(content)):
-                    if inc > 0.0:
-                        oc = apply_completion(graph, content, pos)
-                        out.append((oc.next_state, oc.departing_class))
-            return out
-
-        return moves
-
-    moves1, moves2 = mover(net.rate_fn_1), mover(net.rate_fn_2)
+    moves1 = queue_moves(net.rate_fn_1, net.swapping, make)
+    moves2 = queue_moves(net.rate_fn_2, net.swapping, make)
     seen = {initial}
     stack = [initial]
     while stack:

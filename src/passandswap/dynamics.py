@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UsageError
-from .model import PandsQueue, State, SwappingGraph
+from .model import PandsQueue, RateFunction, State, SwappingGraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompletionOutcome:
     """Result of one service completion.
 
@@ -93,6 +93,22 @@ def predecessors(
     return tuple(out)
 
 
+def completions(
+    rate_fn: RateFunction, graph: SwappingGraph, content: State
+) -> list[tuple[int, float, CompletionOutcome]]:
+    """``(position, rate, outcome)`` of every completion served at a
+    positive rate in a queue holding ``content``, head first.
+
+    These depend on the queue's content alone, whatever surrounds the
+    queue, which is what lets callers memoize them per content.
+    """
+    return [
+        (pos, inc, apply_completion(graph, content, pos))
+        for pos, inc in enumerate(rate_fn.increments(content))
+        if inc > 0.0
+    ]
+
+
 @dataclass(frozen=True)
 class Transition:
     """One outgoing transition of a state process."""
@@ -117,8 +133,6 @@ def open_transitions(
     if capacity is None or len(state) < capacity:
         for i, lam in enumerate(queue.arrival_rates):
             out.append(Transition("arrival", i, lam, state + (i,)))
-    for pos, inc in enumerate(queue.rate_fn.increments(state)):
-        if inc > 0.0:
-            oc = apply_completion(queue.swapping, state, pos)
-            out.append(Transition("completion", pos, inc, oc.next_state, oc))
+    for pos, inc, oc in completions(queue.rate_fn, queue.swapping, state):
+        out.append(Transition("completion", pos, inc, oc.next_state, oc))
     return out

@@ -89,10 +89,18 @@ def build_generator(
     cols += diag_idx
     vals += [-s for s in row_sums]
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    check = np.abs(np.asarray(matrix.sum(axis=1)).ravel())
-    if check.size and check.max() > ROW_SUM_TOL:
-        raise ConvergenceError("generator rows do not sum to zero")
+    _check_row_sums(matrix)
     return GeneratorMatrix(tuple(order), index, matrix)
+
+
+def _check_row_sums(matrix: sp.csr_matrix) -> None:
+    """Raise unless every row of ``matrix`` sums to zero within
+    ``ROW_SUM_TOL`` per unit of the row's exit rate ``|q_ii|`` (at least
+    one): the rounding error of a row's sum grows with its rates."""
+    check = np.abs(np.asarray(matrix.sum(axis=1)).ravel())
+    slack = ROW_SUM_TOL * np.maximum(1.0, np.abs(matrix.diagonal()))
+    if (check > slack).any():
+        raise ConvergenceError("generator rows do not sum to zero")
 
 
 @dataclass(frozen=True)

@@ -5,25 +5,33 @@ times that is distributionally exact and keeps the implementation trivially
 auditable.  A fixed seed fully determines a run, replication streams are
 derived deterministically from it, and results aggregate across
 replications with standard errors.
+
+All four simulators share one event loop, :func:`_run_replication`, fed
+by memoized moves.  A completion's chain, departing class and rate depend
+only on the content of the queue it happens in, so the moves of an open or
+closed queue are computed once per content, and those of a tandem once per
+content of each of its two queues.  The protocol's moves are computed once
+per protocol state, by ``ProtocolSimulator.apply`` itself.  Each memo lives
+for one ``simulate`` or ``simulate_protocol`` call and is shared by its
+replications; memory grows with the distinct contents or protocol states a
+run visits, and nothing is ever evicted.  The loop draws and sums exactly
+as a per-event recomputation would, so seeded results do not depend on the
+memo.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
-from .closed import (
-    ClosedQueue,
-    TandemNetwork,
-    closed_transitions,
-    tandem_transitions,
-)
+from .closed import ClosedQueue, TandemNetwork, TandemState, queue_moves
 from .cluster import ClusterSpec
-from .dynamics import open_transitions
+from .dynamics import CompletionOutcome
 from .errors import CapabilityError, DeadlockError, UsageError
-from .model import PandsQueue
+from .model import PandsQueue, State
 
 TraceFn = Callable[[float, str, tuple[int, ...], int | None], None]
 
@@ -76,10 +84,7 @@ def _mean_stderr(values: Sequence[float]) -> tuple[float, float]:
 
 
 def _aggregate(
-    occ_reps: list[dict],
-    counter_reps: list[dict],
-    fraction_reps: list[dict],
-    replications: int,
+    occ_reps: list[dict], counter_reps: list[dict], fraction_reps: list[dict]
 ) -> SimResult:
     tables: list[dict] = []
     for reps in (occ_reps, counter_reps, fraction_reps):
@@ -89,7 +94,7 @@ def _aggregate(
         for k in dict.fromkeys(k for rep in reps for k in rep):
             means[k], errs[k] = _mean_stderr([rep.get(k, 0.0) for rep in reps])
         tables += [means, errs]
-    return SimResult(*tables, replications)
+    return SimResult(*tables, len(occ_reps))
 
 
 def _rep_rng(seed: int, rep: int) -> random.Random:
@@ -97,77 +102,114 @@ def _rep_rng(seed: int, rep: int) -> random.Random:
     return random.Random(f"{seed}/{rep}")
 
 
-# Tags are ("arrive", class), ("reject", class), ("complete", queue, position)
-# with queue 0 for single-queue models; outcome carries chain and departure.
-Provider = Callable[[Any], list[tuple[float, Any, tuple]]]
-
-_CACHE_LIMIT = 100_000
-
-
-def _cached(provider: Provider) -> Provider:
-    # States recur constantly in finite chains; the move lists are immutable,
-    # so memoizing them turns each event into a dictionary lookup.
-    cache: dict[Any, list] = {}
-
-    def wrapped(state):
-        moves = cache.get(state)
-        if moves is None:
-            moves = provider(state)
-            if len(cache) < _CACHE_LIMIT:
-                cache[state] = moves
-        return moves
-
-    return wrapped
+# A move is (rate, advance, arg, counts, tag).  The next state is
+# ``advance(state, arg)``, built for the chosen move only; ``counts`` names
+# the counters the move adds one to; ``tag`` is ("arrive", class, None),
+# ("reject", class, None) or ("complete", (queue, position), outcome), with
+# queue 0 for single-queue models, and for the protocol the event tag
+# followed by what ``ProtocolSimulator.apply`` reported.  ``MovesOf`` maps a
+# state to its occupancy key and its moves.
+Move = tuple[float, Callable[[Any, Any], Any], Any, tuple[str, ...], tuple]
+MovesOf = Callable[[Any], tuple[Hashable, tuple[Move, ...]]]
 
 
-def _open_provider(queue: PandsQueue, capacity: int) -> Provider:
-    def provider(state):
-        at_cap = len(state) >= capacity
+def _goto(state: Any, next_state: Any) -> Any:
+    return next_state
+
+
+def _first_served(state: TandemState, oc: CompletionOutcome) -> TandemState:
+    # A departure from the first queue joins the second queue's tail.
+    return oc.next_state, state[1] + (oc.departing_class,)
+
+
+def _second_served(state: TandemState, oc: CompletionOutcome) -> TandemState:
+    return state[0] + (oc.departing_class,), oc.next_state
+
+
+def _completion(
+    queue: int,
+    advance: Callable[[Any, Any], Any],
+    arg: Callable[[CompletionOutcome], Any],
+) -> Callable[[State, int, float, CompletionOutcome], Move]:
+    """Move maker for :func:`closed.queue_moves`.  Moves with the same
+    departing and served classes share one ``counts`` tuple."""
+    shared: dict[tuple[int, int], tuple[str, ...]] = {}
+
+    def make(content, pos, rate, oc):
+        dep, served = oc.departing_class, content[pos]
+        counts = shared.get((dep, served))
+        if counts is None:
+            counts = shared[dep, served] = (
+                "completions", f"departures:{dep}", f"services:{served}"
+            )
+        return rate, advance, arg(oc), counts, ("complete", (queue, pos), oc)
+
+    return make
+
+
+def _open_moves(queue: PandsQueue, capacity: int) -> MovesOf:
+    completed = queue_moves(
+        queue.rate_fn,
+        queue.swapping,
+        _completion(0, _goto, lambda oc: oc.next_state),
+    )
+    arrived = [(f"arrivals:{i}",) for i in range(queue.n_classes)]
+    rejected = [(f"arrivals:{i}", f"rejections:{i}")
+                for i in range(queue.n_classes)]
+
+    @functools.cache
+    def moves_of(state):
         moves = []
         for i, lam in enumerate(queue.arrival_rates):
-            if at_cap:
-                moves.append((lam, state, ("reject", i, None)))
+            if len(state) >= capacity:
+                moves.append((lam, _goto, state, rejected[i], ("reject", i, None)))
             else:
-                moves.append((lam, state + (i,), ("arrive", i, None)))
-        for t in open_transitions(queue, state, capacity):
-            if t.kind == "completion":
                 moves.append(
-                    (t.rate, t.next_state, ("complete", (0, t.index), t.outcome))
+                    (lam, _goto, state + (i,), arrived[i], ("arrive", i, None))
                 )
-        return moves
+        return state, tuple(moves) + completed(state)
 
-    return _cached(provider)
-
-
-def _closed_provider(cq: ClosedQueue) -> Provider:
-    def provider(state):
-        return [
-            (t.rate, t.next_state, ("complete", (0, t.index), t.outcome))
-            for t in closed_transitions(cq, state)
-        ]
-
-    return _cached(provider)
+    return moves_of
 
 
-def _tandem_provider(net: TandemNetwork) -> Provider:
-    def provider(state):
-        return [
-            (t.rate, t.next_state, ("complete", (t.queue, t.position), t.outcome))
-            for t in tandem_transitions(net, state)
-        ]
+def _closed_moves(cq: ClosedQueue) -> MovesOf:
+    completed = queue_moves(
+        cq.rate_fn,
+        cq.swapping,
+        _completion(
+            0, _goto, lambda oc: oc.next_state + (oc.departing_class,)
+        ),
+    )
+    return functools.cache(lambda state: (state, completed(state)))
 
-    return _cached(provider)
+
+def _tandem_moves(net: TandemNetwork) -> MovesOf:
+    # One memo per queue: a tandem state's moves are those of its first
+    # queue's content followed by those of its second queue's content.
+    first = queue_moves(
+        net.rate_fn_1, net.swapping, _completion(1, _first_served, lambda oc: oc)
+    )
+    second = queue_moves(
+        net.rate_fn_2, net.swapping, _completion(2, _second_served, lambda oc: oc)
+    )
+
+    def moves_of(state):
+        return state, first(state[0]) + second(state[1])
+
+    return moves_of
 
 
 def _run_replication(
-    provider: Provider,
+    moves_of: MovesOf,
     initial: Any,
     cfg: SimConfig,
     rng: random.Random,
     trace: TraceFn | None,
-) -> tuple[dict, dict, dict]:
+) -> tuple[dict, dict]:
+    """One replication of the exponential race: time-weighted occupancy
+    fractions by key, and event counters, both in first-seen key order."""
     occupancy: dict[Any, float] = {}
-    counters: dict[str, float] = {}
+    hits: dict[tuple[str, ...], int] = {}
     state = initial
     now = 0.0
     tracked = 0.0
@@ -187,10 +229,10 @@ def _run_replication(
                 break
         elif now >= horizon_time:
             break
-        moves = provider(state)
+        key, moves = moves_of(state)
         total = 0.0
-        for rate, _, _ in moves:
-            total += rate
+        for move in moves:
+            total += move[0]
         if total <= 0.0:
             raise DeadlockError(f"no enabled event in state {state!r}")
         dt = rng.expovariate(total)
@@ -201,7 +243,7 @@ def _run_replication(
             end = min(now + dt, horizon_time)
             weight = max(0.0, end - start)
         if weight > 0.0:
-            occupancy[state] = occupancy.get(state, 0.0) + weight
+            occupancy[key] = occupancy.get(key, 0.0) + weight
             tracked += weight
         pick = rng.random() * total
         chosen = moves[-1]
@@ -211,48 +253,29 @@ def _run_replication(
             if pick < acc:
                 chosen = move
                 break
-        _, next_state, tag = chosen
-        counting = (step >= warm_events) if by_events else (now >= warm_time)
-        kind = tag[0]
-        if counting:
-            if kind == "arrive":
-                counters[f"arrivals:{tag[1]}"] = (
-                    counters.get(f"arrivals:{tag[1]}", 0.0) + 1
-                )
-            elif kind == "reject":
-                counters[f"arrivals:{tag[1]}"] = (
-                    counters.get(f"arrivals:{tag[1]}", 0.0) + 1
-                )
-                counters[f"rejections:{tag[1]}"] = (
-                    counters.get(f"rejections:{tag[1]}", 0.0) + 1
-                )
-            else:
-                counters["completions"] = counters.get("completions", 0.0) + 1
-                outcome = tag[2]
-                dep = outcome.departing_class
-                counters[f"departures:{dep}"] = (
-                    counters.get(f"departures:{dep}", 0.0) + 1
-                )
-                queue_idx, pos = tag[1]
-                side = state if queue_idx == 0 else state[queue_idx - 1]
-                served = side[pos]
-                counters[f"services:{served}"] = (
-                    counters.get(f"services:{served}", 0.0) + 1
-                )
+        _, advance, arg, counts, tag = chosen
+        if (step >= warm_events) if by_events else (now >= warm_time):
+            hits[counts] = hits.get(counts, 0) + 1
         if trace is not None:
-            if kind == "complete":
+            if tag[0] == "complete":
                 outcome = tag[2]
                 trace(now + dt, f"complete-q{tag[1][0]}", outcome.chain,
                       outcome.departing_class)
             else:
-                trace(now + dt, f"{kind}-{tag[1]}", (), None)
+                trace(now + dt, f"{tag[0]}-{tag[1]}", (), None)
         now += dt
-        state = next_state
+        state = advance(state, arg)
         step += 1
 
     if tracked > 0.0:
         occupancy = {k: v / tracked for k, v in occupancy.items()}
-    return occupancy, counters, {}
+    # Counting each move's whole ``counts`` tuple at once and expanding it
+    # here keeps the counters' values and their first-seen order.
+    counters: dict[str, int] = {}
+    for counts, n in hits.items():
+        for name in counts:
+            counters[name] = counters.get(name, 0) + n
+    return occupancy, {name: float(n) for name, n in counters.items()}
 
 
 def simulate(
@@ -271,26 +294,23 @@ def simulate(
     if isinstance(model, PandsQueue):
         if capacity is None:
             raise UsageError("open models need an explicit capacity")
-        provider = _open_provider(model, capacity)
+        moves_of = _open_moves(model, capacity)
         start = initial if initial is not None else ()
     elif isinstance(model, ClosedQueue):
-        provider = _closed_provider(model)
+        moves_of = _closed_moves(model)
         start = initial if initial is not None else model.initial_state()
     elif isinstance(model, TandemNetwork):
-        provider = _tandem_provider(model)
+        moves_of = _tandem_moves(model)
         start = initial if initial is not None else model.initial_state()
     else:
         raise UsageError(f"cannot simulate {type(model).__name__}")
-    occ_reps, counter_reps, fraction_reps = [], [], []
-    for rep in range(cfg.replications):
-        rng = _rep_rng(cfg.seed, rep)
-        occ, counters, fractions = _run_replication(
-            provider, start, cfg, rng, trace if rep == 0 else None
-        )
-        occ_reps.append(occ)
-        counter_reps.append(counters)
-        fraction_reps.append(fractions)
-    return _aggregate(occ_reps, counter_reps, fraction_reps, cfg.replications)
+    runs = [
+        _run_replication(moves_of, start, cfg, _rep_rng(cfg.seed, rep),
+                         trace if rep == 0 else None)
+        for rep in range(cfg.replications)
+    ]
+    return _aggregate([occ for occ, _ in runs],
+                      [counters for _, counters in runs], [{} for _ in runs])
 
 
 class ProtocolSimulator:
@@ -356,6 +376,18 @@ class ProtocolSimulator:
         self.waiting: list[int] = []
         self.waiting_counts = [0] * len(self.types)
 
+    def snapshot(self) -> tuple:
+        """The state as a hashable ``(free tokens, buffers, waiting)``."""
+        return tuple(self.free_tokens), tuple(self.buffers), tuple(self.waiting)
+
+    def restore(self, state: tuple) -> None:
+        """Return to a state taken by :meth:`snapshot`."""
+        free_tokens, buffers, waiting = state
+        self.free_tokens = list(free_tokens)
+        self.buffers = list(buffers)
+        self.waiting = list(waiting)
+        self.waiting_counts = [waiting.count(k) for k in range(len(self.types))]
+
     def transitions(self) -> list[tuple[float, tuple]]:
         moves = []
         for k, rate in enumerate(self.arrival_rates):
@@ -408,6 +440,33 @@ class ProtocolSimulator:
         return tuple(out)
 
 
+def _protocol_moves(sim: ProtocolSimulator) -> MovesOf:
+    """Memoized moves of the protocol, keyed by ``sim.snapshot()``.  A
+    state's held-count key and moves are read off ``sim`` on the state's
+    first visit, and each move's next state is what ``sim.apply`` makes."""
+    arrivals = [f"arrivals:{t}" for t in sim.types]
+    rejections = [f"rejections:{t}" for t in sim.types]
+
+    @functools.cache
+    def moves_of(state):
+        sim.restore(state)
+        key = sim.held_counts()
+        moves = []
+        for rate, tag in sim.transitions():
+            sim.restore(state)
+            result = sim.apply(tag)
+            if tag[0] == "complete":
+                counts = ("completions",)
+            elif result == "reject":
+                counts = (arrivals[tag[1]], rejections[tag[1]])
+            else:
+                counts = (arrivals[tag[1]],)
+            moves.append((rate, _goto, sim.snapshot(), counts, (*tag, result)))
+        return key, tuple(moves)
+
+    return moves_of
+
+
 def simulate_protocol(spec: ClusterSpec, cfg: SimConfig) -> SimResult:
     """Simulate the assignment protocol directly from its operational
     description, independent of the tandem encoding.
@@ -415,73 +474,29 @@ def simulate_protocol(spec: ClusterSpec, cfg: SimConfig) -> SimResult:
     Occupancy is keyed by the held-token count vector (spec class order);
     per-type blocking fractions carry standard errors across replications.
     """
+    sim = ProtocolSimulator(spec)
+    start = sim.snapshot()
+    moves_of = _protocol_moves(sim)
     occ_reps, counter_reps, fraction_reps = [], [], []
     for rep in range(cfg.replications):
-        sim = ProtocolSimulator(spec)
-        rng = _rep_rng(cfg.seed, rep)
-        occupancy: dict[tuple[int, ...], float] = {}
-        counters: dict[str, float] = {}
-        arrivals = [0] * len(sim.types)
-        rejections = [0] * len(sim.types)
-        now = 0.0
-        tracked = 0.0
-        by_events = cfg.events is not None
-        horizon_events = cfg.events if by_events else 0
-        warm_events = int(cfg.warmup * horizon_events) if by_events else 0
-        horizon_time = cfg.time if not by_events else 0.0
-        warm_time = cfg.warmup * horizon_time if not by_events else 0.0
-        step = 0
-        while True:
-            if by_events:
-                if step >= horizon_events:
-                    break
-            elif now >= horizon_time:
-                break
-            moves = sim.transitions()
-            total = sum(rate for rate, _ in moves)
-            if total <= 0.0:
-                raise DeadlockError("no enabled event in the protocol state")
-            dt = rng.expovariate(total)
-            if by_events:
-                weight = dt if step >= warm_events else 0.0
-            else:
-                start = max(now, warm_time)
-                end = min(now + dt, horizon_time)
-                weight = max(0.0, end - start)
-            if weight > 0.0:
-                key = sim.held_counts()
-                occupancy[key] = occupancy.get(key, 0.0) + weight
-                tracked += weight
-            pick = rng.random() * total
-            chosen = moves[-1]
-            acc = 0.0
-            for move in moves:
-                acc += move[0]
-                if pick < acc:
-                    chosen = move
-                    break
-            tag = chosen[1]
-            result = sim.apply(tag)
-            counting = (step >= warm_events) if by_events else (now >= warm_time)
-            if counting:
-                if tag[0] == "arrive":
-                    arrivals[tag[1]] += 1
-                    if result == "reject":
-                        rejections[tag[1]] += 1
-                else:
-                    counters["completions"] = counters.get("completions", 0.0) + 1
-            now += dt
-            step += 1
-        if tracked > 0.0:
-            occupancy = {k: v / tracked for k, v in occupancy.items()}
+        occupancy, seen = _run_replication(
+            moves_of, start, cfg, _rep_rng(cfg.seed, rep), None
+        )
+        # The protocol reports completions first, then arrivals and
+        # rejections by type, zeros included.
+        counters = {}
+        if "completions" in seen:
+            counters["completions"] = seen["completions"]
         fractions = {}
-        for k, t in enumerate(sim.types):
-            counters[f"arrivals:{t}"] = float(arrivals[k])
-            counters[f"rejections:{t}"] = float(rejections[k])
+        for t in sim.types:
+            arrivals = counters[f"arrivals:{t}"] = seen.get(f"arrivals:{t}", 0.0)
+            rejections = counters[f"rejections:{t}"] = seen.get(
+                f"rejections:{t}", 0.0
+            )
             fractions[f"blocking:{t}"] = (
-                rejections[k] / arrivals[k] if arrivals[k] else 0.0
+                rejections / arrivals if arrivals else 0.0
             )
         occ_reps.append(occupancy)
         counter_reps.append(counters)
         fraction_reps.append(fractions)
-    return _aggregate(occ_reps, counter_reps, fraction_reps, cfg.replications)
+    return _aggregate(occ_reps, counter_reps, fraction_reps)

@@ -1,4 +1,5 @@
 import inspect
+import random
 
 import numpy as np
 import pytest
@@ -183,6 +184,36 @@ def test_direct_solve_matches_dense_reference(g):
     assert np.abs(pi @ qa).max() <= RESIDUAL_TOL
     # 1e-10, except where rounding the rates alone moves the law further
     assert np.abs(pi - ref).max() <= max(1e-10, 8 * n * EPS * cond)
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e6])
+def test_row_sum_check_scales_with_the_rates(scale):
+    # A cycle through every state plus random chords, each rate 10**U(-1, 1)
+    # times ``scale``.  Summing a row with its diagonal leaves a rounding
+    # error of about eps times the exit rate; an absolute 1e-12 refused
+    # most of these chains.
+    rng = random.Random(int(scale))
+    for _ in range(100):
+        n = rng.randint(2, 40)
+        cycle = rng.sample(range(n), n)
+        edges = {(cycle[i], cycle[(i + 1) % n]) for i in range(n)}
+        edges |= {(rng.randrange(n), rng.randrange(n))
+                  for _ in range(rng.randint(0, 3 * n))}
+        moves = {u: [] for u in range(n)}
+        for u, v in sorted(edges):
+            moves[u].append((v, scale * 10.0 ** rng.uniform(-1.0, 1.0)))
+        gen = build_generator(lambda s: moves[s], cycle[0])
+        assert gen.n_states == n
+
+
+def test_unbalanced_row_is_a_convergence_error():
+    from passandswap.oracle import _check_row_sums
+
+    _check_row_sums(sp.csr_matrix(np.array([[-1e6, 1e6], [1.0, -1.0]])))
+    for rows in ([[-1.0, 1.5], [1.0, -1.0]],
+                 [[-1e6, 1e6 + 1e-3], [1.0, -1.0]]):
+        with pytest.raises(ConvergenceError, match="do not sum to zero"):
+            _check_row_sums(sp.csr_matrix(np.array(rows)))
 
 
 def test_direct_breakdown_is_a_convergence_error():
