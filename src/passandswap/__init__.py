@@ -26,9 +26,7 @@ from .model import (
     ValidationReport,
     all_macrostates,
     all_states,
-    delta_mu,
     macrostate,
-    mu,
     validate_rate_function,
 )
 from .dynamics import (
@@ -62,20 +60,19 @@ from .closed import (
     TandemAnalysis,
     TandemNetwork,
     TandemState,
-    TandemTransition,
     adheres,
     adheres_tandem,
     analyze_closed,
     analyze_tandem,
     analyze_tandem_macrostates,
     closed_step,
-    closed_transitions,
     communicating_classes,
     enumerate_adhering,
     enumerate_placement_orders,
     enumerate_sigma,
     first_queue_macrostates,
     isomorphic_model,
+    moves,
     order_from_state,
     tandem_step,
     tandem_transitions,

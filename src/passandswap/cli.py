@@ -18,15 +18,15 @@ from typing import Any, Mapping
 
 from . import __version__
 from .closed import (
+    TandemNetwork,
     analyze_closed,
     analyze_tandem,
     analyze_tandem_macrostates,
-    closed_transitions,
     isomorphic_model,
-    tandem_transitions,
+    moves,
 )
 from .cluster import compile_cluster, macrostate_metrics
-from .dynamics import apply_completion, open_transitions
+from .dynamics import apply_completion
 from .errors import (
     ModelFormatError,
     PandsError,
@@ -69,7 +69,7 @@ def _header(args: argparse.Namespace, model_path: str | None) -> dict:
     flags = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in {"func", "command"} and v is not None
+        if k not in {"func", "kinds", "command"} and v is not None
     }
     if model_path is not None:
         digest = hashlib.sha256(Path(model_path).read_bytes()).hexdigest()
@@ -137,28 +137,45 @@ def _render(payload: Any, out, indent: str = "") -> None:
 
 
 def _distribution_rows(probabilities: Mapping, state_key) -> list[dict]:
-    rows = sorted(
-        probabilities.items(), key=lambda kv: (-kv[1], state_key(kv[0]))
-    )
+    # ``state_key`` renders a state and keeps the order of states.
+    rows = sorted(probabilities.items(), key=lambda kv: (-kv[1], kv[0]))
     return [
         {"state": state_key(state), "probability": _fmt(p)}
         for state, p in rows
     ]
 
 
-def _need(model, kind, name: str):
-    if not isinstance(model, kind):
-        raise UsageError(
-            f"this command needs a {name} model file, got "
-            f"{type(model).__name__}"
-        )
-    return model
+def _class_rows(partition) -> list[dict]:
+    return [
+        {"size": len(c), "closed": partition.closed[i]}
+        for i, c in enumerate(partition.classes)
+    ]
 
 
-def _cmd_validate(args) -> tuple[dict, list[str]]:
-    loaded = load_path(args.model)
-    queue = _need(loaded, LoadedOpen, "open").queue
-    report = validate_rate_function(queue.rate_fn, args.max_total)
+def _tandem_state_doc(s) -> dict:
+    c, d = s
+    return {"first": _state_1based(c), "second": _state_1based(d)}
+
+
+# The model, initial state and state rendering of each kind of model file,
+# for ``simulate``, ``oracle-compare`` and ``classes``.
+_CHAINS = {
+    LoadedOpen: lambda m: (m.queue, (), _state_1based),
+    LoadedClosed: lambda m: (m.queue, m.initial, _state_1based),
+    LoadedTandem: lambda m: (m.network, m.initial, _tandem_state_doc),
+    LoadedCluster: lambda m: (m.spec, None, list),
+}
+
+
+def _analyze(model, start, budget: int):
+    """The closed-queue or tandem analysis of ``model`` from ``start``."""
+    if isinstance(model, TandemNetwork):
+        return analyze_tandem(model, start, budget=budget)
+    return analyze_closed(model, start, budget=budget)
+
+
+def _cmd_validate(args, loaded) -> tuple[dict, list[str]]:
+    report = validate_rate_function(loaded.queue.rate_fn, args.max_total)
     payload = {
         "ok": report.ok,
         "checked_macrostates": report.checked_macrostates,
@@ -170,10 +187,8 @@ def _cmd_validate(args) -> tuple[dict, list[str]]:
     return payload, []
 
 
-def _cmd_stability(args) -> tuple[dict, list[str]]:
-    loaded = load_path(args.model)
-    queue = _need(loaded, LoadedOpen, "open").queue
-    report = stability_check(queue)
+def _cmd_stability(args, loaded) -> tuple[dict, list[str]]:
+    report = stability_check(loaded.queue)
     payload = {
         "stable": report.stable,
         "violations": [
@@ -194,10 +209,9 @@ def _cmd_stability(args) -> tuple[dict, list[str]]:
     return payload, []
 
 
-def _cmd_analyze(args) -> tuple[dict, list[str]]:
-    loaded = load_path(args.model)
-    queue = _need(loaded, LoadedOpen, "open").queue
-    dist = stationary_truncated(queue, args.capacity, budget=args.budget)
+def _cmd_analyze(args, loaded) -> tuple[dict, list[str]]:
+    dist = stationary_truncated(loaded.queue, args.capacity,
+                                budget=args.budget)
     payload = {
         "capacity": dist.capacity,
         "states": len(dist.states),
@@ -210,11 +224,10 @@ def _cmd_analyze(args) -> tuple[dict, list[str]]:
     return payload, []
 
 
-def _cmd_trace(args) -> tuple[dict, list[str]]:
-    loaded = load_path(args.model)
-    queue = _need(loaded, LoadedOpen, "open").queue
+def _cmd_trace(args, loaded) -> tuple[dict, list[str]]:
     state = _parse_state(args.state)
-    outcome = apply_completion(queue.swapping, state, args.position - 1)
+    outcome = apply_completion(loaded.queue.swapping, state,
+                               args.position - 1)
     payload = {
         "state": _state_1based(state),
         "position": args.position,
@@ -225,10 +238,9 @@ def _cmd_trace(args) -> tuple[dict, list[str]]:
     return payload, []
 
 
-def _cmd_closed_analyze(args) -> tuple[dict, list[str]]:
-    loaded = load_path(args.model)
-    closed = _need(loaded, LoadedClosed, "closed")
-    analysis = analyze_closed(closed.queue, closed.initial, budget=args.budget)
+def _cmd_closed_analyze(args, loaded) -> tuple[dict, list[str]]:
+    analysis = analyze_closed(loaded.queue, loaded.initial,
+                              budget=args.budget)
     if analysis.order is not None:
         adherence = {
             "adheres": True,
@@ -246,10 +258,7 @@ def _cmd_closed_analyze(args) -> tuple[dict, list[str]]:
         "initial_state": _state_1based(analysis.initial),
         "adherence": adherence,
         "states": len(analysis.states),
-        "communicating_classes": [
-            {"size": len(c), "closed": analysis.partition.closed[i]}
-            for i, c in enumerate(analysis.partition.classes)
-        ],
+        "communicating_classes": _class_rows(analysis.partition),
         "distribution": _distribution_rows(
             analysis.distribution, _state_1based
         ),
@@ -257,66 +266,36 @@ def _cmd_closed_analyze(args) -> tuple[dict, list[str]]:
     return payload, list(analysis.warnings)
 
 
-def _tandem_state_doc(s) -> dict:
-    c, d = s
-    return {"first": _state_1based(c), "second": _state_1based(d)}
-
-
-def _cmd_tandem_analyze(args) -> tuple[dict, list[str]]:
-    loaded = load_path(args.model)
-    tandem = _need(loaded, LoadedTandem, "tandem")
-    analysis = analyze_tandem(tandem.network, tandem.initial,
+def _cmd_tandem_analyze(args, loaded) -> tuple[dict, list[str]]:
+    analysis = analyze_tandem(loaded.network, loaded.initial,
                               budget=args.budget)
     payload = {
         "initial_state": _tandem_state_doc(analysis.initial),
         "states": len(analysis.states),
-        "communicating_classes": [
-            {"size": len(c), "closed": analysis.partition.closed[i]}
-            for i, c in enumerate(analysis.partition.classes)
-        ],
-        "distribution": [
-            {
-                "state": _tandem_state_doc(state),
-                "probability": _fmt(p),
-            }
-            for state, p in sorted(
-                analysis.distribution.items(),
-                key=lambda kv: (-kv[1], kv[0]),
-            )
-        ],
+        "communicating_classes": _class_rows(analysis.partition),
+        "distribution": _distribution_rows(
+            analysis.distribution, _tandem_state_doc
+        ),
     }
     return payload, list(analysis.warnings)
 
 
-def _cmd_classes(args) -> tuple[dict, list[str]]:
-    loaded = load_path(args.model)
-    if isinstance(loaded, LoadedClosed):
-        analysis = analyze_closed(loaded.queue, loaded.initial,
-                                  budget=args.budget)
-        partition = analysis.partition
-    elif isinstance(loaded, LoadedTandem):
-        analysis = analyze_tandem(loaded.network, loaded.initial,
-                                  budget=args.budget)
-        partition = analysis.partition
-    else:
-        raise UsageError("the classes command needs a closed or tandem model")
+def _cmd_classes(args, loaded) -> tuple[dict, list[str]]:
+    model, start, _ = _CHAINS[type(loaded)](loaded)
+    analysis = _analyze(model, start, args.budget)
+    partition = analysis.partition
     payload = {
         "states": len(partition.states),
-        "components": [
-            {"size": len(c), "closed": partition.closed[i]}
-            for i, c in enumerate(partition.classes)
-        ],
+        "components": _class_rows(partition),
         "transient_states": len(partition.transient_state_indices()),
     }
     return payload, list(analysis.warnings)
 
 
-def _cmd_iso(args) -> tuple[dict, list[str]]:
-    loaded = load_path(args.model)
-    closed = _need(loaded, LoadedClosed, "closed")
-    iso = isomorphic_model(closed.queue, closed.initial)
+def _cmd_iso(args, loaded) -> tuple[dict, list[str]]:
+    iso = isomorphic_model(loaded.queue, loaded.initial)
     payload = {
-        "initial_state": _state_1based(closed.initial),
+        "initial_state": _state_1based(loaded.initial),
         "iso_classes": list(iso.class_names),
         "split_map": {
             str(orig + 1): [iso.class_names[i] for i in ids]
@@ -331,10 +310,8 @@ def _cmd_iso(args) -> tuple[dict, list[str]]:
     return payload, []
 
 
-def _cmd_cluster_compile(args) -> tuple[dict, list[str]]:
-    loaded = load_path(args.model)
-    spec = _need(loaded, LoadedCluster, "cluster").spec
-    ct = compile_cluster(spec)
+def _cmd_cluster_compile(args, loaded) -> tuple[dict, list[str]]:
+    ct = compile_cluster(loaded.spec)
     doc = dump_compiled(ct)
     if args.emit:
         Path(args.emit).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -350,10 +327,8 @@ def _cmd_cluster_compile(args) -> tuple[dict, list[str]]:
     return payload, []
 
 
-def _cmd_cluster_analyze(args) -> tuple[dict, list[str]]:
-    loaded = load_path(args.model)
-    spec = _need(loaded, LoadedCluster, "cluster").spec
-    ct = compile_cluster(spec)
+def _cmd_cluster_analyze(args, loaded) -> tuple[dict, list[str]]:
+    ct = compile_cluster(loaded.spec)
     analysis = analyze_tandem_macrostates(ct.network, ct.initial,
                                           budget=args.budget)
     m = macrostate_metrics(ct, analysis.distribution)
@@ -370,8 +345,7 @@ def _cmd_cluster_analyze(args) -> tuple[dict, list[str]]:
     return payload, list(analysis.warnings)
 
 
-def _cmd_simulate(args) -> tuple[dict, list[str]]:
-    loaded = load_path(args.model)
+def _cmd_simulate(args, loaded) -> tuple[dict, list[str]]:
     cfg = SimConfig(
         events=args.events,
         time=args.time,
@@ -388,27 +362,12 @@ def _cmd_simulate(args) -> tuple[dict, list[str]]:
             f"t={t:.6f} ev={kind} chain=[{chain_txt}] depart={depart_txt}"
         )
 
-    trace_fn = trace if args.trace_log else None
-    if isinstance(loaded, LoadedOpen):
-        if args.capacity is None:
-            raise UsageError("simulating an open model needs --capacity")
-        result = simulate(loaded.queue, cfg, capacity=args.capacity,
-                          trace=trace_fn)
-        key = _state_1based
-    elif isinstance(loaded, LoadedClosed):
-        order_initial = loaded.initial
-        result = simulate(loaded.queue, cfg, initial=order_initial,
-                          trace=trace_fn)
-        key = _state_1based
-    elif isinstance(loaded, LoadedTandem):
-        result = simulate(loaded.network, cfg, initial=loaded.initial,
-                          trace=trace_fn)
-        key = lambda s: _tandem_state_doc(s)
-    elif isinstance(loaded, LoadedCluster):
-        result = simulate_protocol(loaded.spec, cfg)
-        key = list
-    else:  # pragma: no cover
-        raise UsageError("unsupported model kind")
+    model, start, key = _CHAINS[type(loaded)](loaded)
+    if isinstance(loaded, LoadedCluster):
+        result = simulate_protocol(model, cfg)
+    else:
+        result = simulate(model, cfg, capacity=args.capacity, initial=start,
+                          trace=trace if args.trace_log else None)
     if args.trace_log:
         Path(args.trace_log).write_text("\n".join(trace_lines) + "\n")
     occupancy = sorted(
@@ -436,30 +395,17 @@ def _cmd_simulate(args) -> tuple[dict, list[str]]:
     return payload, []
 
 
-def _cmd_oracle_compare(args) -> tuple[dict, list[str]]:
-    loaded = load_path(args.model)
+def _cmd_oracle_compare(args, loaded) -> tuple[dict, list[str]]:
+    model, start, key = _CHAINS[type(loaded)](loaded)
     if isinstance(loaded, LoadedOpen):
-        queue = loaded.queue
-        if args.capacity is None:
-            raise UsageError("comparing an open model needs --capacity")
-        analytic = stationary_truncated(queue, args.capacity,
+        analytic = stationary_truncated(model, args.capacity,
                                         budget=args.budget).probabilities()
-        moves = lambda s: open_transitions(queue, s, args.capacity)
-        start, key = (), _state_1based
-    elif isinstance(loaded, LoadedClosed):
-        analytic = analyze_closed(loaded.queue, loaded.initial,
-                                  budget=args.budget).distribution
-        moves = lambda s: closed_transitions(loaded.queue, s)
-        start, key = loaded.initial, _state_1based
-    elif isinstance(loaded, LoadedTandem):
-        analytic = analyze_tandem(loaded.network, loaded.initial,
-                                  budget=args.budget).distribution
-        moves = lambda s: tandem_transitions(loaded.network, s)
-        start, key = loaded.initial, _tandem_state_doc
     else:
-        raise UsageError("oracle-compare needs an open, closed, or tandem model")
+        analytic = _analyze(model, start, args.budget).distribution
+    step = moves(model, args.capacity)
     gen = build_generator(
-        lambda s: [(t.next_state, t.rate) for t in moves(s)],
+        lambda s: [(advance(s, arg), rate)
+                   for rate, advance, arg, _, _ in step(s)],
         start,
         budget=args.budget,
     )
@@ -493,50 +439,58 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, *kinds):
+        """A subcommand running ``func(args, loaded)`` on model files of
+        the given kinds."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("model", help="model file (JSON)")
         p.add_argument("--format", choices=("table", "json"), default="table")
         p.add_argument("--output", help="write output to this path")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, kinds=kinds)
         return p
 
-    p = add("validate", _cmd_validate, "check the rate-function contract")
+    chains = (LoadedOpen, LoadedClosed, LoadedTandem)
+
+    p = add("validate", _cmd_validate, "check the rate-function contract",
+            LoadedOpen)
     p.add_argument("--max-total", type=int, default=4)
 
-    add("stability", _cmd_stability, "subset-wise stability test")
+    add("stability", _cmd_stability, "subset-wise stability test", LoadedOpen)
 
-    p = add("analyze", _cmd_analyze, "truncated stationary distribution")
+    p = add("analyze", _cmd_analyze, "truncated stationary distribution",
+            LoadedOpen)
     p.add_argument("-N", "--capacity", type=int, required=True)
     p.add_argument("--budget", type=int, default=1_000_000)
 
-    p = add("trace", _cmd_trace, "swap chain of one completion")
+    p = add("trace", _cmd_trace, "swap chain of one completion", LoadedOpen)
     p.add_argument("--state", required=True, help="comma-separated classes")
     p.add_argument("--position", type=int, required=True,
                    help="completing position, 1-based")
 
     p = add("closed-analyze", _cmd_closed_analyze,
-            "closed-queue stationary distribution")
+            "closed-queue stationary distribution", LoadedClosed)
     p.add_argument("--budget", type=int, default=1_000_000)
 
     p = add("tandem-analyze", _cmd_tandem_analyze,
-            "closed-tandem stationary distribution")
+            "closed-tandem stationary distribution", LoadedTandem)
     p.add_argument("--budget", type=int, default=1_000_000)
 
-    p = add("classes", _cmd_classes, "communicating class partition")
+    p = add("classes", _cmd_classes, "communicating class partition",
+            LoadedClosed, LoadedTandem)
     p.add_argument("--budget", type=int, default=1_000_000)
 
-    add("iso", _cmd_iso, "duplicate-class splitting summary")
+    add("iso", _cmd_iso, "duplicate-class splitting summary", LoadedClosed)
 
     p = add("cluster-compile", _cmd_cluster_compile,
-            "compile a cluster spec to a tandem model")
+            "compile a cluster spec to a tandem model", LoadedCluster)
     p.add_argument("-o", "--emit", help="also write the tandem model here")
 
     p = add("cluster-analyze", _cmd_cluster_analyze,
-            "compile and analyze a cluster spec")
+            "compile and analyze a cluster spec", LoadedCluster)
     p.add_argument("--budget", type=int, default=1_000_000)
 
-    p = add("simulate", _cmd_simulate, "discrete-event simulation")
+    p = add("simulate", _cmd_simulate, "discrete-event simulation",
+            *chains, LoadedCluster)
     p.add_argument("--events", type=int)
     p.add_argument("--time", type=float)
     p.add_argument("--seed", type=int, default=0)
@@ -547,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-log", help="write an event log to this path")
 
     p = add("oracle-compare", _cmd_oracle_compare,
-            "analytic distribution against the generator solve")
+            "analytic distribution against the generator solve", *chains)
     p.add_argument("-N", "--capacity", type=int)
     p.add_argument("--budget", type=int, default=200_000)
     p.add_argument("--dump-matrix", help="write the generator in triplet form")
@@ -555,11 +509,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load(args):
+    """The model file of ``args``, checked against the command's kinds."""
+    loaded = load_path(args.model)
+    if not isinstance(loaded, args.kinds):
+        kind = lambda cls: cls.__name__.removeprefix("Loaded").lower()
+        raise UsageError(
+            f"{args.command} takes {'/'.join(map(kind, args.kinds))} model "
+            f"files, not {kind(type(loaded))}"
+        )
+    # Every command with an optional -N runs open models truncated there.
+    if isinstance(loaded, LoadedOpen) and getattr(args, "capacity", 0) is None:
+        raise UsageError(f"{args.command} on an open model needs --capacity")
+    return loaded
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload, warnings = args.func(args)
+        payload, warnings = args.func(args, _load(args))
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,4 +1,4 @@
-"""Closed pass-and-swap models.
+"""Closed pass-and-swap models, and the moves of every model kind.
 
 A closed queue re-appends the departing customer at the tail; a closed
 tandem routes it to the tail of the other queue.  Both preserve *adherence*
@@ -8,6 +8,10 @@ This module enumerates adhering state spaces, computes the product-form
 stationary distributions over them, analyzes communicating classes, and
 handles initial states that adhere to no order through a duplicate-class
 splitting construction.
+
+:func:`moves` is the one transition interface of the open, closed and
+tandem models: the simulators, the analyses' class partitions and the
+oracle cross-check all read their transitions from it.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .dynamics import (
 from .errors import ResourceError, StructureError, UsageError
 from .model import (
     Macrostate,
+    PandsQueue,
     RateFunction,
     State,
     SwappingGraph,
@@ -271,15 +276,6 @@ def closed_step(graph: SwappingGraph, state: State, position: int) -> State:
     return oc.next_state + (oc.departing_class,)
 
 
-def closed_transitions(cq: ClosedQueue, state: State) -> list[Transition]:
-    return [
-        Transition(
-            "completion", pos, inc, oc.next_state + (oc.departing_class,), oc
-        )
-        for pos, inc, oc in completions(cq.rate_fn, cq.swapping, state)
-    ]
-
-
 @dataclass(frozen=True)
 class TandemNetwork:
     """Closed tandem of two pass-and-swap queues sharing the class set and
@@ -331,30 +327,36 @@ def tandem_step(
     raise UsageError(f"queue_index must be 1 or 2, got {queue_index}")
 
 
-@dataclass(frozen=True)
-class TandemTransition:
-    queue: int
-    position: int
-    rate: float
-    next_state: TandemState
-    outcome: CompletionOutcome
-
-
-def tandem_transitions(
-    net: TandemNetwork, s: TandemState
-) -> list[TandemTransition]:
+def tandem_transitions(net: TandemNetwork, s: TandemState) -> list[Transition]:
+    """Outgoing transitions of the tandem in ``s``, first queue first: the
+    eager reference view of :func:`moves` on a tandem."""
     c, d = s
     return [
-        TandemTransition(
-            1, pos, inc, (oc.next_state, d + (oc.departing_class,)), oc
-        )
+        Transition("completion", pos, inc,
+                   (oc.next_state, d + (oc.departing_class,)), oc, 1)
         for pos, inc, oc in completions(net.rate_fn_1, net.swapping, c)
     ] + [
-        TandemTransition(
-            2, pos, inc, (c + (oc.departing_class,), oc.next_state), oc
-        )
+        Transition("completion", pos, inc,
+                   (c + (oc.departing_class,), oc.next_state), oc, 2)
         for pos, inc, oc in completions(net.rate_fn_2, net.swapping, d)
     ]
+
+
+def _served(
+    rate_fn: RateFunction,
+    graph: SwappingGraph,
+    make: Callable[[State, int, float, CompletionOutcome], Any],
+) -> Callable[[State], tuple]:
+    """``make(content, position, rate, outcome)`` of each completion of
+    :func:`completions`, in that order, as a function of the content."""
+
+    def served(content: State) -> tuple:
+        return tuple(
+            make(content, pos, inc, oc)
+            for pos, inc, oc in completions(rate_fn, graph, content)
+        )
+
+    return served
 
 
 def queue_moves(
@@ -362,23 +364,94 @@ def queue_moves(
     graph: SwappingGraph,
     make: Callable[[State, int, float, CompletionOutcome], Any],
 ) -> Callable[[State], tuple]:
-    """Memoized moves of one queue, keyed by its content.
+    """:func:`_served`, memoized by the queue's content.  A tandem state is
+    a pair of contents, so two such memos hold the moves of both queues;
+    their size is the number of distinct contents seen, not of states."""
+    return functools.cache(_served(rate_fn, graph, make))
 
-    ``moves(content)`` is the tuple of ``make(content, position, rate,
-    outcome)`` for each completion of :func:`completions`, in that order,
-    computed on the content's first visit and shared by every later one.  A tandem state is a pair of contents, so the
-    moves of both queues come from two such memos, whose size is the number
-    of distinct contents seen rather than of tandem states.
+
+# A move is (rate, advance, arg, counts, tag).  The next state is
+# ``advance(state, arg)``, built for the chosen move only; ``counts`` names
+# the counters the move adds one to; ``tag`` is ("arrive", class, None),
+# ("reject", class, None) or ("complete", (queue, position), outcome), with
+# queue 0 for single-queue models.
+Move = tuple[float, Callable[[Any, Any], Any], Any, tuple[str, ...], tuple]
+
+
+def _goto(state: Any, next_state: Any) -> Any:
+    return next_state
+
+
+def _first_served(state: TandemState, oc: CompletionOutcome) -> TandemState:
+    # A departure from the first queue joins the second queue's tail.
+    return oc.next_state, state[1] + (oc.departing_class,)
+
+
+def _second_served(state: TandemState, oc: CompletionOutcome) -> TandemState:
+    return state[0] + (oc.departing_class,), oc.next_state
+
+
+def moves(
+    model: PandsQueue | ClosedQueue | TandemNetwork,
+    capacity: int | None = None,
+) -> Callable[[Any], tuple[Move, ...]]:
+    """The moves of ``model`` as a function of its state: for an open
+    queue, one arrival per class then its completions, head first, where an
+    arrival at ``capacity`` (if set) is a rejection that keeps the state;
+    for a closed queue, its completions, the departing customer rejoining
+    at the tail; for a tandem, its first queue's completions, then its
+    second's.
+
+    A tandem's moves are memoized per content of each queue, which every
+    traversal meets again under many contents of the other queue.  A single
+    queue's state *is* its content, so a caller that revisits states keeps
+    its own memo.
     """
+    shared: dict[tuple[int, int], tuple[str, ...]] = {}
 
-    @functools.cache
-    def moves(content: State) -> tuple:
+    def completion(queue: int, advance, arg):
+        def make(content, pos, rate, oc):
+            key = dep, served = oc.departing_class, content[pos]
+            if key not in shared:  # one counts tuple per such pair
+                shared[key] = (
+                    "completions", f"departures:{dep}", f"services:{served}"
+                )
+            tag = ("complete", (queue, pos), oc)
+            return rate, advance, arg(oc), shared[key], tag
+
+        return make
+
+    if isinstance(model, TandemNetwork):
+        first = queue_moves(model.rate_fn_1, model.swapping,
+                            completion(1, _first_served, lambda oc: oc))
+        second = queue_moves(model.rate_fn_2, model.swapping,
+                             completion(2, _second_served, lambda oc: oc))
+        return lambda s: first(s[0]) + second(s[1])
+    if isinstance(model, ClosedQueue):
+        return _served(model.rate_fn, model.swapping, completion(
+            0, _goto, lambda oc: oc.next_state + (oc.departing_class,)))
+    if not isinstance(model, PandsQueue):
+        raise UsageError(f"no moves for {type(model).__name__}")
+    served = _served(model.rate_fn, model.swapping,
+                     completion(0, _goto, lambda oc: oc.next_state))
+    rates = tuple(enumerate(model.arrival_rates))
+    arrived = [(f"arrivals:{i}",) for i, _ in rates]
+    rejected = [(f"arrivals:{i}", f"rejections:{i}") for i, _ in rates]
+
+    def open_moves(state: State) -> tuple[Move, ...]:
+        full = capacity is not None and len(state) >= capacity
         return tuple(
-            make(content, pos, inc, oc)
-            for pos, inc, oc in completions(rate_fn, graph, content)
-        )
+            (lam, _goto, state, rejected[i], ("reject", i, None)) if full
+            else (lam, _goto, state + (i,), arrived[i], ("arrive", i, None))
+            for i, lam in rates
+        ) + served(state)
 
-    return moves
+    return open_moves
+
+
+def _targets(step: Callable[[Any], tuple[Move, ...]]) -> Callable[[Any], list]:
+    """The next state of each move of ``step``, for a class partition."""
+    return lambda s: [advance(s, arg) for _, advance, arg, _, _ in step(s)]
 
 
 def enumerate_adhering(
@@ -746,7 +819,7 @@ def analyze_closed(
     support, dist, partition, warnings = _solve(
         enumerate_adhering(work_order, work.population, budget),
         memoized_log_balance(work.rate_fn),
-        lambda s: [t.next_state for t in closed_transitions(work, s)],
+        _targets(moves(work)),
         start,
     )
     if iso is None:
@@ -804,7 +877,7 @@ def analyze_tandem(
     support, dist, partition, warnings = _solve(
         enumerate_sigma(net, budget),
         lambda s: log_b1(s[0]) + log_b2(s[1]),
-        lambda s: [t.next_state for t in tandem_transitions(net, s)],
+        _targets(moves(net)),
         initial,
     )
     return TandemAnalysis(initial, support, dist, partition, warnings)

@@ -10,6 +10,7 @@ queue.  Positions are 0-based with the queue head at 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from .errors import UsageError
 from .model import PandsQueue, RateFunction, State, SwappingGraph
@@ -116,14 +117,16 @@ class Transition:
     kind: str  # "arrival" or "completion"
     index: int  # arriving class, or completing position
     rate: float
-    next_state: State
+    next_state: Any
     outcome: CompletionOutcome | None = None
+    queue: int = 0  # the completing queue of a tandem (1 or 2), else 0
 
 
 def open_transitions(
     queue: PandsQueue, state: State, capacity: int | None = None
 ) -> list[Transition]:
-    """Outgoing transitions of the open queue in ``state``.
+    """Outgoing transitions of the open queue in ``state``: the eager
+    reference view of ``closed.moves`` on an open queue.
 
     With ``capacity`` set, arrivals are suppressed once the queue holds that
     many customers (blocked truncation).  Completions with a zero service

@@ -290,18 +290,6 @@ class TableRates(RateFunction):
         return self.saturation[subset]
 
 
-def mu(rate_fn: RateFunction, state: Sequence[int]) -> float:
-    """Overall service rate of ``state``; depends only on its macrostate."""
-    return rate_fn.state_rate(state)
-
-
-def delta_mu(rate_fn: RateFunction, prefix: Sequence[int]) -> float:
-    """Service rate of the customer at the end of ``prefix``."""
-    if not prefix:
-        raise UsageError("delta_mu needs a non-empty prefix")
-    return rate_fn.state_rate(prefix) - rate_fn.state_rate(prefix[:-1])
-
-
 @dataclass(frozen=True)
 class PandsQueue:
     """Open multi-class queue with Poisson arrivals, an order-independent

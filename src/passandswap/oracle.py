@@ -204,8 +204,10 @@ def solve_stationary(
     the rest are factored by sparse LU ordered by minimum degree on
     ``A^T + A``, without pivoting, which is safe because the reduced system
     is a nonsingular M-matrix (see ``_solve_direct``).  Larger classes fall
-    back to damped power iteration on the uniformized chain.  Either way the
-    residual ``max |pi Q|`` must come in below ``residual_tol``.
+    back to damped power iteration on the uniformized chain, which stops once
+    the residual ``max |pi Q|`` is below ``residual_tol``.  Either way the
+    final residual must come in below ``residual_tol`` per unit of the
+    class's largest exit rate ``max |q_ii|`` (at least one).
     """
     n = g.n_states
     q = g.matrix
@@ -239,9 +241,11 @@ def solve_stationary(
             )
             method = "uniformization"
         residual = float(np.abs(pi @ q_sub).max()) if len(members) > 1 else 0.0
-        if residual > residual_tol or not np.isfinite(pi).all():
+        # The rounding error of ``pi Q`` grows with the class's rates.
+        bound = residual_tol * max(1.0, float(np.abs(q_sub.diagonal()).max()))
+        if residual > bound or not np.isfinite(pi).all():
             raise ConvergenceError(
-                f"stationary solve residual {residual} above {residual_tol}"
+                f"stationary solve residual {residual} above {bound}"
             )
         states = tuple(g.states[i] for i in members)
         dist = {s: float(p) for s, p in zip(states, pi)}

@@ -31,9 +31,9 @@ DEFAULT_STATE_BUDGET = 1_000_000
 
 @dataclass(frozen=True)
 class BalanceWeight:
-    """Product of reciprocal overall rates over the prefixes of a state."""
+    """Product of reciprocal overall rates over the prefixes of a state,
+    in log space."""
 
-    value: float
     log_value: float
 
 
@@ -49,7 +49,7 @@ def balance(rate_fn: RateFunction, state: Sequence[int]) -> BalanceWeight:
                 f"overall rate is not positive on prefix {tuple(counts)}"
             )
         log_value -= math.log(r)
-    return BalanceWeight(math.exp(log_value), log_value)
+    return BalanceWeight(log_value)
 
 
 def memoized_log_balance(

@@ -7,16 +7,17 @@ derived deterministically from it, and results aggregate across
 replications with standard errors.
 
 All four simulators share one event loop, :func:`_run_replication`, fed
-by memoized moves.  A completion's chain, departing class and rate depend
-only on the content of the queue it happens in, so the moves of an open or
-closed queue are computed once per content, and those of a tandem once per
-content of each of its two queues.  The protocol's moves are computed once
-per protocol state, by ``ProtocolSimulator.apply`` itself.  Each memo lives
-for one ``simulate`` or ``simulate_protocol`` call and is shared by its
-replications; memory grows with the distinct contents or protocol states a
-run visits, and nothing is ever evicted.  The loop draws and sums exactly
-as a per-event recomputation would, so seeded results do not depend on the
-memo.
+by memoized moves.  The open, closed and tandem models take their moves
+from :func:`closed.moves`.  A completion's chain, departing class and rate
+depend only on the content of the queue it happens in, so the moves of an
+open or closed queue are memoized here once per state, which is its
+content, and ``moves`` memoizes a tandem's once per content of each of its
+two queues.  The protocol's moves are computed once per protocol state, by
+``ProtocolSimulator.apply`` itself.  Each memo lives for one ``simulate``
+or ``simulate_protocol`` call and is shared by its replications; memory
+grows with the distinct contents or protocol states a run visits, and
+nothing is ever evicted.  The loop draws and sums exactly as a per-event
+recomputation would, so seeded results do not depend on the memo.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
-from .closed import ClosedQueue, TandemNetwork, TandemState, queue_moves
+from .closed import ClosedQueue, Move, TandemNetwork, _goto, moves
 from .cluster import ClusterSpec
-from .dynamics import CompletionOutcome
 from .errors import CapabilityError, DeadlockError, UsageError
-from .model import PandsQueue, State
+from .model import PandsQueue
 
 TraceFn = Callable[[float, str, tuple[int, ...], int | None], None]
 
@@ -102,101 +102,10 @@ def _rep_rng(seed: int, rep: int) -> random.Random:
     return random.Random(f"{seed}/{rep}")
 
 
-# A move is (rate, advance, arg, counts, tag).  The next state is
-# ``advance(state, arg)``, built for the chosen move only; ``counts`` names
-# the counters the move adds one to; ``tag`` is ("arrive", class, None),
-# ("reject", class, None) or ("complete", (queue, position), outcome), with
-# queue 0 for single-queue models, and for the protocol the event tag
-# followed by what ``ProtocolSimulator.apply`` reported.  ``MovesOf`` maps a
-# state to its occupancy key and its moves.
-Move = tuple[float, Callable[[Any, Any], Any], Any, tuple[str, ...], tuple]
+# ``MovesOf`` maps a state to its occupancy key and its moves, each a
+# ``closed.Move``; the protocol's move tags are the event tag followed by
+# what ``ProtocolSimulator.apply`` reported.
 MovesOf = Callable[[Any], tuple[Hashable, tuple[Move, ...]]]
-
-
-def _goto(state: Any, next_state: Any) -> Any:
-    return next_state
-
-
-def _first_served(state: TandemState, oc: CompletionOutcome) -> TandemState:
-    # A departure from the first queue joins the second queue's tail.
-    return oc.next_state, state[1] + (oc.departing_class,)
-
-
-def _second_served(state: TandemState, oc: CompletionOutcome) -> TandemState:
-    return state[0] + (oc.departing_class,), oc.next_state
-
-
-def _completion(
-    queue: int,
-    advance: Callable[[Any, Any], Any],
-    arg: Callable[[CompletionOutcome], Any],
-) -> Callable[[State, int, float, CompletionOutcome], Move]:
-    """Move maker for :func:`closed.queue_moves`.  Moves with the same
-    departing and served classes share one ``counts`` tuple."""
-    shared: dict[tuple[int, int], tuple[str, ...]] = {}
-
-    def make(content, pos, rate, oc):
-        dep, served = oc.departing_class, content[pos]
-        counts = shared.get((dep, served))
-        if counts is None:
-            counts = shared[dep, served] = (
-                "completions", f"departures:{dep}", f"services:{served}"
-            )
-        return rate, advance, arg(oc), counts, ("complete", (queue, pos), oc)
-
-    return make
-
-
-def _open_moves(queue: PandsQueue, capacity: int) -> MovesOf:
-    completed = queue_moves(
-        queue.rate_fn,
-        queue.swapping,
-        _completion(0, _goto, lambda oc: oc.next_state),
-    )
-    arrived = [(f"arrivals:{i}",) for i in range(queue.n_classes)]
-    rejected = [(f"arrivals:{i}", f"rejections:{i}")
-                for i in range(queue.n_classes)]
-
-    @functools.cache
-    def moves_of(state):
-        moves = []
-        for i, lam in enumerate(queue.arrival_rates):
-            if len(state) >= capacity:
-                moves.append((lam, _goto, state, rejected[i], ("reject", i, None)))
-            else:
-                moves.append(
-                    (lam, _goto, state + (i,), arrived[i], ("arrive", i, None))
-                )
-        return state, tuple(moves) + completed(state)
-
-    return moves_of
-
-
-def _closed_moves(cq: ClosedQueue) -> MovesOf:
-    completed = queue_moves(
-        cq.rate_fn,
-        cq.swapping,
-        _completion(
-            0, _goto, lambda oc: oc.next_state + (oc.departing_class,)
-        ),
-    )
-    return functools.cache(lambda state: (state, completed(state)))
-
-
-def _tandem_moves(net: TandemNetwork) -> MovesOf:
-    # One memo per queue: a tandem state's moves are those of its first
-    # queue's content followed by those of its second queue's content.
-    first = queue_moves(
-        net.rate_fn_1, net.swapping, _completion(1, _first_served, lambda oc: oc)
-    )
-    second = queue_moves(
-        net.rate_fn_2, net.swapping, _completion(2, _second_served, lambda oc: oc)
-    )
-
-    def moves_of(state):
-        return state, first(state[0]) + second(state[1])
-
-    return moves_of
 
 
 def _run_replication(
@@ -291,21 +200,18 @@ def simulate(
     rejections without changing the state.  The result is bit-identical for
     a fixed seed and configuration.
     """
-    if isinstance(model, PandsQueue):
-        if capacity is None:
-            raise UsageError("open models need an explicit capacity")
-        moves_of = _open_moves(model, capacity)
-        start = initial if initial is not None else ()
-    elif isinstance(model, ClosedQueue):
-        moves_of = _closed_moves(model)
-        start = initial if initial is not None else model.initial_state()
-    elif isinstance(model, TandemNetwork):
-        moves_of = _tandem_moves(model)
-        start = initial if initial is not None else model.initial_state()
-    else:
-        raise UsageError(f"cannot simulate {type(model).__name__}")
+    if isinstance(model, PandsQueue) and capacity is None:
+        raise UsageError("open models need an explicit capacity")
+    step = moves(model, capacity)
+    moves_of = lambda s: (s, step(s))
+    if not isinstance(model, TandemNetwork):
+        # A single queue's state is its content, which ``moves`` leaves to
+        # its caller to memoize; a tandem's are memoized per queue content.
+        moves_of = functools.cache(moves_of)
+    if initial is None:
+        initial = () if isinstance(model, PandsQueue) else model.initial_state()
     runs = [
-        _run_replication(moves_of, start, cfg, _rep_rng(cfg.seed, rep),
+        _run_replication(moves_of, initial, cfg, _rep_rng(cfg.seed, rep),
                          trace if rep == 0 else None)
         for rep in range(cfg.replications)
     ]
@@ -451,7 +357,7 @@ def _protocol_moves(sim: ProtocolSimulator) -> MovesOf:
     def moves_of(state):
         sim.restore(state)
         key = sim.held_counts()
-        moves = []
+        out = []
         for rate, tag in sim.transitions():
             sim.restore(state)
             result = sim.apply(tag)
@@ -461,8 +367,8 @@ def _protocol_moves(sim: ProtocolSimulator) -> MovesOf:
                 counts = (arrivals[tag[1]], rejections[tag[1]])
             else:
                 counts = (arrivals[tag[1]],)
-            moves.append((rate, _goto, sim.snapshot(), counts, (*tag, result)))
-        return key, tuple(moves)
+            out.append((rate, _goto, sim.snapshot(), counts, (*tag, result)))
+        return key, tuple(out)
 
     return moves_of
 

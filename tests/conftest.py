@@ -7,8 +7,7 @@ from passandswap import (
     RateFunction,
     SwappingGraph,
 )
-from passandswap.closed import closed_transitions, tandem_transitions
-from passandswap.dynamics import open_transitions
+from passandswap.closed import moves
 
 # Property tests draw the same examples on every run and stop after a fixed
 # number, so a failure reproduces and the suite's wall time stays bounded.
@@ -75,21 +74,12 @@ def unit_rates_six():
     return UnitIncrementRates(6)
 
 
-def open_transition_fn(queue, capacity):
+def transition_fn(model, capacity=None):
+    """``state -> [(next state, rate), ...]`` of an open (truncated at
+    ``capacity``), closed or tandem model, for ``build_generator``."""
+    step = moves(model, capacity)
     return lambda s: [
-        (t.next_state, t.rate) for t in open_transitions(queue, s, capacity)
-    ]
-
-
-def closed_transition_fn(cq):
-    return lambda s: [
-        (t.next_state, t.rate) for t in closed_transitions(cq, s)
-    ]
-
-
-def tandem_transition_fn(net):
-    return lambda s: [
-        (t.next_state, t.rate) for t in tandem_transitions(net, s)
+        (advance(s, arg), rate) for rate, advance, arg, _, _ in step(s)
     ]
 
 

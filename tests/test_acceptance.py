@@ -18,7 +18,6 @@ from passandswap import (
     apply_completion,
     build_generator,
     closed_step,
-    closed_transitions,
     communicating_classes,
     compile_cluster,
     enumerate_adhering,
@@ -39,9 +38,7 @@ from passandswap import (
 from passandswap.closed import TandemNetwork
 from conftest import (
     UnitIncrementRates,
-    closed_transition_fn,
-    open_transition_fn,
-    tandem_transition_fn,
+    transition_fn,
 )
 
 
@@ -87,7 +84,7 @@ def test_a02_truncated_product_form_vs_oracle():
     worst = 0.0
     for capacity in (4, 6, 8):
         analytic = stationary_truncated(queue, capacity).probabilities()
-        gen = build_generator(open_transition_fn(queue, capacity), ())
+        gen = build_generator(transition_fn(queue, capacity), ())
         worst = max(worst, total_variation(analytic, solve_unique(gen)))
     elapsed = time.perf_counter() - start
     check("A2", worst < 1e-10 and elapsed < 10.0,
@@ -105,7 +102,7 @@ def test_a03_swapping_graph_independence():
     dists = []
     for graph in graphs3:
         queue = PandsQueue((0.8, 0.8, 0.8), THREE_CLASS_RATES, graph)
-        gen = build_generator(open_transition_fn(queue, 6), ())
+        gen = build_generator(transition_fn(queue, 6), ())
         dists.append(solve_unique(gen))
     for p, q in itertools.combinations(dists, 2):
         worst = max(worst, total_variation(p, q))
@@ -118,7 +115,7 @@ def test_a03_swapping_graph_independence():
     dists2 = []
     for graph in graphs2:
         queue = PandsQueue((0.8, 0.8), TWO_CLASS_RATES, graph)
-        gen = build_generator(open_transition_fn(queue, 6), ())
+        gen = build_generator(transition_fn(queue, 6), ())
         dists2.append(solve_unique(gen))
     for p, q in itertools.combinations(dists2, 2):
         worst = max(worst, total_variation(p, q))
@@ -201,12 +198,13 @@ def test_a08_closed_queue_reachability_and_distribution():
     cq = ClosedQueue(UnitIncrementRates(6), SIX_GRAPH, (1,) * 6, BOTTOM_TO_TOP)
     initial = b(1, 2, 3, 4, 5, 6)
     adhering = set(enumerate_adhering(BOTTOM_TO_TOP, (1,) * 6))
-    gen = build_generator(closed_transition_fn(cq), initial)
+    gen = build_generator(transition_fn(cq), initial)
     reachable_ok = set(gen.states) == adhering
 
+    step = transition_fn(cq)
     partition = communicating_classes(
         tuple(sorted(adhering)),
-        lambda s: [t.next_state for t in closed_transitions(cq, s)],
+        lambda s: [t for t, _ in step(s)],
     )
     single_class = partition.n_components == 1 and partition.closed == (True,)
 
@@ -232,7 +230,7 @@ def test_a09_tandem_distribution_vs_oracle():
     nu_fn = MultiServerRates.build([1.0], [{0}] * 6)
     net = TandemNetwork(mu_fn, nu_fn, SIX_GRAPH, (1,) * 6, BOTTOM_TO_TOP)
     analysis = analyze_tandem(net)
-    gen = build_generator(tandem_transition_fn(net), net.initial_state())
+    gen = build_generator(transition_fn(net), net.initial_state())
     invariant = all(
         macrostate(c + d, 6) == (1,) * 6 for c, d in gen.states
     )
@@ -267,7 +265,7 @@ def test_a10_duplicate_split_projection():
     fibers_ok = len(set(fiber_sizes.values())) == 1
 
     analysis = analyze_closed(cq, initial)
-    gen = build_generator(closed_transition_fn(cq), initial)
+    gen = build_generator(transition_fn(cq), initial)
     ref = solve_unique(gen)
     tv = total_variation(dict(analysis.distribution), ref)
     check(

@@ -8,7 +8,6 @@ from passandswap import (
     UsageError,
     apply_completion,
     macrostate,
-    mu,
     open_transitions,
     predecessors,
 )
@@ -156,7 +155,7 @@ def test_total_outflow(two_class_queue):
         state = tuple(rng.randrange(2) for _ in range(rng.randint(0, 6)))
         moves = open_transitions(two_class_queue, state)
         total = sum(t.rate for t in moves)
-        expect = mu(two_class_queue.rate_fn, state) + sum(
+        expect = two_class_queue.rate_fn.state_rate(state) + sum(
             two_class_queue.arrival_rates
         )
         assert total == pytest.approx(expect)

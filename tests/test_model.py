@@ -10,30 +10,26 @@ from passandswap import (
     TableRates,
     UsageError,
     all_states,
-    delta_mu,
     macrostate,
-    mu,
     validate_rate_function,
 )
 
 
 def test_overall_rate_golden_values(two_class_rates):
-    assert mu(two_class_rates, ()) == 0.0
-    assert mu(two_class_rates, (0,)) == pytest.approx(2.0)  # servers 1 and 3
-    assert mu(two_class_rates, (0, 1)) == pytest.approx(3.0)  # full union
+    assert two_class_rates.state_rate(()) == 0.0
+    # servers 1 and 3, then their union with server 2
+    assert two_class_rates.state_rate((0,)) == pytest.approx(2.0)
+    assert two_class_rates.state_rate((0, 1)) == pytest.approx(3.0)
 
 
 def test_increment_golden_values(two_class_rates):
     # a second class-1 customer activates no new server
-    assert delta_mu(two_class_rates, (0, 0)) == pytest.approx(0.0)
+    assert two_class_rates.increments((0, 0))[-1] == pytest.approx(0.0)
     # the class-2 customer behind two class-1 customers gets server 2
-    assert delta_mu(two_class_rates, (0, 0, 1)) == pytest.approx(1.0)
-    assert delta_mu(two_class_rates, (1,)) == mu(two_class_rates, (1,))
-
-
-def test_delta_mu_rejects_empty_prefix(two_class_rates):
-    with pytest.raises(UsageError):
-        delta_mu(two_class_rates, ())
+    assert two_class_rates.increments((0, 0, 1))[-1] == pytest.approx(1.0)
+    assert two_class_rates.increments((1,))[-1] == (
+        two_class_rates.state_rate((1,))
+    )
 
 
 def test_increments_telescope(two_class_rates):
@@ -44,7 +40,8 @@ def test_increments_telescope(two_class_rates):
         total = 0.0
         for p, inc in enumerate(incs):
             total += inc
-            assert abs(total - mu(two_class_rates, state[: p + 1])) < 1e-12
+            prefix = state[: p + 1]
+            assert abs(total - two_class_rates.state_rate(prefix)) < 1e-12
 
 
 def test_multi_server_increments_match_set_computation():
@@ -65,10 +62,11 @@ def test_rate_is_permutation_invariant(three_class_rates):
     rng = random.Random(2)
     for _ in range(100):
         state = [rng.randrange(3) for _ in range(rng.randint(0, 6))]
-        base = mu(three_class_rates, tuple(state))
+        base = three_class_rates.state_rate(tuple(state))
         for _ in range(5):
             rng.shuffle(state)
-            assert mu(three_class_rates, tuple(state)) == pytest.approx(base)
+            rate = three_class_rates.state_rate(tuple(state))
+            assert rate == pytest.approx(base)
 
 
 def test_macrostate_permutation_invariant_and_additive():

@@ -23,8 +23,7 @@ from passandswap import (
 )
 from conftest import (
     brute_reachability_partition,
-    open_transition_fn,
-    tandem_transition_fn,
+    transition_fn,
 )
 
 EPS = np.finfo(float).eps
@@ -34,19 +33,19 @@ RESIDUAL_TOL = inspect.signature(solve_stationary).parameters[
 
 
 def test_reachable_state_count(two_class_queue):
-    gen = build_generator(open_transition_fn(two_class_queue, 2), ())
+    gen = build_generator(transition_fn(two_class_queue, 2), ())
     assert gen.n_states == 7  # empty, 2 singles, 4 pairs
 
 
 def test_rows_sum_to_zero(two_class_queue):
-    gen = build_generator(open_transition_fn(two_class_queue, 4), ())
+    gen = build_generator(transition_fn(two_class_queue, 4), ())
     sums = np.asarray(gen.matrix.sum(axis=1)).ravel()
     assert np.abs(sums).max() < 1e-12
 
 
 def test_budget_exceeded(two_class_queue):
     with pytest.raises(ResourceError):
-        build_generator(open_transition_fn(two_class_queue, 8), (), budget=10)
+        build_generator(transition_fn(two_class_queue, 8), (), budget=10)
 
 
 def test_two_state_birth_death():
@@ -103,7 +102,7 @@ def test_transient_states_are_excluded():
 
 
 def test_uniformization_agrees_with_direct(two_class_queue):
-    gen = build_generator(open_transition_fn(two_class_queue, 5), ())
+    gen = build_generator(transition_fn(two_class_queue, 5), ())
     direct = solve_unique(gen)
     iterative = solve_unique(gen, direct_limit=0, residual_tol=1e-12)
     assert total_variation(direct, iterative) < 1e-10
@@ -204,6 +203,27 @@ def test_row_sum_check_scales_with_the_rates(scale):
             moves[u].append((v, scale * 10.0 ** rng.uniform(-1.0, 1.0)))
         gen = build_generator(lambda s: moves[s], cycle[0])
         assert gen.n_states == n
+
+
+@pytest.mark.parametrize("scale", [1e5, 1e6])
+def test_residual_check_scales_with_the_rates(scale):
+    # A cycle through every state plus random chords, each rate 10**U(-1, 1)
+    # times ``scale``.  The rounding error of ``pi Q`` grows with the exit
+    # rates; an absolute 1e-11 refused many of these correct direct solves.
+    rng = random.Random(int(scale) + 1)
+    for _ in range(100):
+        n = rng.randint(2, 40)
+        cycle = rng.sample(range(n), n)
+        edges = {(cycle[i], cycle[(i + 1) % n]) for i in range(n)}
+        edges |= {(u, v) for u, v in (
+            (rng.randrange(n), rng.randrange(n))
+            for _ in range(rng.randint(0, 3 * n))
+        ) if u != v}
+        g = _generator(n, {
+            e: scale * 10.0 ** rng.uniform(-1.0, 1.0) for e in sorted(edges)
+        })
+        (cls,) = solve_stationary(g).solutions
+        assert cls.method == "direct"
 
 
 def test_unbalanced_row_is_a_convergence_error():
@@ -308,7 +328,7 @@ def test_uniformization_agrees_with_direct_on_tandem(six_class_graph):
     )
     nu = MultiServerRates.build([1.0], [{0}] * 6)
     net = TandemNetwork(mu, nu, six_class_graph, (2,) + (1,) * 5, order)
-    gen = build_generator(tandem_transition_fn(net), net.initial_state())
+    gen = build_generator(transition_fn(net), net.initial_state())
     assert gen.n_states == 208
     (direct,) = solve_stationary(gen).solutions
     (iterative,) = solve_stationary(

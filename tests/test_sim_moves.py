@@ -1,9 +1,13 @@
-"""The simulators' memoized moves against the transitions they replace.
+"""The one transition interface against the transitions it replaces.
 
-Tandem moves are memoized per queue content and protocol moves per
-protocol state; along random walks on random bipartite and grouped
-clusters they must equal ``tandem_transitions`` and a fresh
-``ProtocolSimulator`` stepped by ``apply``, move for move and in order.
+Along random walks, ``closed.moves`` must give, move for move and in
+order: ``tandem_transitions`` on random bipartite and grouped clusters;
+``closed_step`` at the positive ``increments`` of closed queues on random
+loop-free graphs; and ``open_transitions`` on open queues with random
+graphs (loops allowed) and random ``MultiServerRates``, plus exactly one
+rejection self-move per class at capacity.  The protocol's moves,
+memoized per protocol state, must replay a fresh ``ProtocolSimulator``
+stepped by ``apply``.
 """
 
 import random
@@ -13,14 +17,23 @@ from pathlib import Path
 from hypothesis import given
 from hypothesis import strategies as st
 
-from passandswap import compile_cluster
-from passandswap.closed import tandem_transitions
-from passandswap.sim import ProtocolSimulator, _protocol_moves, _tandem_moves
+from passandswap import (
+    ClosedQueue,
+    MultiServerRates,
+    PandsQueue,
+    SwappingGraph,
+    closed_step,
+    compile_cluster,
+    open_transitions,
+)
+from passandswap.closed import moves, tandem_transitions
+from passandswap.sim import ProtocolSimulator, _protocol_moves
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from test_macrostates import _random_bipartite, _random_grouped  # noqa: E402
 
 STEPS = 40
+PICKS = st.lists(st.integers(0, 10_000), min_size=STEPS, max_size=STEPS)
 
 
 def _spec(kind: str, seed: int):
@@ -28,46 +41,151 @@ def _spec(kind: str, seed: int):
     return draw(random.Random(seed))
 
 
+@st.composite
+def multi_server_rates(draw, n_classes: int):
+    """Up to three servers of rate 0.1 to 10, each class compatible with a
+    non-empty subset of them."""
+    n_servers = draw(st.integers(1, 3))
+    rates = draw(st.lists(st.floats(0.1, 10.0), min_size=n_servers,
+                          max_size=n_servers))
+    compat = [
+        draw(st.sets(st.integers(0, n_servers - 1), min_size=1))
+        for _ in range(n_classes)
+    ]
+    return MultiServerRates.build(rates, compat)
+
+
+@st.composite
+def swapping_graphs(draw, n_classes: int, loops: bool):
+    pairs = [(i, j) for i in range(n_classes)
+             for j in range(i if loops else i + 1, n_classes)]
+    if not pairs:
+        return SwappingGraph.edgeless(n_classes)
+    return SwappingGraph.from_pairs(
+        n_classes, draw(st.lists(st.sampled_from(pairs), unique=True))
+    )
+
+
+def _walk(step, state, picks):
+    """Yield the states of a walk that takes move ``pick % len`` each time."""
+    for pick in picks:
+        yield state
+        got = step(state)
+        if not got:
+            return
+        _, advance, arg, _, _ = got[pick % len(got)]
+        state = advance(state, arg)
+
+
+def _completion_counts(dep: int, served: int) -> tuple[str, ...]:
+    return ("completions", f"departures:{dep}", f"services:{served}")
+
+
 @given(
     kind=st.sampled_from(["bipartite", "grouped"]),
     seed=st.integers(0, 10_000),
-    picks=st.lists(st.integers(0, 10_000), min_size=STEPS, max_size=STEPS),
+    picks=PICKS,
 )
 def test_memoized_tandem_moves_equal_tandem_transitions(kind, seed, picks):
     ct = compile_cluster(_spec(kind, seed))
     net = ct.network
-    moves_of = _tandem_moves(net)
-    state = ct.initial
-    for pick in picks:
-        key, moves = moves_of(state)
-        assert key == state
+    step = moves(net)
+    for state in _walk(step, ct.initial, picks):
+        got = step(state)
         want = tandem_transitions(net, state)
-        got = [
+        assert [
             (rate, advance(state, arg), tag[1][0], tag[1][1], tag[2])
-            for rate, advance, arg, _, tag in moves
+            for rate, advance, arg, _, tag in got
+        ] == [
+            (t.rate, t.next_state, t.queue, t.index, t.outcome) for t in want
         ]
-        assert got == [
-            (t.rate, t.next_state, t.queue, t.position, t.outcome)
+        for (_, _, _, counts, tag), t in zip(got, want):
+            served = state[t.queue - 1][t.index]
+            assert tag[0] == "complete"
+            assert counts == _completion_counts(
+                t.outcome.departing_class, served
+            )
+
+
+@st.composite
+def closed_queues(draw):
+    n = draw(st.integers(1, 4))
+    population = tuple(draw(st.lists(st.integers(1, 3), min_size=n,
+                                      max_size=n)))
+    queue = ClosedQueue(draw(multi_server_rates(n)),
+                        draw(swapping_graphs(n, loops=False)), population)
+    start = [cls for cls in range(n) for _ in range(population[cls])]
+    return queue, tuple(draw(st.permutations(start)))
+
+
+@given(model=closed_queues(), picks=PICKS)
+def test_closed_moves_follow_closed_step_and_increments(model, picks):
+    cq, start = model
+    step = moves(cq)
+    for state in _walk(step, start, picks):
+        got = step(state)
+        incs = cq.rate_fn.increments(state)
+        positions = [pos for pos, inc in enumerate(incs) if inc > 0.0]
+        assert [tag[1] for _, _, _, _, tag in got] == [
+            (0, pos) for pos in positions
+        ]
+        for (rate, advance, arg, counts, tag), pos in zip(got, positions):
+            oc = tag[2]
+            assert rate == incs[pos]
+            assert advance(state, arg) == closed_step(cq.swapping, state, pos)
+            assert oc.next_state + (oc.departing_class,) == (
+                advance(state, arg)
+            )
+            assert counts == _completion_counts(
+                oc.departing_class, state[pos]
+            )
+
+
+@st.composite
+def open_queues(draw):
+    n = draw(st.integers(1, 3))
+    arrivals = tuple(draw(st.lists(st.floats(0.1, 5.0), min_size=n,
+                                   max_size=n)))
+    queue = PandsQueue(arrivals, draw(multi_server_rates(n)),
+                       draw(swapping_graphs(n, loops=True)))
+    return queue, draw(st.integers(1, 6))
+
+
+@given(model=open_queues(), picks=PICKS)
+def test_open_moves_equal_open_transitions_and_reject_at_capacity(
+    model, picks
+):
+    queue, capacity = model
+    step = moves(queue, capacity)
+    for state in _walk(step, (), picks):
+        got = step(state)
+        rejections = [m for m in got if m[4][0] == "reject"]
+        kept = [m for m in got if m[4][0] != "reject"]
+        want = open_transitions(queue, state, capacity)
+        assert [
+            (rate, advance(state, arg), tag[0], tag[1])
+            for rate, advance, arg, _, tag in kept
+        ] == [
+            (t.rate, t.next_state,
+             "arrive" if t.kind == "arrival" else "complete",
+             t.index if t.kind == "arrival" else (0, t.index))
             for t in want
         ]
-        for (_, _, _, counts, tag), t in zip(moves, want):
-            served = state[t.queue - 1][t.position]
-            assert tag[0] == "complete"
-            assert counts == (
-                "completions",
-                f"departures:{t.outcome.departing_class}",
-                f"services:{served}",
-            )
-        if not moves:
-            break
-        _, advance, arg, _, _ = moves[pick % len(moves)]
-        state = advance(state, arg)
+        if len(state) < capacity:
+            assert rejections == []
+            continue
+        assert [
+            (rate, advance(state, arg), counts, tag)
+            for rate, advance, arg, counts, tag in rejections
+        ] == [
+            (lam, state, (f"arrivals:{i}", f"rejections:{i}"),
+             ("reject", i, None))
+            for i, lam in enumerate(queue.arrival_rates)
+        ]
+        assert got[: len(rejections)] == tuple(rejections)
 
 
-@given(
-    seed=st.integers(0, 10_000),
-    picks=st.lists(st.integers(0, 10_000), min_size=STEPS, max_size=STEPS),
-)
+@given(seed=st.integers(0, 10_000), picks=PICKS)
 def test_memoized_protocol_moves_replay_apply(seed, picks):
     spec = _spec("bipartite", seed)
     memo_sim = ProtocolSimulator(spec)
@@ -75,12 +193,12 @@ def test_memoized_protocol_moves_replay_apply(seed, picks):
     fresh = ProtocolSimulator(spec)
     state = fresh.snapshot()
     for pick in picks:
-        key, moves = moves_of(state)
+        key, got = moves_of(state)
         assert key == fresh.held_counts()
-        assert [(rate, tag[:2]) for rate, _, _, _, tag in moves] == (
+        assert [(rate, tag[:2]) for rate, _, _, _, tag in got] == (
             fresh.transitions()
         )
-        _, advance, arg, counts, tag = moves[pick % len(moves)]
+        _, advance, arg, counts, tag = got[pick % len(got)]
         result = fresh.apply(tag[:2])
         assert tag[2] == result
         state = advance(state, arg)
