@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from passandswap import (
     ClosedQueue,
@@ -551,3 +553,74 @@ def test_tandem_rejects_nonadhering_initial(six_class_graph, six_class_order):
     )
     with pytest.raises(StructureError):
         analyze_tandem(net, (b(3, 1), b(2, 4, 5, 6)))
+
+
+# ------------------------------------------- orders on random class DAGs
+
+
+@st.composite
+def random_orders(draw, max_classes=7):
+    """A placement order over at most ``max_classes`` classes, generated by
+    arcs that ascend a random ranking of the classes (so never a cycle)."""
+    n = draw(st.integers(1, max_classes))
+    rank = draw(st.permutations(range(n)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return PlacementOrder(n, frozenset((rank[i], rank[j]) for i, j in chosen))
+
+
+def brute_closure(order):
+    """Transitive closure of ``order``'s arcs, by Floyd-Warshall."""
+    n = order.n_classes
+    reach = set(order.arcs)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if (i, k) in reach and (k, j) in reach:
+                    reach.add((i, j))
+    return reach
+
+
+def brute_adheres(state, closure):
+    return not any(
+        (state[q], state[p]) in closure
+        for p in range(len(state))
+        for q in range(p + 1, len(state))
+    )
+
+
+@given(random_orders())
+def test_order_relation_is_the_transitive_closure(order):
+    closure = brute_closure(order)
+    n = order.n_classes
+    for i in range(n):
+        for j in range(n):
+            assert order.precedes(i, j) == ((i, j) in closure)
+    assert order.minimal_classes() == tuple(
+        j for j in range(n) if not any((i, j) in closure for i in range(n))
+    )
+    assert order.maximal_classes() == tuple(
+        i for i in range(n) if not any((i, j) in closure for j in range(n))
+    )
+
+
+@given(random_orders(), st.data())
+def test_adheres_matches_pairwise_definition(order, data):
+    state = tuple(data.draw(
+        st.lists(st.integers(0, order.n_classes - 1), max_size=8)
+    ))
+    assert adheres(state, order) == brute_adheres(state, brute_closure(order))
+
+
+@given(random_orders(), st.data())
+def test_enumerate_adhering_is_the_sorted_adhering_permutations(order, data):
+    customers = data.draw(
+        st.lists(st.integers(0, order.n_classes - 1), max_size=6)
+    )
+    closure = brute_closure(order)
+    expected = tuple(
+        perm for perm in sorted(set(itertools.permutations(sorted(customers))))
+        if brute_adheres(perm, closure)
+    )
+    population = macrostate(customers, order.n_classes)
+    assert enumerate_adhering(order, population) == expected

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from passandswap import (
+    ClusterSpec,
     ModelFormatError,
     StructureError,
     UnsupportedFeatureError,
@@ -250,3 +251,143 @@ def test_load_path_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ModelFormatError):
         load_path(path)
+
+
+# ------------------------------------------- cluster specs, shape by shape
+
+INF = float("inf")
+
+BIPARTITE_SPEC_DOC = {
+    "schema": "pands-cluster/1",
+    "job_types": [
+        {"name": "A", "rate": 1.5, "slots": 2, "machines": ["m1", "m2"]},
+        {"name": "B", "rate": 0.5, "slots": "inf", "machines": ["m2"]},
+    ],
+    "machines": [
+        {"name": "m1", "rate": 2.0, "buffer": 1},
+        {"name": "m2", "rate": 3, "buffer": None},
+    ],
+}
+
+GROUPED_SPEC_DOC = {
+    "schema": "pands-cluster/1",
+    "job_types": [
+        {"name": "A", "rate": 1.0, "slots": 1},
+        {"name": "B", "rate": 2.0, "slots": 3},
+    ],
+    "machines": [
+        {"name": "1", "rate": 1.0},
+        {"name": "2", "rate": 0.5},
+        {"name": "3", "rate": 4.0},
+    ],
+    "groups": [
+        {"name": "g1", "slots": 1, "machines": ["1", "3"], "types": ["A"]},
+        {"name": "g2", "slots": 2, "machines": ["2", "3"],
+         "types": ["A", "B"]},
+    ],
+}
+
+DAG_SPEC_DOC = {
+    "schema": "pands-cluster/1",
+    "job_types": [{"name": "A", "rate": 2.0}],
+    "machines": [
+        {"name": "m1", "rate": 1.0},
+        {"name": "m2", "rate": 1.5},
+    ],
+    "token_dag": {
+        "classes": [
+            {"name": "1", "count": 1},
+            {"name": "2", "count": 1},
+            {"name": "3", "count": 2},
+        ],
+        "arcs": [["2", "1"], ["3", "1"]],
+        "machine_bindings": {"2": ["m1"], "3": ["m2"]},
+        "type_bindings": {"1": ["A"]},
+    },
+}
+
+
+@pytest.mark.parametrize("doc, expected", [
+    (BIPARTITE_SPEC_DOC, ClusterSpec(
+        classes=("A", "B", "m1", "m2"),
+        arcs=(("m1", "A"), ("m2", "A"), ("m2", "B")),
+        counts={"A": 2.0, "B": INF, "m1": 1.0, "m2": INF},
+        machines=("m1", "m2"),
+        machine_rates={"m1": 2.0, "m2": 3.0},
+        machine_bindings={"m1": ("m1",), "m2": ("m2",)},
+        job_types=("A", "B"),
+        type_rates={"A": 1.5, "B": 0.5},
+        type_bindings={"A": ("A",), "B": ("B",)},
+    )),
+    (GROUPED_SPEC_DOC, ClusterSpec(
+        classes=("A", "B", "g1", "g2"),
+        arcs=(("g1", "A"), ("g2", "A"), ("g2", "B")),
+        counts={"A": 1.0, "B": 3.0, "g1": 1.0, "g2": 2.0},
+        machines=("1", "2", "3"),
+        machine_rates={"1": 1.0, "2": 0.5, "3": 4.0},
+        machine_bindings={"g1": ("1", "3"), "g2": ("2", "3")},
+        job_types=("A", "B"),
+        type_rates={"A": 1.0, "B": 2.0},
+        type_bindings={"A": ("A",), "B": ("B",)},
+    )),
+    (DAG_SPEC_DOC, ClusterSpec(
+        classes=("1", "2", "3"),
+        arcs=(("2", "1"), ("3", "1")),
+        counts={"1": 1.0, "2": 1.0, "3": 2.0},
+        machines=("m1", "m2"),
+        machine_rates={"m1": 1.0, "m2": 1.5},
+        machine_bindings={"2": ("m1",), "3": ("m2",)},
+        job_types=("A",),
+        type_rates={"A": 2.0},
+        type_bindings={"1": ("A",)},
+    )),
+], ids=["bipartite", "groups", "token_dag"])
+def test_cluster_shapes_parse_exactly(doc, expected):
+    spec = parse_document(doc).spec
+    assert spec == expected
+    assert all(type(v) is float for v in spec.counts.values())
+    assert all(type(v) is float for v in spec.machine_rates.values())
+
+
+CLUSTER_TABLES = [
+    pytest.param(doc, table, id=f"{shape}-{table}")
+    for shape, doc, tables in [
+        ("bipartite", BIPARTITE_SPEC_DOC, ["job_types", "machines"]),
+        ("groups", GROUPED_SPEC_DOC, ["job_types", "machines", "groups"]),
+        ("token_dag", DAG_SPEC_DOC,
+         ["job_types", "machines", "token_dag.classes"]),
+    ]
+    for table in tables
+]
+
+
+def _rows(doc, table):
+    for key in table.split("."):
+        doc = doc[key]
+    return doc
+
+
+def _bad_rows(row):
+    """Each way to spoil ``row``, with the message its table must give."""
+    for field in row:
+        spoiled = dict(row)
+        del spoiled[field]
+        yield spoiled, rf"missing fields \['{field}'\]"
+    yield dict(row, extra=1), r"unknown fields \['extra'\]"
+    if "rate" in row:
+        for rate in (0, -1.0):
+            yield dict(row, rate=rate), "rate: must be positive"
+        yield dict(row, rate="fast"), "rate: expected a number"
+    for field in ("slots", "buffer", "count"):
+        if field in row:
+            for slots in (0, 1.5, True, "many"):
+                yield dict(row, **{field: slots}), "slot counts are positive"
+
+
+@pytest.mark.parametrize("doc, table", CLUSTER_TABLES)
+def test_cluster_table_rows_are_checked(doc, table):
+    for spoiled, message in _bad_rows(_rows(doc, table)[0]):
+        bad = json.loads(json.dumps(doc))
+        _rows(bad, table)[0] = spoiled
+        with pytest.raises(ModelFormatError, match=message):
+            parse_document(bad)
