@@ -15,7 +15,6 @@ from .errors import (
     UsageError,
 )
 from .model import (
-    EMPTY,
     Macrostate,
     MultiServerRates,
     PandsQueue,

@@ -58,11 +58,15 @@ def _state_1based(state) -> list[int]:
     return [cls + 1 for cls in state]
 
 
-def _parse_state(text: str) -> tuple[int, ...]:
+def _parse_state(text: str, n_classes: int) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) - 1 for tok in text.split(",") if tok.strip())
+        state = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise UsageError(f"cannot parse state {text!r}; use e.g. 1,3,2") from None
+    for cls in state:
+        if not 1 <= cls <= n_classes:
+            raise UsageError(f"state {text!r}: class id {cls} outside 1..{n_classes}")
+    return tuple(cls - 1 for cls in state)
 
 
 def _header(args: argparse.Namespace, model_path: str | None) -> dict:
@@ -225,7 +229,7 @@ def _cmd_analyze(args, loaded) -> tuple[dict, list[str]]:
 
 
 def _cmd_trace(args, loaded) -> tuple[dict, list[str]]:
-    state = _parse_state(args.state)
+    state = _parse_state(args.state, loaded.queue.n_classes)
     outcome = apply_completion(loaded.queue.swapping, state,
                                args.position - 1)
     payload = {

@@ -53,50 +53,49 @@ TandemState = tuple[State, State]
 class PlacementOrder:
     """Strict partial order generated by a directed acyclic class graph.
 
-    ``i`` precedes ``j`` when a directed path runs from ``i`` to ``j``.
-    Orders compare equal exactly when their reachability relations agree,
-    regardless of the arc set that generated them.
+    ``i`` precedes ``j`` when a directed path runs from ``i`` to ``j``.  The
+    relation is computed once, as two per-class bitmasks: bit ``j`` of
+    ``later[i]`` and bit ``i`` of ``earlier[j]`` are set exactly when ``i``
+    precedes ``j``.  Orders compare equal exactly when their relations
+    agree, regardless of the arc set that generated them.
     """
 
     n_classes: int
     arcs: frozenset[tuple[int, int]] = field(compare=False)
-    _reach: frozenset[tuple[int, int]] = field(
-        init=False, repr=False, compare=True
-    )
+    later: tuple[int, ...] = field(init=False, repr=False)
+    earlier: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        succ: list[list[int]] = [[] for _ in range(self.n_classes)]
-        indeg = [0] * self.n_classes
+        n = self.n_classes
+        succ: list[list[int]] = [[] for _ in range(n)]
+        indeg = [0] * n
         for a, b in self.arcs:
             if a == b:
                 raise StructureError(f"arc ({a}, {b}) is a loop")
-            if not (0 <= a < self.n_classes and 0 <= b < self.n_classes):
+            if not (0 <= a < n and 0 <= b < n):
                 raise UsageError(f"arc ({a}, {b}) outside class range")
             succ[a].append(b)
             indeg[b] += 1
-        # Kahn's algorithm both detects cycles and fixes a topological order.
-        queue = [i for i in range(self.n_classes) if indeg[i] == 0]
+        # Kahn's algorithm detects cycles and fixes a topological order; a
+        # class leaves the queue after every class that precedes it.
+        queue = [i for i in range(n) if indeg[i] == 0]
         topo: list[int] = []
-        indeg = indeg[:]
+        earlier = [0] * n
         while queue:
             queue.sort()
             node = queue.pop(0)
             topo.append(node)
             for nxt in succ[node]:
+                earlier[nxt] |= 1 << node | earlier[node]
                 indeg[nxt] -= 1
                 if indeg[nxt] == 0:
                     queue.append(nxt)
-        if len(topo) != self.n_classes:
+        if len(topo) != n:
             raise StructureError("orientation contains a directed cycle")
-        reach: list[set[int]] = [set() for _ in range(self.n_classes)]
-        for node in reversed(topo):
-            for nxt in succ[node]:
-                reach[node].add(nxt)
-                reach[node] |= reach[nxt]
-        pairs = frozenset(
-            (i, j) for i in range(self.n_classes) for j in reach[i]
-        )
-        object.__setattr__(self, "_reach", pairs)
+        later = [sum(1 << j for j in range(n) if earlier[j] >> i & 1)
+                 for i in range(n)]
+        object.__setattr__(self, "later", tuple(later))
+        object.__setattr__(self, "earlier", tuple(earlier))
         object.__setattr__(self, "_topo", tuple(topo))
 
     @classmethod
@@ -121,26 +120,28 @@ class PlacementOrder:
         return cls(graph.n_classes, arc_set)
 
     def precedes(self, i: int, j: int) -> bool:
-        return (i, j) in self._reach
+        return bool(self.later[i] >> j & 1)
 
     def comparable(self, i: int, j: int) -> bool:
-        return (i, j) in self._reach or (j, i) in self._reach
+        return bool((self.later[i] | self.earlier[i]) >> j & 1)
 
     @property
     def reach(self) -> frozenset[tuple[int, int]]:
-        return self._reach
+        """The relation as the set of its ``(i, j)`` pairs."""
+        n = self.n_classes
+        return frozenset(
+            (i, j) for i in range(n) for j in range(n) if self.precedes(i, j)
+        )
 
     def topological(self) -> tuple[int, ...]:
         """A deterministic topological listing of all classes."""
         return self._topo  # type: ignore[attr-defined]
 
     def minimal_classes(self) -> tuple[int, ...]:
-        preceded = {j for _, j in self._reach}
-        return tuple(i for i in range(self.n_classes) if i not in preceded)
+        return tuple(i for i, mask in enumerate(self.earlier) if not mask)
 
     def maximal_classes(self) -> tuple[int, ...]:
-        preceding = {i for i, _ in self._reach}
-        return tuple(i for i in range(self.n_classes) if i not in preceding)
+        return tuple(i for i, mask in enumerate(self.later) if not mask)
 
     def reversed_order(self) -> "PlacementOrder":
         return PlacementOrder(
@@ -163,8 +164,7 @@ def enumerate_placement_orders(
         raise ResourceError(
             f"enumerating orientations of {len(edges)} edges is out of budget"
         )
-    orders: list[PlacementOrder] = []
-    seen: set[frozenset[tuple[int, int]]] = set()
+    orders: dict[tuple[int, ...], PlacementOrder] = {}
     for bits in range(2 ** len(edges)):
         arcs = []
         for k, (a, b) in enumerate(edges):
@@ -173,19 +173,17 @@ def enumerate_placement_orders(
             order = PlacementOrder(graph.n_classes, frozenset(arcs))
         except StructureError:
             continue
-        if order.reach not in seen:
-            seen.add(order.reach)
-            orders.append(order)
-    return tuple(orders)
+        orders.setdefault(order.later, order)
+    return tuple(orders.values())
 
 
 def adheres(state: Sequence[int], order: PlacementOrder) -> bool:
     """True when no customer's class precedes the class of an earlier one."""
-    seen: set[int] = set()
+    placed = 0
     for cls in state:
-        if any(order.precedes(cls, before) for before in seen):
+        if order.later[cls] & placed:
             return False
-        seen.add(cls)
+        placed |= 1 << cls
     return True
 
 
@@ -462,13 +460,13 @@ def enumerate_adhering(
     """All states with macrostate ``population`` that adhere to ``order``."""
     if len(population) != order.n_classes:
         raise UsageError("population length must match the class count")
-    n_classes = order.n_classes
+    later = order.later
     remaining = list(population)
     out: list[State] = []
     stack: list[int] = []
-    placed: set[int] = set()
 
-    def rec() -> None:
+    def rec(placed: int) -> None:
+        # ``placed`` masks the classes already in ``stack``.
         if len(out) > budget:
             raise ResourceError(
                 f"adhering state enumeration exceeded budget {budget}"
@@ -476,23 +474,15 @@ def enumerate_adhering(
         if all(k == 0 for k in remaining):
             out.append(tuple(stack))
             return
-        for cls in range(n_classes):
-            if remaining[cls] == 0:
-                continue
-            if any(order.precedes(cls, before) for before in placed):
-                continue
-            remaining[cls] -= 1
-            stack.append(cls)
-            added = cls not in placed
-            if added:
-                placed.add(cls)
-            rec()
-            if added:
-                placed.remove(cls)
-            stack.pop()
-            remaining[cls] += 1
+        for cls, k in enumerate(remaining):
+            if k and not later[cls] & placed:
+                remaining[cls] -= 1
+                stack.append(cls)
+                rec(placed | 1 << cls)
+                stack.pop()
+                remaining[cls] += 1
 
-    rec()
+    rec(0)
     return tuple(out)
 
 
@@ -532,13 +522,11 @@ def first_queue_macrostates(
     condition, so the set grows one customer at a time from the empty queue.
     """
     n = order.n_classes
-    preceding = [0] * n
-    for a, b in order.reach:
-        preceding[b] |= 1 << a
+    earlier = order.earlier
 
     def occurs(x: Macrostate) -> bool:
         left = sum(1 << i for i in range(n) if x[i] < population[i])
-        return not any(x[b] and preceding[b] & left for b in range(n))
+        return not any(x[b] and earlier[b] & left for b in range(n))
 
     layer = [(0,) * n]
     out = list(layer)
@@ -574,10 +562,6 @@ class ClassPartition:
     @property
     def n_components(self) -> int:
         return len(self.classes)
-
-    @property
-    def n_closed(self) -> int:
-        return sum(self.closed)
 
     def transient_state_indices(self) -> tuple[int, ...]:
         return tuple(
@@ -914,10 +898,12 @@ def _balance_function(
 ) -> tuple[dict[Macrostate, float], dict[Macrostate, int]]:
     """Log balance function and content count of a queue, per macrostate.
 
-    ``Phi(x)`` sums the balance weights of the adhering contents with
-    macrostate ``x``.  Their last customer's class ``i`` precedes no class
-    left in ``x - e_i`` (``later[i]`` masks the classes ``i`` precedes;
-    none is ``i`` itself, so ``supp(x)`` stands for ``supp(x - e_i)``), so
+    ``later`` is the queue's :attr:`PlacementOrder.later`, or the
+    :attr:`PlacementOrder.earlier` of the order it reverses: ``later[i]``
+    masks the classes that ``i`` precedes.  ``Phi(x)`` sums the balance
+    weights of the adhering contents with macrostate ``x``.  Their last
+    customer's class ``i`` precedes no class left in ``x - e_i`` (no mask
+    holds its own class, so ``supp(x)`` stands for ``supp(x - e_i)``), so
     ``Phi(x) = sum_i Phi(x - e_i) / mu(x)`` over those ``i``.  The same
     recursion in integers counts the contents.  ``xs`` lists macrostates by
     total, from zero, and holds every ``x - e_i`` the recursion reads.
@@ -996,13 +982,8 @@ def analyze_tandem_macrostates(
     ys = [
         tuple(k - v for k, v in zip(net.population, x)) for x in reversed(xs)
     ]
-    later = [0] * net.n_classes
-    earlier = [0] * net.n_classes
-    for a, b in net.order.reach:
-        later[a] |= 1 << b
-        earlier[b] |= 1 << a
-    log_phi1, count1 = _balance_function(net.rate_fn_1, later, xs)
-    log_phi2, count2 = _balance_function(net.rate_fn_2, earlier, ys)
+    log_phi1, count1 = _balance_function(net.rate_fn_1, net.order.later, xs)
+    log_phi2, count2 = _balance_function(net.rate_fn_2, net.order.earlier, ys)
     pairs = list(zip(xs, reversed(ys)))
     space = sum(count1[x] * count2[y] for x, y in pairs)
     if space > budget:

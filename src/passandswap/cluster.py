@@ -133,13 +133,13 @@ class ClusterSpec:
         height: int,
         machine_rates: Sequence[float],
         arrival_rate: float,
-        job_type: str = "A",
     ) -> "ClusterSpec":
         """Binary-tree token hierarchy of the given height.
 
         Token classes are numbered ``1 .. 2**height - 1`` with one token
         each; token ``i`` swaps with tokens ``2i`` and ``2i + 1``.  The
-        leaves give access to the machines, the root admits arriving jobs.
+        leaves give access to the machines, the root admits arriving jobs
+        of the one job type ``"A"``.
         """
         if height < 1:
             raise UsageError("height must be at least 1")
@@ -168,9 +168,9 @@ class ClusterSpec:
                 for s in range(n_machines)
             },
             machine_bindings=bindings,
-            job_types=(job_type,),
-            type_rates={job_type: float(arrival_rate)},
-            type_bindings={"1": (job_type,)},
+            job_types=("A",),
+            type_rates={"A": float(arrival_rate)},
+            type_bindings={"1": ("A",)},
         )
 
 
@@ -191,6 +191,31 @@ class CompiledTandem:
 
     def class_id(self, name: str) -> int:
         return self.class_names.index(name)
+
+
+def _compat(
+    names: Sequence[str],
+    below: Sequence[int],
+    bindings: Mapping[str, tuple[str, ...]],
+    servers: Sequence[str],
+    end: str,
+    server: str,
+) -> tuple[frozenset[int], ...]:
+    """Server indices of each class.  ``below[i]`` masks the classes on the
+    path from ``i`` to the servers; a class with none binds to servers by
+    name, every other class is served by those of the classes below it."""
+    index = {name: k for k, name in enumerate(servers)}
+    ends = [i for i, mask in enumerate(below) if not mask]
+    bound = {}
+    for i in ends:
+        if not bindings.get(names[i]):
+            raise StructureError(f"{end} class {names[i]!r} binds to no {server}")
+        bound[i] = frozenset(index[m] for m in bindings[names[i]])
+    return tuple(
+        bound[i] if i in bound
+        else frozenset().union(*(bound[j] for j in ends if below[i] >> j & 1))
+        for i in range(len(names))
+    )
 
 
 def compile_cluster(spec: ClusterSpec) -> CompiledTandem:
@@ -239,42 +264,10 @@ def compile_cluster(spec: ClusterSpec) -> CompiledTandem:
 
     minimal = order.minimal_classes()
     maximal = order.maximal_classes()
-
-    machine_idx = {m: s for s, m in enumerate(spec.machines)}
-    first_compat: list[frozenset[int]] = [frozenset()] * n
-    for i in minimal:
-        bound = spec.machine_bindings.get(names[i], ())
-        if not bound:
-            raise StructureError(
-                f"minimal class {names[i]!r} binds to no machine"
-            )
-        first_compat[i] = frozenset(machine_idx[m] for m in bound)
-    for i in order.topological():
-        if i in minimal:
-            continue
-        servers: set[int] = set()
-        for j in range(n):
-            if order.precedes(j, i):
-                servers |= first_compat[j]
-        first_compat[i] = frozenset(servers)
-
-    type_idx = {t: k for k, t in enumerate(spec.job_types)}
-    second_compat: list[frozenset[int]] = [frozenset()] * n
-    for i in maximal:
-        bound = spec.type_bindings.get(names[i], ())
-        if not bound:
-            raise StructureError(
-                f"maximal class {names[i]!r} binds to no job type"
-            )
-        second_compat[i] = frozenset(type_idx[t] for t in bound)
-    for i in reversed(order.topological()):
-        if i in maximal:
-            continue
-        servers = set()
-        for j in range(n):
-            if order.precedes(i, j):
-                servers |= second_compat[j]
-        second_compat[i] = frozenset(servers)
+    first_compat = _compat(names, order.earlier, spec.machine_bindings,
+                           spec.machines, "minimal", "machine")
+    second_compat = _compat(names, order.later, spec.type_bindings,
+                            spec.job_types, "maximal", "job type")
 
     for name, rate in {**spec.machine_rates, **spec.type_rates}.items():
         if rate <= 0.0:

@@ -27,10 +27,11 @@ from .errors import CapabilityError, DomainError, UsageError
 State = tuple[int, ...]
 Macrostate = tuple[int, ...]
 
-EMPTY: State = ()
-
 #: Absolute tolerance for exact analytic identities.
 EXACT_TOL = 1e-12
+
+#: Arrangements of one macrostate that :func:`validate_rate_function` checks.
+_MAX_PERMUTATIONS = 24
 
 
 def macrostate(state: Sequence[int], n_classes: int) -> Macrostate:
@@ -329,23 +330,20 @@ class ValidationReport:
 
 
 def validate_rate_function(
-    rate_fn: RateFunction,
-    max_total: int,
-    max_permutations: int = 24,
-    seed: int = 0,
+    rate_fn: RateFunction, max_total: int
 ) -> ValidationReport:
     """Check the rate-function contract on all macrostates with total
     ``<= max_total``.
 
     Order independence is tested per macrostate over all permutations when
-    few, otherwise over ``max_permutations`` sampled ones; monotonicity,
+    few, otherwise over ``_MAX_PERMUTATIONS`` sampled ones; monotonicity,
     positivity, and the empty-state rate are checked directly.  Violations
     are report content, not exceptions; macrostates outside a table's domain
     are reported as gaps.
     """
     if max_total < 1:
         raise UsageError("max_total must be at least 1")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     n = rate_fn.n_classes
     violations: list[Violation] = []
     checked = 0
@@ -384,11 +382,11 @@ def validate_rate_function(
             )
         # order independence over sequence arrangements of this macrostate
         base = [i for i, k in enumerate(counts) for _ in range(k)]
-        if math.factorial(total) <= max_permutations:
+        if math.factorial(total) <= _MAX_PERMUTATIONS:
             perms: Iterable[tuple[int, ...]] = set(itertools.permutations(base))
         else:
             samples = []
-            for _ in range(max_permutations):
+            for _ in range(_MAX_PERMUTATIONS):
                 arr = base[:]
                 rng.shuffle(arr)
                 samples.append(tuple(arr))

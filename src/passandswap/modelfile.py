@@ -21,6 +21,7 @@ from .closed import (
 from .cluster import ClusterSpec, CompiledTandem
 from .errors import ModelFormatError, StructureError
 from .model import (
+    Macrostate,
     MultiServerRates,
     PandsQueue,
     RateFunction,
@@ -49,8 +50,20 @@ def _check_fields(obj: Mapping[str, Any], required: set[str],
         raise ModelFormatError(f"{where}: unknown fields {sorted(unknown)}")
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer: ``true`` and ``2.0`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _class_count(doc: Mapping[str, Any]) -> int:
+    n = doc["classes"]
+    if not _is_int(n) or n < 1:
+        raise ModelFormatError(f"classes: expected a positive integer, got {n!r}")
+    return n
+
+
 def _class_index(value: Any, n_classes: int, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ModelFormatError(f"{where}: class ids must be integers")
     if not 1 <= value <= n_classes:
         raise ModelFormatError(
@@ -65,12 +78,56 @@ def _state(values: Any, n_classes: int, where: str) -> State:
     return tuple(_class_index(v, n_classes, where) for v in values)
 
 
-def _positive(value: Any, where: str) -> float:
+def _number(value: Any, where: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ModelFormatError(f"{where}: expected a number")
-    if value <= 0:
-        raise ModelFormatError(f"{where}: must be positive")
     return float(value)
+
+
+def _positive(value: Any, where: str) -> float:
+    number = _number(value, where)
+    if number <= 0:
+        raise ModelFormatError(f"{where}: must be positive")
+    return number
+
+
+def _slots(value: Any, where: str) -> float:
+    if value is None or value == "inf":
+        return float("inf")
+    if not _is_int(value) or value < 1:
+        raise ModelFormatError(f"{where}: slot counts are positive integers, "
+                               f"null, or \"inf\"")
+    return float(value)
+
+
+def _name(value: Any, where: str) -> str:
+    return str(value)
+
+
+def _names(value: Any, where: str) -> tuple[str, ...]:
+    if not isinstance(value, list):
+        raise ModelFormatError(f"{where}: expected an array of names")
+    return tuple(str(v) for v in value)
+
+
+def _bindings(value: Any, where: str) -> dict[str, tuple[str, ...]]:
+    if not isinstance(value, dict):
+        raise ModelFormatError(f"{where}: expected an object")
+    return {str(k): _names(v, where) for k, v in value.items()}
+
+
+def _table(rows: Any, where: str, **readers) -> list[tuple]:
+    """The rows of a table, each row's fields checked against ``readers``
+    and read, in that order, by their ``reader(value, location)``."""
+    if not isinstance(rows, list):
+        raise ModelFormatError(f"{where}: expected an array")
+    out = []
+    for row in rows:
+        _check_fields(row, set(readers), set(), where)
+        out.append(tuple(
+            read(row[name], f"{where}.{name}") for name, read in readers.items()
+        ))
+    return out
 
 
 def _rate_function(obj: Any, n_classes: int, where: str) -> RateFunction:
@@ -101,26 +158,22 @@ def _rate_function(obj: Any, n_classes: int, where: str) -> RateFunction:
         return MultiServerRates(tuple(rates), tuple(compat))
     if kind == "table":
         _check_fields(obj, {"kind", "entries"}, {"saturation"}, where)
-        entries = {}
-        for row in obj["entries"]:
-            _check_fields(row, {"macrostate", "rate"}, set(), f"{where}.entries")
-            key = tuple(int(v) for v in row["macrostate"])
-            if len(key) != n_classes or any(v < 0 for v in key):
-                raise ModelFormatError(
-                    f"{where}.entries: bad macrostate {row['macrostate']}"
-                )
-            entries[key] = float(row["rate"])
+
+        def counts(value: Any, at: str) -> Macrostate:
+            if not (isinstance(value, list) and len(value) == n_classes
+                    and all(_is_int(v) and v >= 0 for v in value)):
+                raise ModelFormatError(f"{where}.entries: bad macrostate {value}")
+            return tuple(value)
+
+        def subset(value: Any, at: str) -> frozenset[int]:
+            return frozenset(_state(value, n_classes, f"{where}.saturation"))
+
+        entries = dict(_table(obj["entries"], f"{where}.entries",
+                              macrostate=counts, rate=_number))
         saturation = None
         if "saturation" in obj:
-            saturation = {}
-            for row in obj["saturation"]:
-                _check_fields(row, {"subset", "rate"}, set(),
-                              f"{where}.saturation")
-                subset = frozenset(
-                    _class_index(v, n_classes, f"{where}.saturation")
-                    for v in row["subset"]
-                )
-                saturation[subset] = float(row["rate"])
+            saturation = dict(_table(obj["saturation"], f"{where}.saturation",
+                                     subset=subset, rate=_number))
         return TableRates(n_classes, entries, saturation)
     raise ModelFormatError(f"{where}: unknown rate function kind {kind!r}")
 
@@ -228,7 +281,7 @@ def _parse_open(doc: Mapping[str, Any]) -> LoadedOpen:
         set(),
         "open model",
     )
-    n = int(doc["classes"])
+    n = _class_count(doc)
     rates = tuple(
         _positive(r, "arrival_rates") for r in doc["arrival_rates"]
     )
@@ -247,7 +300,7 @@ def _parse_closed(doc: Mapping[str, Any]) -> LoadedClosed:
         set(),
         "closed model",
     )
-    n = int(doc["classes"])
+    n = _class_count(doc)
     rf = _rate_function(doc["rate_function"], n, "rate_function")
     graph = _swapping(doc["swapping_edges"], n, "swapping_edges")
     initial = _state(doc["initial_state"], n, "initial_state")
@@ -268,7 +321,7 @@ def _parse_tandem(doc: Mapping[str, Any]) -> LoadedTandem:
         {"class_names"},
         "tandem model",
     )
-    n = int(doc["classes"])
+    n = _class_count(doc)
     rf1 = _rate_function(doc["rate_function_1"], n, "rate_function_1")
     rf2 = _rate_function(doc["rate_function_2"], n, "rate_function_2")
     graph = _swapping(doc["swapping_edges"], n, "swapping_edges")
@@ -286,20 +339,11 @@ def _parse_tandem(doc: Mapping[str, Any]) -> LoadedTandem:
         )
     names = None
     if "class_names" in doc:
-        names = tuple(str(v) for v in doc["class_names"])
+        names = _names(doc["class_names"], "class_names")
         if len(names) != n:
             raise ModelFormatError("class_names must name every class")
     net = TandemNetwork(rf1, rf2, graph, population, order)
     return LoadedTandem(net, (c0, d0), names)
-
-
-def _slots(value: Any, where: str) -> float:
-    if value is None or value == "inf":
-        return float("inf")
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ModelFormatError(f"{where}: slot counts are positive integers, "
-                               f"null, or \"inf\"")
-    return float(value)
 
 
 def _parse_cluster(doc: Mapping[str, Any]) -> LoadedCluster:
@@ -313,105 +357,46 @@ def _parse_cluster(doc: Mapping[str, Any]) -> LoadedCluster:
         raise ModelFormatError("give either groups or token_dag, not both")
 
     if "token_dag" in doc:
-        types = []
-        for row in doc["job_types"]:
-            _check_fields(row, {"name", "rate"}, set(), "job_types")
-            types.append((str(row["name"]), _positive(row["rate"], "rate")))
-        machines = []
-        for row in doc["machines"]:
-            _check_fields(row, {"name", "rate"}, set(), "machines")
-            machines.append((str(row["name"]), _positive(row["rate"], "rate")))
+        types = _table(doc["job_types"], "job_types", name=_name, rate=_positive)
+        machines = _table(doc["machines"], "machines", name=_name,
+                          rate=_positive)
         dag = doc["token_dag"]
-        _check_fields(
-            dag,
-            {"classes", "arcs", "machine_bindings", "type_bindings"},
-            set(),
-            "token_dag",
-        )
-        class_names = []
-        counts = {}
-        for row in dag["classes"]:
-            _check_fields(row, {"name", "count"}, set(), "token_dag.classes")
-            name = str(row["name"])
-            class_names.append(name)
-            counts[name] = _slots(row["count"], "token_dag.classes.count")
-        arcs = tuple(
-            (str(a), str(b)) for a, b in (tuple(p) for p in dag["arcs"])
-        )
-        spec = ClusterSpec(
-            classes=tuple(class_names),
-            arcs=arcs,
-            counts=counts,
+        _check_fields(dag, {"classes", "arcs", "machine_bindings",
+                            "type_bindings"}, set(), "token_dag")
+        classes = _table(dag["classes"], "token_dag.classes", name=_name,
+                         count=_slots)
+        return LoadedCluster(ClusterSpec(
+            classes=tuple(name for name, _ in classes),
+            arcs=tuple(
+                (str(a), str(b)) for a, b in (tuple(p) for p in dag["arcs"])
+            ),
+            counts=dict(classes),
             machines=tuple(m for m, _ in machines),
             machine_rates=dict(machines),
-            machine_bindings={
-                str(k): tuple(str(m) for m in v)
-                for k, v in dag["machine_bindings"].items()
-            },
+            machine_bindings=_bindings(dag["machine_bindings"],
+                                       "token_dag.machine_bindings"),
             job_types=tuple(t for t, _ in types),
             type_rates=dict(types),
-            type_bindings={
-                str(k): tuple(str(t) for t in v)
-                for k, v in dag["type_bindings"].items()
-            },
-        )
-        return LoadedCluster(spec)
+            type_bindings=_bindings(dag["type_bindings"],
+                                    "token_dag.type_bindings"),
+        ))
 
     if "groups" in doc:
-        types = []
-        for row in doc["job_types"]:
-            _check_fields(row, {"name", "rate", "slots"}, set(), "job_types")
-            types.append(
-                (
-                    str(row["name"]),
-                    _positive(row["rate"], "job_types.rate"),
-                    _slots(row["slots"], "job_types.slots"),
-                )
-            )
-        machines = []
-        for row in doc["machines"]:
-            _check_fields(row, {"name", "rate"}, set(), "machines")
-            machines.append((str(row["name"]), _positive(row["rate"], "rate")))
-        groups = []
-        for row in doc["groups"]:
-            _check_fields(
-                row, {"name", "slots", "machines", "types"}, set(), "groups"
-            )
-            groups.append(
-                (
-                    str(row["name"]),
-                    _slots(row["slots"], "groups.slots"),
-                    tuple(str(m) for m in row["machines"]),
-                    tuple(str(t) for t in row["types"]),
-                )
-            )
-        return LoadedCluster(ClusterSpec.grouped(types, machines, groups))
+        return LoadedCluster(ClusterSpec.grouped(
+            _table(doc["job_types"], "job_types", name=_name, rate=_positive,
+                   slots=_slots),
+            _table(doc["machines"], "machines", name=_name, rate=_positive),
+            _table(doc["groups"], "groups", name=_name, slots=_slots,
+                   machines=_names, types=_names),
+        ))
 
-    types = []
-    compat = {}
-    for row in doc["job_types"]:
-        _check_fields(row, {"name", "rate", "slots", "machines"}, set(),
-                      "job_types")
-        name = str(row["name"])
-        types.append(
-            (
-                name,
-                _positive(row["rate"], "job_types.rate"),
-                _slots(row["slots"], "job_types.slots"),
-            )
-        )
-        compat[name] = [str(m) for m in row["machines"]]
-    machines = []
-    for row in doc["machines"]:
-        _check_fields(row, {"name", "rate", "buffer"}, set(), "machines")
-        machines.append(
-            (
-                str(row["name"]),
-                _positive(row["rate"], "machines.rate"),
-                _slots(row["buffer"], "machines.buffer"),
-            )
-        )
-    return LoadedCluster(ClusterSpec.bipartite(types, machines, compat))
+    types = _table(doc["job_types"], "job_types", name=_name, rate=_positive,
+                   slots=_slots, machines=_names)
+    machines = _table(doc["machines"], "machines", name=_name, rate=_positive,
+                      buffer=_slots)
+    return LoadedCluster(ClusterSpec.bipartite(
+        [row[:3] for row in types], machines, {row[0]: row[3] for row in types}
+    ))
 
 
 def dump_open(queue: PandsQueue) -> dict:

@@ -157,16 +157,19 @@ def _solve_direct(q_sub: sp.csr_matrix) -> np.ndarray:
     return pi / pi.sum()
 
 
+# The power iteration's damping, the uniformization rate as a multiple of
+# the largest exit rate, and its iteration limit.
+_DAMPING = 0.99
+_UNIFORMIZATION_MARGIN = 1.05
+_MAX_ITERATIONS = 1_000_000
+
+
 def _solve_uniformized(
-    q_sub: sp.csr_matrix,
-    damping: float,
-    margin: float,
-    max_iterations: int,
-    residual_tol: float,
+    q_sub: sp.csr_matrix, residual_tol: float
 ) -> tuple[np.ndarray, list[float]]:
     n = q_sub.shape[0]
     out_rates = -q_sub.diagonal()
-    lam = margin * float(out_rates.max()) if n else 1.0
+    lam = _UNIFORMIZATION_MARGIN * float(out_rates.max()) if n else 1.0
     if lam <= 0.0:
         return np.full(n, 1.0 / n), [0.0]
     # transposed once here: ``pi @ p`` would build a transpose every step
@@ -174,11 +177,11 @@ def _solve_uniformized(
     q_t = q_sub.transpose().tocsr()
     pi = np.full(n, 1.0 / n)
     history: list[float] = []
-    for it in range(max_iterations):
-        pi = (1.0 - damping) * pi + damping * (p_t @ pi)
+    for it in range(_MAX_ITERATIONS):
+        pi = (1.0 - _DAMPING) * pi + _DAMPING * (p_t @ pi)
         pi = np.maximum(pi, 0.0)
         pi /= pi.sum()
-        if it % 50 == 0 or it == max_iterations - 1:
+        if it % 50 == 0 or it == _MAX_ITERATIONS - 1:
             residual = float(np.abs(q_t @ pi).max())
             history.append(residual)
             if residual < residual_tol:
@@ -192,9 +195,6 @@ def _solve_uniformized(
 def solve_stationary(
     g: GeneratorMatrix,
     direct_limit: int = 50_000,
-    damping: float = 0.99,
-    uniformization_margin: float = 1.05,
-    max_iterations: int = 1_000_000,
     residual_tol: float = 1e-11,
 ) -> StationarySolution:
     """Stationary distribution of every closed communicating class.
@@ -235,10 +235,7 @@ def solve_stationary(
             pi = _solve_direct(q_sub)
             method = "direct"
         else:
-            pi, _ = _solve_uniformized(
-                q_sub, damping, uniformization_margin, max_iterations,
-                residual_tol,
-            )
+            pi, _ = _solve_uniformized(q_sub, residual_tol)
             method = "uniformization"
         residual = float(np.abs(pi @ q_sub).max()) if len(members) > 1 else 0.0
         # The rounding error of ``pi Q`` grows with the class's rates.

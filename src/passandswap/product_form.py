@@ -114,15 +114,6 @@ class TruncatedDistribution:
     log_weights: Mapping[State, float]
     log_normalizer: float
 
-    @property
-    def weights(self) -> dict[State, float]:
-        """Unnormalized weights on the linear scale."""
-        return {s: math.exp(w) for s, w in self.log_weights.items()}
-
-    @property
-    def normalizer(self) -> float:
-        return math.exp(self.log_normalizer)
-
     def probability(self, state: State) -> float:
         try:
             return math.exp(self.log_weights[state] - self.log_normalizer)

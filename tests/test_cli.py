@@ -118,6 +118,19 @@ def test_trace_golden(capsys, model_path):
     assert result["next_state"] == [3, 3, 1, 2, 2, 1, 3]
 
 
+def test_trace_rejects_class_ids_outside_the_model(capsys, model_path):
+    path = model_path(TWO_CLASS_DOC)
+    for state, bad in (("0,1", 0), ("1,5", 5), ("3", 3)):
+        argv = ["trace", path, "--state", state, "--position", "1"]
+        assert main(argv) == 2
+        assert f"class id {bad} outside 1..2" in capsys.readouterr().err
+
+
+def test_malformed_class_count_exits_2(capsys, model_path):
+    assert main(["validate", model_path(dict(OPEN_DOC, classes="two"))]) == 2
+    assert "classes: expected a positive integer" in capsys.readouterr().err
+
+
 def test_analyze_and_oracle_compare(capsys, model_path, tmp_path):
     path = model_path(TWO_CLASS_DOC)
     code, doc = run_json(capsys, ["analyze", path, "-N", "4"])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -112,6 +113,19 @@ def test_hierarchical_compilation():
     assert ct.first_compat[cid("2")] == {0, 1}
     assert ct.first_compat[cid("1")] == {0, 1, 2, 3}
     assert all(ct.second_compat[cid(str(i))] == {0} for i in range(1, 8))
+
+
+def test_unbound_end_classes_rejected():
+    spec = ClusterSpec.hierarchical(3, [1.0, 1.0, 1.0, 1.0], 2.0)
+    bindings = dict(spec.machine_bindings)
+    del bindings["5"], bindings["6"]
+    with pytest.raises(StructureError,
+                       match="minimal class '5' binds to no machine"):
+        compile_cluster(dataclasses.replace(spec, machine_bindings=bindings))
+    no_types = dataclasses.replace(spec, type_bindings={"1": ()})
+    with pytest.raises(StructureError,
+                       match="maximal class '1' binds to no job type"):
+        compile_cluster(no_types)
 
 
 def test_cycle_rejected():

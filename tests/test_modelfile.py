@@ -90,6 +90,30 @@ def test_table_rate_function_round_trip():
     assert again.rate_fn.entries == queue.rate_fn.entries
 
 
+def test_table_entries_must_be_integer_counts_and_numbers():
+    def table_doc(**rf):
+        rate_function = {
+            "kind": "table",
+            "entries": [{"macrostate": [1], "rate": 1.0}],
+            "saturation": [{"subset": [1], "rate": 2.0}],
+        }
+        return dict(OPEN_DOC, classes=1, arrival_rates=[0.4],
+                    swapping_edges=[], rate_function=dict(rate_function, **rf))
+
+    spoiled = [
+        ({"entries": [{"macrostate": [1.7], "rate": 1.0}]}, "bad macrostate"),
+        ({"entries": [{"macrostate": [True], "rate": 1.0}]}, "bad macrostate"),
+        ({"entries": [{"macrostate": [-1], "rate": 1.0}]}, "bad macrostate"),
+        ({"entries": [{"macrostate": [1], "rate": "x"}]},
+         r"entries\.rate: expected a number"),
+        ({"saturation": [{"subset": [1], "rate": "x"}]},
+         r"saturation\.rate: expected a number"),
+    ]
+    for rf, message in spoiled:
+        with pytest.raises(ModelFormatError, match=message):
+            parse_document(table_doc(**rf))
+
+
 CLOSED_DOC = {
     "schema": "pands-closed/1",
     "classes": 3,
@@ -116,6 +140,13 @@ def test_closed_requires_every_class_present():
     doc = dict(CLOSED_DOC, initial_state=[1, 2])
     with pytest.raises(ModelFormatError):
         parse_document(doc)
+
+
+@pytest.mark.parametrize("classes", [2.5, 2.0, "2", "two", True, 0, -1, None])
+def test_class_count_is_a_positive_integer(classes):
+    for doc in (OPEN_DOC, CLOSED_DOC, TANDEM_DOC):
+        with pytest.raises(ModelFormatError, match="classes: expected a positive"):
+            parse_document(dict(doc, classes=classes))
 
 
 TANDEM_DOC = {
@@ -367,27 +398,57 @@ def _rows(doc, table):
     return doc
 
 
-def _bad_rows(row):
+def _bad_rows(row, table):
     """Each way to spoil ``row``, with the message its table must give."""
     for field in row:
         spoiled = dict(row)
         del spoiled[field]
-        yield spoiled, rf"missing fields \['{field}'\]"
-    yield dict(row, extra=1), r"unknown fields \['extra'\]"
+        yield spoiled, rf"{table}: missing fields \['{field}'\]"
+    yield dict(row, extra=1), rf"{table}: unknown fields \['extra'\]"
     if "rate" in row:
         for rate in (0, -1.0):
-            yield dict(row, rate=rate), "rate: must be positive"
-        yield dict(row, rate="fast"), "rate: expected a number"
+            yield dict(row, rate=rate), rf"^{table}\.rate: must be positive"
+        yield dict(row, rate="fast"), rf"^{table}\.rate: expected a number"
     for field in ("slots", "buffer", "count"):
         if field in row:
             for slots in (0, 1.5, True, "many"):
-                yield dict(row, **{field: slots}), "slot counts are positive"
+                yield (dict(row, **{field: slots}),
+                       rf"^{table}\.{field}: slot counts are positive")
 
 
 @pytest.mark.parametrize("doc, table", CLUSTER_TABLES)
 def test_cluster_table_rows_are_checked(doc, table):
-    for spoiled, message in _bad_rows(_rows(doc, table)[0]):
+    for spoiled, message in _bad_rows(_rows(doc, table)[0], table):
         bad = json.loads(json.dumps(doc))
         _rows(bad, table)[0] = spoiled
         with pytest.raises(ModelFormatError, match=message):
             parse_document(bad)
+
+
+@pytest.mark.parametrize("doc, table", CLUSTER_TABLES)
+def test_cluster_tables_and_name_lists_are_arrays(doc, table):
+    bad = json.loads(json.dumps(doc))
+    _rows(bad, table).append("row")
+    with pytest.raises(ModelFormatError, match=f"^{table}: expected an object"):
+        parse_document(bad)
+    bad = json.loads(json.dumps(doc))
+    holder = bad["token_dag"] if table.startswith("token_dag.") else bad
+    holder[table.rpartition(".")[2]] = 3
+    with pytest.raises(ModelFormatError, match=f"^{table}: expected an array"):
+        parse_document(bad)
+    for field, value in _rows(doc, table)[0].items():
+        if isinstance(value, list):
+            bad = json.loads(json.dumps(doc))
+            _rows(bad, table)[0][field] = "m1"
+            with pytest.raises(ModelFormatError, match="array of names"):
+                parse_document(bad)
+
+
+def test_token_dag_bindings_map_names_to_name_arrays():
+    for key in ("machine_bindings", "type_bindings"):
+        for value, message in (([["2", "m1"]], "expected an object"),
+                               ({"2": "m1"}, "expected an array of names")):
+            bad = json.loads(json.dumps(DAG_SPEC_DOC))
+            bad["token_dag"][key] = value
+            with pytest.raises(ModelFormatError, match=f"token_dag.{key}: {message}"):
+                parse_document(bad)
