@@ -142,13 +142,6 @@ def test_closed_requires_every_class_present():
         parse_document(doc)
 
 
-@pytest.mark.parametrize("classes", [2.5, 2.0, "2", "two", True, 0, -1, None])
-def test_class_count_is_a_positive_integer(classes):
-    for doc in (OPEN_DOC, CLOSED_DOC, TANDEM_DOC):
-        with pytest.raises(ModelFormatError, match="classes: expected a positive"):
-            parse_document(dict(doc, classes=classes))
-
-
 TANDEM_DOC = {
     "schema": "pands-tandem/1",
     "classes": 2,
@@ -187,6 +180,13 @@ def test_tandem_nonadhering_initial_rejected():
     # queue 2 reversed puts 1 before 2
     with pytest.raises(StructureError):
         parse_document(doc)
+
+
+@pytest.mark.parametrize("classes", [2.5, 2.0, "2", "two", True, 0, -1, None])
+def test_class_count_is_a_positive_integer(classes):
+    for doc in (OPEN_DOC, CLOSED_DOC, TANDEM_DOC):
+        with pytest.raises(ModelFormatError, match="classes: expected a positive"):
+            parse_document(dict(doc, classes=classes))
 
 
 CLUSTER_DOC = {
