@@ -469,7 +469,8 @@ def enumerate_adhering(
         # ``placed`` masks the classes already in ``stack``.
         if len(out) > budget:
             raise ResourceError(
-                f"adhering state enumeration exceeded budget {budget}"
+                f"adhering state enumeration reached {len(out)} states, "
+                f"budget {budget}"
             )
         if all(k == 0 for k in remaining):
             out.append(tuple(stack))
@@ -499,7 +500,8 @@ def enumerate_sigma(
     total = sum(net.population)
     if len(full) * (total + 1) > budget:
         raise ResourceError(
-            f"tandem state enumeration exceeded budget {budget}"
+            f"tandem state enumeration needs {len(full) * (total + 1)} "
+            f"states, budget {budget}"
         )
     out: list[TandemState] = []
     for seq in full:
@@ -543,7 +545,8 @@ def first_queue_macrostates(
         out += grown
         if len(out) > budget:
             raise ResourceError(
-                f"first-queue macrostates exceeded budget {budget}"
+                f"first-queue macrostate enumeration reached {len(out)} "
+                f"macrostates, budget {budget}"
             )
         layer = grown
     return tuple(out)
@@ -884,7 +887,9 @@ class MacrostateAnalysis:
 
     ``space`` counts the adhering tandem states and ``states`` those in the
     communicating class of the initial state; they agree exactly when the
-    chain is irreducible.
+    chain is irreducible, which a walk over one face of the tandem
+    certifies, or else the search over the reachable tandem states decides
+    (see :func:`analyze_tandem_macrostates`).
     """
 
     space: int
@@ -926,6 +931,18 @@ def _balance_function(
     return log_phi, count
 
 
+def _flood(start: Hashable, successors: Callable[[Any], Iterable]) -> int:
+    """Number of states reachable from ``start``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for t in successors(stack.pop()):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return len(seen)
+
+
 def _reachable_tandem_states(net: TandemNetwork, initial: TandemState) -> int:
     """Number of tandem states reachable from ``initial``.
 
@@ -937,21 +954,22 @@ def _reachable_tandem_states(net: TandemNetwork, initial: TandemState) -> int:
 
     moves1 = queue_moves(net.rate_fn_1, net.swapping, make)
     moves2 = queue_moves(net.rate_fn_2, net.swapping, make)
-    seen = {initial}
-    stack = [initial]
-    while stack:
-        c, d = stack.pop()
-        for c2, cls in moves1(c):
-            t = (c2, d + (cls,))
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-        for d2, cls in moves2(d):
-            t = (c + (cls,), d2)
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return len(seen)
+
+    def successors(s: TandemState) -> list[TandemState]:
+        c, d = s
+        return [(c2, d + (cls,)) for c2, cls in moves1(c)] + [
+            (c + (cls,), d2) for d2, cls in moves2(d)
+        ]
+
+    return _flood(initial, successors)
+
+
+def _face_walk(rate_fn: RateFunction, graph: SwappingGraph,
+               start: State) -> int:
+    """Number of contents a closed queue reaches from ``start``: the face
+    states that one-customer round trips through the empty queue reach."""
+    queue = ClosedQueue(rate_fn, graph, macrostate(start, graph.n_classes))
+    return _flood(start, _targets(moves(queue)))
 
 
 def analyze_tandem_macrostates(
@@ -964,12 +982,35 @@ def analyze_tandem_macrostates(
 
     The product form ``pi(c, d) ~ Phi_1(c) Phi_2(d)`` sums over the tandem
     states sharing a first-queue macrostate ``x`` to
-    ``pi(x) ~ Phi_1(x) Phi_2(population - x)``.  That measure is positive
-    and balanced on the whole adhering space, so no state is transient and
-    the states reachable from ``initial`` form its communicating class;
-    irreducibility holds exactly when they are all the adhering states.
-    Otherwise the microstate analysis of :func:`analyze_tandem` restricts
-    the law to that class, and its marginal is returned with its warning.
+    ``pi(x) ~ Phi_1(x) Phi_2(population - x)``.  That law is the only one
+    when the chain is irreducible on the adhering space.  A *face* of the
+    tandem holds every token in one queue; it has ``space / (|population|
+    + 1)`` states, the count the recursion gives at ``population``.  The
+    chain is irreducible when a closed-queue walk covers one face:
+
+    1. Every state drains into each face.  :func:`_balance_function`
+       raises unless ``mu_1(x) > 0`` and ``mu_2(population - x) > 0`` on
+       every occurring macrostate, so repeated completions in the first
+       queue empty it, and so do those in the second queue.
+    2. No state is transient.  The product-form measure is positive and
+       balanced on the whole space, so every communicating class is closed.
+    3. A one-customer round trip is a real path.  From a state with every
+       token in the second queue, content ``d``, a completion there sends
+       one token of class ``i`` to the empty first queue, which serves it
+       at rate ``mu_1(e_i) > 0`` (by 1) back to the tail of ``d``: exactly
+       :func:`closed_step` on ``d``, at a positive rate of ``rate_fn_2``.
+
+    So if that walk (:func:`_face_walk`) from one face state reaches every
+    state of the face, the face lies in one closed class (by 2 and 3),
+    every state reaches it (by 1) and so belongs to that class (by 2).  Any
+    face state will do as the start, whatever ``initial`` is; the walk
+    starts from that of :meth:`TandemNetwork.initial_state`.  The mirror
+    face, every token in the first queue walked under ``rate_fn_1``, is
+    tried next.  When both walks fall short, the search over the tandem
+    states reachable from ``initial`` gives the verdict, and a reducible
+    chain falls back to the microstate analysis of :func:`analyze_tandem`,
+    which restricts the law to the class of ``initial``; its marginal is
+    returned with its warning.
     """
     initial = _tandem_initial(net, initial)
     # There are never more macrostates than tandem states; a budget below
@@ -990,7 +1031,13 @@ def analyze_tandem_macrostates(
         raise ResourceError(
             f"the adhering space needs {space} tandem states, budget {budget}"
         )
-    if _reachable_tandem_states(net, initial) == space:
+    face = net.initial_state()[1]  # every token in the second queue
+    full = net.population
+    if (
+        _face_walk(net.rate_fn_2, net.swapping, face) == count2[full]
+        or _face_walk(net.rate_fn_1, net.swapping, face[::-1]) == count1[full]
+        or _reachable_tandem_states(net, initial) == space
+    ):
         log_w = [log_phi1[x] + log_phi2[y] for x, y in pairs]
         z = _logsumexp(log_w)
         dist = {x: math.exp(w - z) for (x, _), w in zip(pairs, log_w)}

@@ -210,6 +210,10 @@ def _compat(
     for i in ends:
         if not bindings.get(names[i]):
             raise StructureError(f"{end} class {names[i]!r} binds to no {server}")
+        for m in bindings[names[i]]:
+            if m not in index:
+                raise UsageError(f"unknown {server} {m!r} for class "
+                                 f"{names[i]!r}")
         bound[i] = frozenset(index[m] for m in bindings[names[i]])
     return tuple(
         bound[i] if i in bound

@@ -72,10 +72,16 @@ def _class_index(value: Any, n_classes: int, where: str) -> int:
     return value - 1
 
 
-def _state(values: Any, n_classes: int, where: str) -> State:
-    if not isinstance(values, list):
+def _array(value: Any, where: str) -> list:
+    if not isinstance(value, list):
         raise ModelFormatError(f"{where}: expected an array")
-    return tuple(_class_index(v, n_classes, where) for v in values)
+    return value
+
+
+def _state(values: Any, n_classes: int, where: str) -> State:
+    return tuple(
+        _class_index(v, n_classes, where) for v in _array(values, where)
+    )
 
 
 def _number(value: Any, where: str) -> float:
@@ -104,6 +110,12 @@ def _name(value: Any, where: str) -> str:
     return str(value)
 
 
+def _pair(value: Any, where: str) -> tuple[str, str]:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ModelFormatError(f"{where}: expected a pair of names")
+    return str(value[0]), str(value[1])
+
+
 def _names(value: Any, where: str) -> tuple[str, ...]:
     if not isinstance(value, list):
         raise ModelFormatError(f"{where}: expected an array of names")
@@ -119,10 +131,8 @@ def _bindings(value: Any, where: str) -> dict[str, tuple[str, ...]]:
 def _table(rows: Any, where: str, **readers) -> list[tuple]:
     """The rows of a table, each row's fields checked against ``readers``
     and read, in that order, by their ``reader(value, location)``."""
-    if not isinstance(rows, list):
-        raise ModelFormatError(f"{where}: expected an array")
     out = []
-    for row in rows:
+    for row in _array(rows, where):
         _check_fields(row, set(readers), set(), where)
         out.append(tuple(
             read(row[name], f"{where}.{name}") for name, read in readers.items()
@@ -137,19 +147,20 @@ def _rate_function(obj: Any, n_classes: int, where: str) -> RateFunction:
     if kind == "multi_server":
         _check_fields(obj, {"kind", "server_rates", "compat"}, set(), where)
         rates = [
-            _positive(r, f"{where}.server_rates") for r in obj["server_rates"]
+            _positive(r, f"{where}.server_rates")
+            for r in _array(obj["server_rates"], f"{where}.server_rates")
         ]
         n_servers = len(rates)
         compat = []
-        if len(obj["compat"]) != n_classes:
+        if len(_array(obj["compat"], f"{where}.compat")) != n_classes:
             raise ModelFormatError(
                 f"{where}: compat must list servers for each of the "
                 f"{n_classes} classes"
             )
         for row in obj["compat"]:
             servers = set()
-            for s in row:
-                if not isinstance(s, int) or not 1 <= s <= n_servers:
+            for s in _array(row, f"{where}.compat"):
+                if not _is_int(s) or not 1 <= s <= n_servers:
                     raise ModelFormatError(
                         f"{where}.compat: server id {s!r} outside 1..{n_servers}"
                     )
@@ -367,9 +378,8 @@ def _parse_cluster(doc: Mapping[str, Any]) -> LoadedCluster:
                          count=_slots)
         return LoadedCluster(ClusterSpec(
             classes=tuple(name for name, _ in classes),
-            arcs=tuple(
-                (str(a), str(b)) for a, b in (tuple(p) for p in dag["arcs"])
-            ),
+            arcs=tuple(_pair(p, "token_dag.arcs")
+                       for p in _array(dag["arcs"], "token_dag.arcs")),
             counts=dict(classes),
             machines=tuple(m for m, _ in machines),
             machine_rates=dict(machines),

@@ -3,7 +3,9 @@
 On every cluster fixture and on seeded random bipartite and grouped specs,
 ``analyze_tandem_macrostates`` must count the adhering tandem states, give
 the irreducibility verdict of ``communicating_classes``, and yield the
-cluster metrics of ``analyze_tandem`` to 1e-12.
+cluster metrics of ``analyze_tandem`` to 1e-12.  Every irreducible spec must
+be certified on a face of the tandem without the tandem-state search; the
+reducible ones must reach the search and the microstate fallback.
 """
 
 import random
@@ -103,6 +105,7 @@ RANDOM = {
 }
 
 SPECS = FIXTURES | RANDOM
+REDUCIBLE = ("grouped-13", "grouped-18", "grouped-20", "reducible-grouped")
 
 
 def _compare(spec: ClusterSpec) -> bool:
@@ -162,3 +165,40 @@ def test_budget_is_checked_on_the_exact_count_before_any_search(monkeypatch):
     message = "needs 96 tandem states, budget 95"
     with pytest.raises(ResourceError, match=message):
         analyze_tandem_macrostates(net, ct.initial, budget=95)
+
+
+def test_budget_messages_say_how_far_the_enumeration_got():
+    net = compile_cluster(SPECS["cli"]).network
+    for enumerate_, message in (
+        (lambda: enumerate_sigma(net, budget=50),
+         "tandem state enumeration needs 96 states, budget 50"),
+        (lambda: closed.enumerate_adhering(net.order, net.population, 5),
+         "adhering state enumeration reached 6 states, budget 5"),
+        (lambda: first_queue_macrostates(net.order, net.population, 3),
+         "first-queue macrostate enumeration reached 4 macrostates, budget 3"),
+    ):
+        with pytest.raises(ResourceError, match=message):
+            enumerate_()
+
+
+def test_face_walks_certify_every_irreducible_spec(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched the tandem states")
+
+    monkeypatch.setattr(closed, "_reachable_tandem_states", no_search)
+    for name in sorted(set(SPECS) - set(REDUCIBLE)):
+        assert not _compare(SPECS[name]), name
+
+
+def test_reducible_specs_reach_the_search_and_the_microstate_fallback(
+    monkeypatch,
+):
+    searched, fell_back = [], []
+    search, fallback = closed._reachable_tandem_states, closed.analyze_tandem
+    monkeypatch.setattr(closed, "_reachable_tandem_states",
+                        lambda *a: searched.append(a) or search(*a))
+    monkeypatch.setattr(closed, "analyze_tandem",
+                        lambda *a: fell_back.append(a) or fallback(*a))
+    for name in REDUCIBLE:
+        assert _compare(SPECS[name]), name
+    assert len(searched) == len(fell_back) == len(REDUCIBLE)

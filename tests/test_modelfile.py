@@ -21,6 +21,7 @@ from passandswap.modelfile import (
     load_path,
     parse_document,
 )
+from passandswap.cli import main
 
 
 OPEN_DOC = {
@@ -452,3 +453,50 @@ def test_token_dag_bindings_map_names_to_name_arrays():
             bad["token_dag"][key] = value
             with pytest.raises(ModelFormatError, match=f"token_dag.{key}: {message}"):
                 parse_document(bad)
+
+
+def _exit_and_error(capsys, tmp_path, command, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, str(path)])
+    return code, capsys.readouterr().err
+
+
+def test_token_dag_binding_to_an_unknown_server_exits_2(capsys, tmp_path):
+    for key, binding, message in (
+        ("machine_bindings", {"2": ["m1"], "3": ["mX"]},
+         "unknown machine 'mX' for class '3'"),
+        ("type_bindings", {"1": ["Z"]}, "unknown job type 'Z' for class '1'"),
+    ):
+        bad = json.loads(json.dumps(DAG_SPEC_DOC))
+        bad["token_dag"][key] = binding
+        code, err = _exit_and_error(capsys, tmp_path, "cluster-analyze", bad)
+        assert code == 2
+        assert message in err
+
+
+def test_token_dag_arcs_are_pairs_of_names(capsys, tmp_path):
+    for arcs, message in (
+        ([["2", "1"], ["3", "1", "2"]], "expected a pair of names"),
+        ([["2", "1"], "31"], "expected a pair of names"),
+        ("2-1", "expected an array"),
+    ):
+        bad = json.loads(json.dumps(DAG_SPEC_DOC))
+        bad["token_dag"]["arcs"] = arcs
+        code, err = _exit_and_error(capsys, tmp_path, "validate", bad)
+        assert code == 2
+        assert f"token_dag.arcs: {message}" in err
+
+
+def test_multi_server_tables_are_arrays_of_integer_ids(capsys, tmp_path):
+    for field, value, message in (
+        ("server_rates", 3, "server_rates: expected an array"),
+        ("compat", 3, "compat: expected an array"),
+        ("compat", [[1, 3], 2], "compat: expected an array"),
+        ("compat", [[True, 3], [2, 3]], "compat: server id True outside"),
+    ):
+        bad = json.loads(json.dumps(OPEN_DOC))
+        bad["rate_function"][field] = value
+        code, err = _exit_and_error(capsys, tmp_path, "validate", bad)
+        assert code == 2
+        assert f"rate_function.{message}" in err
