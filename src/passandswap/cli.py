@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import heapq
 import json
 import sys
 from pathlib import Path
@@ -415,10 +416,9 @@ def _cmd_oracle_compare(args, loaded) -> tuple[dict, list[str]]:
     )
     reference = solve_unique(gen)
     tv = total_variation(analytic, reference)
-    residuals = sorted(
-        ((abs(analytic[s] - reference[s]), s) for s in analytic),
-        reverse=True,
-    )[:10]
+    residuals = heapq.nlargest(
+        10, ((abs(analytic[s] - reference[s]), s) for s in analytic)
+    )
     if args.dump_matrix:
         lines = [f"# states {gen.n_states}"]
         coo = gen.matrix.tocoo()

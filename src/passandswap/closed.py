@@ -467,13 +467,13 @@ def enumerate_adhering(
 
     def rec(placed: int) -> None:
         # ``placed`` masks the classes already in ``stack``.
-        if len(out) > budget:
-            raise ResourceError(
-                f"adhering state enumeration reached {len(out)} states, "
-                f"budget {budget}"
-            )
         if all(k == 0 for k in remaining):
             out.append(tuple(stack))
+            if len(out) > budget:
+                raise ResourceError(
+                    f"adhering state enumeration reached {len(out)} states, "
+                    f"budget {budget}"
+                )
             return
         for cls, k in enumerate(remaining):
             if k and not later[cls] & placed:

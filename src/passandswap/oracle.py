@@ -9,6 +9,8 @@ with the analytic distributions is a genuine cross-check.
 
 from __future__ import annotations
 
+import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Mapping
@@ -56,10 +58,15 @@ def build_generator(
     index: dict[Hashable, int] = {initial: 0}
     order: list[Hashable] = [initial]
     frontier: deque[Hashable] = deque([initial])
-    entries: dict[tuple[int, int], float] = {}
+    # CSR rows in breadth-first order; each row's columns come in the order
+    # of their first transition, with the diagonal last.
+    indptr = array("q", [0])
+    cols = array("q")
+    vals = array("d")
     while frontier:
         state = frontier.popleft()
         u = index[state]
+        row: dict[int, float] = {}
         for target, rate in transitions(state):
             if rate < 0.0:
                 raise UsageError(f"negative rate {rate} from state {state!r}")
@@ -76,19 +83,21 @@ def build_generator(
                 frontier.append(target)
             v = index[target]
             if u != v:
-                entries[(u, v)] = entries.get((u, v), 0.0) + rate
+                row[v] = row.get(v, 0.0) + rate
+        exit_rate = 0.0
+        for val in row.values():
+            exit_rate += val
+        row[u] = -exit_rate
+        cols.extend(row)
+        vals.extend(row.values())
+        indptr.append(len(cols))
     n = len(order)
-    rows = [u for u, _ in entries]
-    cols = [v for _, v in entries]
-    vals = [entries[(u, v)] for u, v in zip(rows, cols)]
-    diag_idx = list(range(n))
-    row_sums = [0.0] * n
-    for u, val in zip(rows, vals):
-        row_sums[u] += val
-    rows += diag_idx
-    cols += diag_idx
-    vals += [-s for s in row_sums]
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    matrix = sp.csr_matrix(
+        (np.frombuffer(vals), np.frombuffer(cols, dtype=np.int64),
+         np.frombuffer(indptr, dtype=np.int64)),
+        shape=(n, n),
+    )
+    matrix.sort_indices()
     _check_row_sums(matrix)
     return GeneratorMatrix(tuple(order), index, matrix)
 
@@ -120,41 +129,94 @@ class StationarySolution:
     n_transient_states: int
 
 
-def _solve_direct(q_sub: sp.csr_matrix) -> np.ndarray:
+# ``_solve_direct``'s factorization, shared by the probes of
+# ``_factor_size`` so that they measure the fill it will make.
+_LU_OPTIONS = {
+    "permc_spec": "MMD_AT_PLUS_A",
+    "diag_pivot_thresh": 0.0,
+    "options": {"SymmetricMode": True},
+}
+
+
+def _solve_direct(q_sub: sp.csr_matrix, fix_first: bool = False) -> np.ndarray:
     """Stationary law of one closed communicating class by sparse LU.
 
-    The balance equation of the last state is dropped and its probability
-    fixed at 1, leaving ``Q[:-1, :-1]^T x = -Q[n-1, :-1]^T``; the result is
-    then normalized.  For a closed communicating class ``-Q[:-1, :-1]`` is a
-    nonsingular M-matrix, and Gaussian elimination in any symmetric order
-    keeps every Schur complement an M-matrix, so the diagonal pivots stay
-    positive (the GTH argument; Stewart, *Introduction to the Numerical
-    Solution of Markov Chains*, 1994, ch. 2).  The factorization therefore
-    takes the diagonal pivots as they come and orders rows and columns alike
-    by minimum degree on ``A^T + A``, which keeps the fill low.  In floating
-    point the reduced system grows ill-conditioned as the last state's
-    probability shrinks; a factor that meets an exactly zero pivot raises
-    ``ConvergenceError``.
+    The balance equation of the last state (the first, with ``fix_first``)
+    is dropped and its probability fixed at 1.  For the last state that
+    leaves ``Q[:-1, :-1]^T x = -Q[n-1, :-1]^T``; the result is then
+    normalized.  For a closed communicating class ``-Q[:-1, :-1]`` (and
+    likewise ``-Q[1:, 1:]``) is a nonsingular M-matrix, and Gaussian
+    elimination in any symmetric order keeps every Schur complement an
+    M-matrix, so the diagonal pivots stay positive (the GTH argument;
+    Stewart, *Introduction to the Numerical Solution of Markov Chains*,
+    1994, ch. 2).  The factorization therefore takes the diagonal pivots as
+    they come and orders rows and columns alike by minimum degree on
+    ``A^T + A``, which keeps the fill low.  In floating point the reduced
+    system grows ill-conditioned as the fixed state's probability shrinks; a
+    factor that meets an exactly zero pivot raises ``ConvergenceError``, and
+    ``solve_stationary`` then tries again with the first state fixed.
     """
     n = q_sub.shape[0]
     if n == 1:
         return np.array([1.0])
-    a = q_sub[:-1, :-1].transpose().tocsc()
-    b = -q_sub[n - 1, :-1].toarray().ravel()
+    if fix_first:
+        fixed, rest = 0, slice(1, None)
+    else:
+        fixed, rest = n - 1, slice(None, -1)
+    a = q_sub[rest, rest].transpose().tocsc()
+    b = -q_sub[fixed, rest].toarray().ravel()
     try:
-        lu = spla.splu(
-            a,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        lu = spla.splu(a, **_LU_OPTIONS)
     except RuntimeError as exc:
         raise ConvergenceError(
             f"direct solve broke down ({exc}): the reduced balance system "
             "is singular in floating point"
         ) from None
-    pi = np.append(lu.solve(b), 1.0)
+    pi = np.insert(lu.solve(b), fixed, 1.0)
     return pi / pi.sum()
+
+
+# Classes of at most this many states skip the probes of ``_factor_size``
+# and count ``nnz(Q)`` for their factor: even a dense factor of one is small.
+_PROBE_MIN_STATES = 2048
+# The probes factor leading blocks of n/2**_PROBES, ..., n/4, n/2 states.
+_PROBES = 6
+
+
+def _factor_size(q_sub: sp.csr_matrix, limit: float) -> float:
+    """Estimated nonzeros of ``L`` and ``U`` in ``_solve_direct``'s factor,
+    or, once the estimate passes ``limit``, the estimate that passed it.
+
+    Factoring without pivoting in a fixed symmetric order, the fill depends
+    only on the sparsity pattern, so each probe factors the pattern of a
+    leading block of the reduced system (breadth-first order, as the states
+    come) with a dominant diagonal, which cannot break down, under the same
+    options as ``_solve_direct``.  Nonzeros per row are extrapolated to the
+    whole class by the growth factor between the last two probes (never
+    below 1), taken once per doubling.  Probing stops as soon as the
+    estimate passes ``limit``, which makes the probes of a class that will
+    not factor cheap.  The estimate is at least 1, so a ``limit`` of 0
+    refuses every class.
+    """
+    n = q_sub.shape[0]
+    if n <= _PROBE_MIN_STATES:
+        return max(q_sub.nnz, n)
+    size = n - 1  # the reduced system drops one state
+    per_row = estimate = 0.0
+    for k in range(_PROBES, 0, -1):
+        m = size >> k
+        block = q_sub[:m, :m]
+        # a CSR block read as CSC is the transposed block, as in the solve
+        pattern = sp.csc_matrix(
+            (np.ones(block.nnz), block.indices, block.indptr), shape=(m, m)
+        ) + sp.identity(m, format="csc") * (m + 1.0)
+        lu = spla.splu(pattern, **_LU_OPTIONS)
+        last, per_row = per_row, (lu.L.nnz + lu.U.nnz) / m
+        growth = max(1.0, per_row / last) if last else 1.0
+        estimate = size * per_row * growth ** math.log2(size / m)
+        if estimate > limit:
+            break
+    return estimate
 
 
 # The power iteration's damping, the uniformization rate as a multiple of
@@ -192,22 +254,33 @@ def _solve_uniformized(
     )
 
 
+def _residual(pi: np.ndarray, q_sub: sp.csr_matrix) -> float:
+    """``max |pi Q|``, or infinity where ``pi`` is not finite."""
+    if not np.isfinite(pi).all():
+        return math.inf
+    return float(np.abs(pi @ q_sub).max()) if len(pi) > 1 else 0.0
+
+
 def solve_stationary(
     g: GeneratorMatrix,
-    direct_limit: int = 50_000,
+    direct_limit: int = 20_000_000,
     residual_tol: float = 1e-11,
 ) -> StationarySolution:
     """Stationary distribution of every closed communicating class.
 
-    Classes are listed in order of their first state.  Classes of at most
-    ``direct_limit`` states solve directly: one balance equation is dropped,
-    the rest are factored by sparse LU ordered by minimum degree on
-    ``A^T + A``, without pivoting, which is safe because the reduced system
-    is a nonsingular M-matrix (see ``_solve_direct``).  Larger classes fall
-    back to damped power iteration on the uniformized chain, which stops once
-    the residual ``max |pi Q|`` is below ``residual_tol``.  Either way the
-    final residual must come in below ``residual_tol`` per unit of the
-    class's largest exit rate ``max |q_ii|`` (at least one).
+    Classes are listed in order of their first state.  A class whose LU
+    factor is estimated at no more than ``direct_limit`` nonzeros (see
+    ``_factor_size``; ``direct_limit=0`` refuses every class) solves
+    directly: one balance equation is dropped, the rest are factored by
+    sparse LU ordered by minimum degree on ``A^T + A``, without pivoting,
+    which is safe because the reduced system is a nonsingular M-matrix (see
+    ``_solve_direct``).  The last state is fixed first; if that factor
+    breaks down or its law misses the residual bound below, the solve runs
+    once more with the first state fixed.  Other classes fall back to damped
+    power iteration on the uniformized chain, which stops once the residual
+    ``max |pi Q|`` is below ``residual_tol``.  Either way the final residual
+    must come in below ``residual_tol`` per unit of the class's largest exit
+    rate ``max |q_ii|`` (at least one).
     """
     n = g.n_states
     q = g.matrix
@@ -231,16 +304,25 @@ def solve_stationary(
             transient += len(members)
             continue
         q_sub = q if len(members) == n else q[members][:, members].tocsr()
-        if len(members) <= direct_limit:
-            pi = _solve_direct(q_sub)
-            method = "direct"
-        else:
-            pi, _ = _solve_uniformized(q_sub, residual_tol)
-            method = "uniformization"
-        residual = float(np.abs(pi @ q_sub).max()) if len(members) > 1 else 0.0
         # The rounding error of ``pi Q`` grows with the class's rates.
         bound = residual_tol * max(1.0, float(np.abs(q_sub.diagonal()).max()))
-        if residual > bound or not np.isfinite(pi).all():
+        if _factor_size(q_sub, direct_limit) <= direct_limit:
+            method = "direct"
+            try:
+                pi = _solve_direct(q_sub)
+            except ConvergenceError:
+                residual = math.inf
+            else:
+                residual = _residual(pi, q_sub)
+            if residual > bound:
+                # the last state's probability may be below machine precision
+                pi = _solve_direct(q_sub, fix_first=True)
+                residual = _residual(pi, q_sub)
+        else:
+            method = "uniformization"
+            pi, _ = _solve_uniformized(q_sub, residual_tol)
+            residual = _residual(pi, q_sub)
+        if residual > bound:
             raise ConvergenceError(
                 f"stationary solve residual {residual} above {bound}"
             )

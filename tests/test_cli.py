@@ -149,6 +149,27 @@ def test_analyze_and_oracle_compare(capsys, model_path, tmp_path):
     assert float(rate) != 0.0
 
 
+def test_oracle_compare_fixes_the_first_state_under_light_load(
+    capsys, model_path
+):
+    # Under light load the last state in breadth-first order (N customers)
+    # has probability far below machine precision, and the direct solve
+    # that fixes it breaks down; the retry fixes the first (empty) state.
+    light = dict(
+        TWO_CLASS_DOC,
+        arrival_rates=[0.02, 0.02],
+        rate_function={"kind": "multi_server", "server_rates": [1.0, 1.0],
+                       "compat": [[1], [1, 2]]},
+        swapping_edges=[[1, 2]],
+    )
+    code, doc = run_json(
+        capsys, ["oracle-compare", model_path(light), "-N", "10"]
+    )
+    assert code == 0
+    assert doc["result"]["states"] == 2047
+    assert float(doc["result"]["total_variation"]) <= 1e-10
+
+
 def test_closed_analyze_routes_through_split(capsys, model_path):
     code, doc = run_json(
         capsys, ["closed-analyze", model_path(CLOSED_DOC)]
@@ -275,6 +296,17 @@ def test_parse_error_exit_code(capsys, tmp_path):
 def test_budget_exit_code(capsys, model_path):
     path = model_path(TWO_CLASS_DOC)
     assert main(["analyze", path, "-N", "12", "--budget", "10"]) == 3
+
+
+def test_closed_budget_admits_an_exact_fit(capsys, model_path):
+    # no swapping edges: all 3! = 6 orders of the three customers adhere
+    path = model_path(dict(CLOSED_DOC, swapping_edges=[],
+                           initial_state=[1, 2, 3]))
+    code, doc = run_json(capsys, ["closed-analyze", path, "--budget", "6"])
+    assert code == 0
+    assert doc["result"]["states"] == 6
+    assert main(["closed-analyze", path, "--budget", "5"]) == 3
+    assert "reached 6 states, budget 5" in capsys.readouterr().err
 
 
 def test_cluster_budget_names_the_exact_state_count(capsys, model_path):

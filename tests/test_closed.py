@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from passandswap import (
     ClosedQueue,
     PlacementOrder,
+    ResourceError,
     StructureError,
     SwappingGraph,
     TandemNetwork,
@@ -179,6 +180,14 @@ def test_enumerate_adhering_simple():
     g = SwappingGraph.from_pairs(2, [(0, 1)])
     order = PlacementOrder.orient(g, [(0, 1)])
     assert enumerate_adhering(order, (1, 1)) == ((0, 1),)
+
+
+def test_enumerate_adhering_budget_is_exact():
+    # three unordered classes: 3! = 6 adhering states
+    order = PlacementOrder(3, frozenset())
+    assert len(enumerate_adhering(order, (1, 1, 1), 6)) == 6
+    with pytest.raises(ResourceError, match="reached 6 states, budget 5"):
+        enumerate_adhering(order, (1, 1, 1), 5)
 
 
 def test_enumerate_adhering_counts_linear_extensions(six_class_order):

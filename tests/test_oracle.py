@@ -1,9 +1,11 @@
 import inspect
 import random
+import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,10 +19,13 @@ from passandswap import (
     UsageError,
     analyze_tandem,
     build_generator,
+    compile_cluster,
     solve_stationary,
     solve_unique,
     total_variation,
 )
+from passandswap import oracle
+from passandswap.modelfile import parse_document
 from conftest import (
     brute_reachability_partition,
     transition_fn,
@@ -171,10 +176,11 @@ def test_direct_solve_matches_dense_reference(g):
         sol = solve_stationary(g)
     except ConvergenceError:
         # a refusal is allowed only where rounding alone can put max |pi Q|
-        # above the absolute residual_tol, or where the reduced system
-        # (last state pinned) is singular to working precision
+        # above the absolute residual_tol, or where both reduced systems
+        # (last state fixed, then first) are singular to working precision
         floor = n * EPS * (np.abs(ref) @ np.abs(qa)).max()
-        assert floor > RESIDUAL_TOL or EPS * np.linalg.cond(qa[:-1, :-1]) > 1
+        cond = min(np.linalg.cond(qa[:-1, :-1]), np.linalg.cond(qa[1:, 1:]))
+        assert floor > RESIDUAL_TOL or EPS * cond > 1
         return
     (cls,) = sol.solutions
     assert cls.method == "direct"
@@ -236,11 +242,11 @@ def test_unbalanced_row_is_a_convergence_error():
             _check_row_sums(sp.csr_matrix(np.array(rows)))
 
 
-def test_direct_breakdown_is_a_convergence_error():
-    # The last state is entered only by a 1e-4 branch out of a region that
-    # is itself entered with probability about 1e-7, so its probability is
-    # about 5e-18 of the largest; the reduced system pinning it is singular
-    # in floating point and its factor meets an exactly zero pivot.
+def _tiny_tail_rates():
+    """An 18-state chain whose last state has probability about 5e-18 of
+    the largest: it is entered only by a 1e-4 branch out of a region that
+    is itself entered with probability about 1e-7.  State 8 is entered only
+    from it and is as improbable."""
     rates = {
         (0, 3): 1.0, (0, 9): 1.0, (1, 3): 10.0, (1, 4): 0.01, (2, 5): 1.0,
         (3, 10): 1.0, (4, 2): 1e-6, (4, 6): 10.0, (5, 0): 1.0, (6, 1): 1.0,
@@ -248,6 +254,33 @@ def test_direct_breakdown_is_a_convergence_error():
         (16, 7): 1.0, (17, 8): 1.0,
     }
     rates.update({(u, u + 1): 1.0 for u in range(10, 16)})
+    return rates
+
+
+def test_direct_breakdown_retries_with_the_first_state_fixed():
+    # With the last state fixed the reduced system is singular in floating
+    # point and its factor meets an exactly zero pivot; with the first
+    # state fixed it solves.
+    g = _generator(18, _tiny_tail_rates())
+    with pytest.raises(ConvergenceError, match="broke down"):
+        oracle._solve_direct(g.matrix)
+    (cls,) = solve_stationary(g).solutions
+    assert cls.method == "direct"
+    assert cls.residual <= RESIDUAL_TOL
+    pi = np.array([cls.distribution[i] for i in range(18)])
+    ref, cond = _dense_reference(g.matrix.toarray())
+    assert np.abs(pi - ref).max() <= max(1e-10, 8 * 18 * EPS * cond)
+    assert 0.0 < pi[17] < 1e-17
+
+
+def test_direct_breakdown_is_a_convergence_error():
+    # Swapping the labels of states 0 and 8 makes the chain improbable at
+    # both ends, so fixing either the last or the first state breaks down.
+    swap = {0: 8, 8: 0}
+    rates = {
+        (swap.get(u, u), swap.get(v, v)): r
+        for (u, v), r in _tiny_tail_rates().items()
+    }
     with pytest.raises(ConvergenceError, match="broke down"):
         solve_stationary(_generator(18, rates))
 
@@ -338,3 +371,94 @@ def test_uniformization_agrees_with_direct_on_tandem(six_class_graph):
     assert total_variation(direct.distribution, iterative.distribution) < 1e-10
     analytic = dict(analyze_tandem(net).distribution)
     assert total_variation(direct.distribution, analytic) < 1e-12
+
+
+# ------------------------------------------------------ the branch choice
+
+# The 3-class path-graph open model of the CLI tests.
+OPEN_DOC = {
+    "schema": "pands-open/1",
+    "classes": 3,
+    "arrival_rates": [0.8, 0.8, 0.8],
+    "rate_function": {
+        "kind": "multi_server",
+        "server_rates": [1.0, 1.0],
+        "compat": [[1], [2], [1, 2]],
+    },
+    "swapping_edges": [[1, 2], [2, 3]],
+}
+
+
+def _open_generator(capacity):
+    queue = parse_document(OPEN_DOC).queue
+    return build_generator(transition_fn(queue, capacity), ())
+
+
+def test_direct_class_is_solved_by_the_plain_direct_solve():
+    # 3,280 states: enough for the probes to run, which must not change the
+    # factor the solve uses.
+    gen = _open_generator(7)
+    assert gen.n_states == 3280
+    (cls,) = solve_stationary(gen).solutions
+    assert cls.method == "direct"
+    pi = np.array([cls.distribution[s] for s in gen.states])
+    assert np.array_equal(pi, oracle._solve_direct(gen.matrix))
+
+
+def test_factor_size_estimate_is_near_the_factor():
+    q = _open_generator(7).matrix
+    lu = spla.splu(q[:-1, :-1].transpose().tocsc(), **oracle._LU_OPTIONS)
+    actual = lu.L.nnz + lu.U.nnz
+    assert 0.5 * actual < oracle._factor_size(q, np.inf) < 2.0 * actual
+
+
+def test_direct_limit_zero_forces_uniformization():
+    gen = _open_generator(7)
+    (cls,) = solve_stationary(gen, direct_limit=0).solutions
+    assert cls.method == "uniformization"
+    (one,) = solve_stationary(
+        build_generator(lambda s: [], "only"), direct_limit=0
+    ).solutions
+    assert (one.method, one.distribution) == ("uniformization", {"only": 1.0})
+
+
+# Rung 4 of the bipartite cluster family: (2,2,2|2,1,1) slots, 17,556
+# tandem states.  Its LU factor would need far more than the default
+# ``direct_limit`` nonzeros: it took minutes and gigabytes to make.
+RUNG4_DOC = {
+    "schema": "pands-cluster/1",
+    "job_types": [
+        {"name": "A", "rate": 1.0, "slots": 2, "machines": ["1", "3"]},
+        {"name": "B", "rate": 1.2, "slots": 2, "machines": ["2", "3"]},
+        {"name": "C", "rate": 0.8, "slots": 2, "machines": ["1", "2"]},
+    ],
+    "machines": [
+        {"name": "1", "rate": 1.0, "buffer": 2},
+        {"name": "2", "rate": 1.0, "buffer": 1},
+        {"name": "3", "rate": 1.5, "buffer": 1},
+    ],
+}
+
+
+def test_tandem_with_a_large_factor_goes_to_uniformization(monkeypatch):
+    ct = compile_cluster(parse_document(RUNG4_DOC).spec)
+    gen = build_generator(transition_fn(ct.network), ct.initial)
+    assert gen.n_states == 17_556
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factored a class over direct_limit")
+
+    spent = []
+    estimate = oracle._factor_size
+
+    def timed(*args):
+        t0 = time.perf_counter()
+        out = estimate(*args)
+        spent.append(time.perf_counter() - t0)
+        return out
+
+    monkeypatch.setattr(oracle, "_solve_direct", refuse)
+    monkeypatch.setattr(oracle, "_factor_size", timed)
+    (cls,) = solve_stationary(gen).solutions
+    assert cls.method == "uniformization"
+    assert len(spent) == 1 and spent[0] < 1.0

@@ -3,10 +3,12 @@
 ``perfbench/tracing.py`` patches every span and kernel it lists by name, so
 renaming or deleting one of them breaks ``perfbench/run.py --trace``.  This
 installs a tracer, checks that every listed name was wrapped, and checks
-that uninstalling restores every patched attribute.
+that uninstalling restores every patched attribute.  The workloads also
+read ``solve_stationary``'s ``direct_limit`` default by name.
 """
 
 import importlib.util
+import inspect
 import types
 from pathlib import Path
 
@@ -49,3 +51,15 @@ def test_tracer_patches_every_name_and_restores_it():
     assert names <= {_qualname(owner, attr) for owner, attr, _ in patched}
     for owner, attr, original in patched:
         assert _binding(owner, attr) is original
+
+
+def test_solve_stationary_keeps_an_integer_direct_limit():
+    # ``perfbench/workloads.py`` reads this default by name, and the
+    # cluster_exact answer check passes ``direct_limit=0``.
+    from passandswap.oracle import solve_stationary
+
+    default = inspect.signature(solve_stationary).parameters[
+        "direct_limit"
+    ].default
+    assert isinstance(default, int) and not isinstance(default, bool)
+    assert default > 0
