@@ -36,7 +36,6 @@ from .dynamics import (
     predecessors,
 )
 from .product_form import (
-    BalanceWeight,
     PartialBalanceReport,
     StabilityReport,
     TruncatedDistribution,

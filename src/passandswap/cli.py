@@ -231,6 +231,10 @@ def _cmd_analyze(args, loaded) -> tuple[dict, list[str]]:
 
 def _cmd_trace(args, loaded) -> tuple[dict, list[str]]:
     state = _parse_state(args.state, loaded.queue.n_classes)
+    if not 1 <= args.position <= len(state):
+        raise UsageError(
+            f"--position {args.position} outside 1..{len(state)}"
+        )
     outcome = apply_completion(loaded.queue.swapping, state,
                                args.position - 1)
     payload = {
@@ -533,20 +537,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, warnings = args.func(args, _load(args))
+        _emit(_header(args, args.model), payload, warnings, args)
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ModelFormatError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ModelFormatError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PandsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    header = _header(args, args.model)
-    _emit(header, payload, warnings, args)
     return 0
 
 

@@ -21,10 +21,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
-import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-
 from .dynamics import (
     CompletionOutcome,
     Transition,
@@ -554,8 +550,9 @@ def first_queue_macrostates(
 
 @dataclass(frozen=True)
 class ClassPartition:
-    """Strongly connected components of a finite transition digraph, with a
-    closed flag per component (no transition leaves it)."""
+    """Communicating classes of a finite transition digraph, numbered by
+    their first state, with a closed flag per class (no transition leaves
+    it)."""
 
     states: tuple[Hashable, ...]
     labels: tuple[int, ...]
@@ -577,6 +574,18 @@ class ClassPartition:
         return self.labels[self.states.index(state)]
 
 
+def _flood(start: Hashable, successors: Callable[[Any], Iterable]) -> set:
+    """The states reachable from ``start``, ``start`` included."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for t in successors(stack.pop()):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
 def communicating_classes(
     states: Sequence[Hashable],
     successors: Callable[[Any], Iterable[Any]],
@@ -584,50 +593,38 @@ def communicating_classes(
     """Partition ``states`` into communicating classes of the digraph whose
     positive-rate moves are given by ``successors``.
 
-    Every successor must itself belong to ``states``.
+    Every successor must itself belong to ``states``, and every class must
+    be closed.  Then the states that a state reaches are exactly its class,
+    so one flood per class, started from its first state, finds the
+    partition.  Adhering spaces meet this: :func:`_solve` weighs every
+    state before it partitions, and the product-form measure is then
+    positive and invariant.  Under such a measure no class can be left.
+    The states that reach a class receive no move from outside, since its
+    source would reach the class too; summing the balance equations over
+    them, no move may leave them either.  A move out of the class would
+    leave them, since its target cannot reach the class back.
     """
     index = {s: i for i, s in enumerate(states)}
-    cols: list[int] = []
-    out_degree: list[int] = []
-    for s in states:
-        targets = successors(s)
+
+    def step(i: int) -> list[int]:
         try:
-            moved = [index[t] for t in targets]
+            return [index[t] for t in successors(states[i])]
         except KeyError as exc:
             raise UsageError(
                 f"transition target {exc.args[0]!r} outside the enumerated "
                 "space"
             ) from None
-        out_degree.append(len(moved))
-        cols += moved
-    n = len(states)
-    rows_a = np.repeat(np.arange(n, dtype=np.intp), out_degree)
-    cols_a = np.asarray(cols, dtype=np.intp)
-    moves = rows_a != cols_a
-    rows_a, cols_a = rows_a[moves], cols_a[moves]
-    graph = sp.coo_matrix(
-        (np.ones(len(rows_a)), (rows_a, cols_a)), shape=(n, n)
-    ).tocsr()
-    n_comp, raw = connected_components(
-        graph, directed=True, connection="strong"
-    )
-    # relabel components by first appearance for determinism
-    _, first = np.unique(raw, return_index=True)
-    relabel = np.empty(n_comp, dtype=np.intp)
-    relabel[raw[np.sort(first)]] = np.arange(n_comp)
-    labels = relabel[raw]
-    by_label = np.argsort(labels, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(labels, minlength=n_comp)).tolist()
-    closed = np.ones(n_comp, dtype=bool)
-    leaving, entering = labels[rows_a], labels[cols_a]
-    closed[leaving[leaving != entering]] = False
+
+    labels = [-1] * len(states)
+    classes: list[tuple[int, ...]] = []
+    for i in range(len(states)):
+        if labels[i] < 0:
+            members = sorted(_flood(i, step))
+            for j in members:
+                labels[j] = len(classes)
+            classes.append(tuple(members))
     return ClassPartition(
-        tuple(states),
-        tuple(labels.tolist()),
-        tuple(
-            tuple(by_label[a:b]) for a, b in zip([0] + ends[:-1], ends)
-        ),
-        tuple(closed.tolist()),
+        tuple(states), tuple(labels), tuple(classes), (True,) * len(classes)
     )
 
 
@@ -653,6 +650,8 @@ def _solve(
     class of ``start`` and a warning marks that it need not be unique.
     Returns the support, the distribution, the partition and the warnings.
     """
+    # Weighing raises unless every overall rate is positive, which is what
+    # makes every class closed, as the partition requires.
     log_w = [log_weight(s) for s in states]
     partition = communicating_classes(states, successors)
     support = tuple(states)
@@ -931,18 +930,6 @@ def _balance_function(
     return log_phi, count
 
 
-def _flood(start: Hashable, successors: Callable[[Any], Iterable]) -> int:
-    """Number of states reachable from ``start``."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for t in successors(stack.pop()):
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return len(seen)
-
-
 def _reachable_tandem_states(net: TandemNetwork, initial: TandemState) -> int:
     """Number of tandem states reachable from ``initial``.
 
@@ -961,7 +948,7 @@ def _reachable_tandem_states(net: TandemNetwork, initial: TandemState) -> int:
             (c + (cls,), d2) for d2, cls in moves2(d)
         ]
 
-    return _flood(initial, successors)
+    return len(_flood(initial, successors))
 
 
 def _face_walk(rate_fn: RateFunction, graph: SwappingGraph,
@@ -969,7 +956,7 @@ def _face_walk(rate_fn: RateFunction, graph: SwappingGraph,
     """Number of contents a closed queue reaches from ``start``: the face
     states that one-customer round trips through the empty queue reach."""
     queue = ClosedQueue(rate_fn, graph, macrostate(start, graph.n_classes))
-    return _flood(start, _targets(moves(queue)))
+    return len(_flood(start, _targets(moves(queue))))
 
 
 def analyze_tandem_macrostates(

@@ -297,7 +297,9 @@ def solve_stationary(
     ends = np.cumsum(np.bincount(labels, minlength=n_comp))
     solutions: list[ClassSolution] = []
     transient = 0
-    # classes in order of their first state, as closed.communicating_classes
+    # Classes in order of their first state.  Unlike the adhering spaces
+    # that closed.communicating_classes partitions, this chain may have
+    # transient classes, which are counted and skipped.
     for lab in labels[np.sort(first)]:
         members = by_label[ends[lab - 1] if lab else 0:ends[lab]]
         if not closed[lab]:

@@ -29,16 +29,9 @@ from .model import (
 DEFAULT_STATE_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class BalanceWeight:
-    """Product of reciprocal overall rates over the prefixes of a state,
-    in log space."""
-
-    log_value: float
-
-
-def balance(rate_fn: RateFunction, state: Sequence[int]) -> BalanceWeight:
-    """Balance weight of ``state``; the empty state has weight 1."""
+def balance(rate_fn: RateFunction, state: Sequence[int]) -> float:
+    """Log balance weight of ``state``: minus the sum of the logs of the
+    overall rates of its prefixes.  The empty state has log weight 0."""
     log_value = 0.0
     counts = [0] * rate_fn.n_classes
     for cls in state:
@@ -49,14 +42,14 @@ def balance(rate_fn: RateFunction, state: Sequence[int]) -> BalanceWeight:
                 f"overall rate is not positive on prefix {tuple(counts)}"
             )
         log_value -= math.log(r)
-    return BalanceWeight(log_value)
+    return log_value
 
 
 def memoized_log_balance(
     rate_fn: RateFunction,
 ) -> Callable[[Sequence[int]], float]:
-    """``lambda s: balance(rate_fn, s).log_value`` with one memo entry per
-    queue content.
+    """``lambda s: balance(rate_fn, s)`` with one memo entry per queue
+    content.
 
     A content's log weight is its parent's (the content without its last
     customer) minus the log of the overall rate of its macrostate: the
@@ -89,7 +82,7 @@ def memoized_log_balance(
 
 def log_state_weight(queue: PandsQueue, state: Sequence[int]) -> float:
     """Log of the unnormalized product-form measure of ``state``."""
-    w = balance(queue.rate_fn, state).log_value
+    w = balance(queue.rate_fn, state)
     for cls in state:
         w += math.log(queue.arrival_rates[cls])
     return w

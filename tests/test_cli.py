@@ -126,6 +126,26 @@ def test_trace_rejects_class_ids_outside_the_model(capsys, model_path):
         assert f"class id {bad} outside 1..2" in capsys.readouterr().err
 
 
+def test_trace_rejects_positions_outside_the_state(capsys, model_path):
+    path = model_path(OPEN_DOC)
+    for position in (0, 4):
+        argv = ["trace", path, "--state", "1,2,3", "--position", str(position)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: --position {position} outside 1..3\n"
+        )
+
+
+def test_unwritable_output_exits_2(capsys, model_path, tmp_path):
+    target = tmp_path / "missing" / "out.txt"
+    argv = ["closed-analyze", model_path(CLOSED_DOC), "--output", str(target)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(target) in captured.err
+
+
 def test_malformed_class_count_exits_2(capsys, model_path):
     assert main(["validate", model_path(dict(OPEN_DOC, classes="two"))]) == 2
     assert "classes: expected a positive integer" in capsys.readouterr().err

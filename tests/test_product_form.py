@@ -25,14 +25,14 @@ from conftest import transition_fn
 
 def test_balance_of_empty_state(two_class_rates):
     w = balance(two_class_rates, ())
-    assert math.exp(w.log_value) == 1.0
-    assert w.log_value == 0.0
+    assert math.exp(w) == 1.0
+    assert w == 0.0
 
 
 def test_balance_golden_value(two_class_rates):
     # mu(1) = 2 and mu(1,2) = 3, so the weight is 1/6
     w = balance(two_class_rates, (0, 1))
-    assert math.exp(w.log_value) == pytest.approx(1 / 6)
+    assert math.exp(w) == pytest.approx(1 / 6)
 
 
 def test_balance_recurrence(two_class_rates):
@@ -42,8 +42,8 @@ def test_balance_recurrence(two_class_rates):
         w = balance(two_class_rates, state)
         w_prev = balance(two_class_rates, state[:-1])
         rate = two_class_rates.state_rate(state)
-        assert math.exp(w.log_value) * rate == pytest.approx(
-            math.exp(w_prev.log_value)
+        assert math.exp(w) * rate == pytest.approx(
+            math.exp(w_prev)
         )
 
 
