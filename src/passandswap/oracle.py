@@ -176,8 +176,9 @@ def _solve_direct(q_sub: sp.csr_matrix, fix_first: bool = False) -> np.ndarray:
     return pi / pi.sum()
 
 
-# Classes of at most this many states skip the probes of ``_factor_size``
-# and count ``nnz(Q)`` for their factor: even a dense factor of one is small.
+# Classes of at most this many states skip the uniformized trial of
+# ``solve_stationary`` and the probes of ``_factor_size``, and count
+# ``nnz(Q)`` for their factor: even a dense factor of one is small.
 _PROBE_MIN_STATES = 2048
 # The probes factor leading blocks of n/2**_PROBES, ..., n/4, n/2 states.
 _PROBES = 6
@@ -220,34 +221,76 @@ def _factor_size(q_sub: sp.csr_matrix, limit: float) -> float:
 
 
 # The power iteration's damping, the uniformization rate as a multiple of
-# the largest exit rate, and its iteration limit.
+# the largest exit rate, the steps between residual checkpoints, and the
+# iteration limit.
 _DAMPING = 0.99
 _UNIFORMIZATION_MARGIN = 1.05
+_CHECKPOINT = 50
 _MAX_ITERATIONS = 1_000_000
+# The iteration's target, as a multiple of the round-off floor of ``pi Q``,
+# eps * max(1, max |q_ii|).
+_FLOOR_MULTIPLE = 16
+# Iterations a class over _PROBE_MIN_STATES states may take, at nnz(Q)
+# multiply-adds each, before it is probed and factored instead.  Making a
+# factor costs far more than its nonzeros: the 7,560-state tandem's holds
+# about 140 nnz(Q) and took 2.3 s to make, against 0.04 s for its 300
+# steps (one core of a 2-core x86-64 machine).
+_TRIAL_ITERATIONS = 500
 
 
 def _solve_uniformized(
-    q_sub: sp.csr_matrix, residual_tol: float
-) -> tuple[np.ndarray, list[float]]:
+    q_sub: sp.csr_matrix, residual_tol: float, budget: int | None = None
+) -> tuple[np.ndarray | None, list[float]]:
+    """Stationary law of one closed communicating class by damped power
+    iteration on the uniformized chain, and the residuals ``max |pi Q|``
+    taken every ``_CHECKPOINT`` steps.
+
+    With ``P = I + Q / lam`` for ``lam`` a little above the largest exit
+    rate, each step takes ``pi <- (1 - d) pi + d pi P``; the damping ``d``
+    keeps a periodic chain from oscillating.  The iteration stops once the
+    residual is within ``_FLOOR_MULTIPLE`` times its round-off floor
+    ``eps * max(1, max |q_ii|)``, or once a checkpoint no longer lowers a
+    residual that is already below ``residual_tol`` per unit of
+    ``max(1, max |q_ii|)``.
+
+    Without a ``budget`` a class that does neither within
+    ``_MAX_ITERATIONS`` steps raises ``ConvergenceError``.  With one, the
+    law is ``None`` when the budget runs out, or as soon as the contraction
+    between the last two checkpoints projects that the floor will not be
+    reached within it.
+    """
     n = q_sub.shape[0]
     out_rates = -q_sub.diagonal()
-    lam = _UNIFORMIZATION_MARGIN * float(out_rates.max()) if n else 1.0
-    if lam <= 0.0:
+    top = float(out_rates.max()) if n else 0.0
+    if top <= 0.0:
         return np.full(n, 1.0 / n), [0.0]
+    scale = max(1.0, top)
+    floor = _FLOOR_MULTIPLE * np.finfo(float).eps * scale
+    lam = _UNIFORMIZATION_MARGIN * top
     # transposed once here: ``pi @ p`` would build a transpose every step
     p_t = (sp.eye(n, format="csr") + q_sub / lam).transpose().tocsr()
     q_t = q_sub.transpose().tocsr()
     pi = np.full(n, 1.0 / n)
     history: list[float] = []
-    for it in range(_MAX_ITERATIONS):
+    for it in range(budget or _MAX_ITERATIONS):
         pi = (1.0 - _DAMPING) * pi + _DAMPING * (p_t @ pi)
         pi = np.maximum(pi, 0.0)
         pi /= pi.sum()
-        if it % 50 == 0 or it == _MAX_ITERATIONS - 1:
-            residual = float(np.abs(q_t @ pi).max())
-            history.append(residual)
-            if residual < residual_tol:
-                return pi, history
+        if it % _CHECKPOINT:
+            continue
+        residual = float(np.abs(q_t @ pi).max())
+        last = history[-1] if history else math.inf
+        history.append(residual)
+        if residual <= floor or last <= residual <= residual_tol * scale:
+            return pi, history
+        if budget and last < math.inf:
+            # steps to the floor, were the last contraction to hold
+            ratio = residual / last
+            if ratio >= 1.0 or it + _CHECKPOINT * math.log(
+                    floor / residual) / math.log(ratio) > budget:
+                return None, history
+    if budget:
+        return None, history
     raise ConvergenceError(
         f"uniformized power iteration failed to converge; "
         f"residual history tail {history[-5:]}"
@@ -268,19 +311,24 @@ def solve_stationary(
 ) -> StationarySolution:
     """Stationary distribution of every closed communicating class.
 
-    Classes are listed in order of their first state.  A class whose LU
-    factor is estimated at no more than ``direct_limit`` nonzeros (see
-    ``_factor_size``; ``direct_limit=0`` refuses every class) solves
-    directly: one balance equation is dropped, the rest are factored by
-    sparse LU ordered by minimum degree on ``A^T + A``, without pivoting,
-    which is safe because the reduced system is a nonsingular M-matrix (see
-    ``_solve_direct``).  The last state is fixed first; if that factor
-    breaks down or its law misses the residual bound below, the solve runs
-    once more with the first state fixed.  Other classes fall back to damped
-    power iteration on the uniformized chain, which stops once the residual
-    ``max |pi Q|`` is below ``residual_tol``.  Either way the final residual
-    must come in below ``residual_tol`` per unit of the class's largest exit
-    rate ``max |q_ii|`` (at least one).
+    Classes are listed in order of their first state.  A class of more than
+    ``_PROBE_MIN_STATES`` states first iterates: at most
+    ``_TRIAL_ITERATIONS`` steps of damped power iteration on the uniformized
+    chain (see ``_solve_uniformized``), each costing ``nnz(Q)``
+    multiply-adds, and fewer when the observed contraction projects that
+    the budget will not reach the round-off floor.  A trial that converges
+    gives the law.  Otherwise, a class whose LU factor is estimated at no
+    more than ``direct_limit`` nonzeros (see ``_factor_size``;
+    ``direct_limit=0`` refuses every class) solves directly: one balance
+    equation is dropped, the rest are factored by sparse LU ordered by
+    minimum degree on ``A^T + A``, without pivoting, which is safe because
+    the reduced system is a nonsingular M-matrix (see ``_solve_direct``).
+    The last state is fixed first; if that factor breaks down or its law
+    misses the residual bound below, the solve runs once more with the
+    first state fixed.  Classes over the limit iterate without a budget.
+    Either way the final residual ``max |pi Q|`` must come in below
+    ``residual_tol`` per unit of the class's largest exit rate ``max
+    |q_ii|`` (at least one).
     """
     n = g.n_states
     q = g.matrix
@@ -308,7 +356,10 @@ def solve_stationary(
         q_sub = q if len(members) == n else q[members][:, members].tocsr()
         # The rounding error of ``pi Q`` grows with the class's rates.
         bound = residual_tol * max(1.0, float(np.abs(q_sub.diagonal()).max()))
-        if _factor_size(q_sub, direct_limit) <= direct_limit:
+        pi = None
+        if len(members) > _PROBE_MIN_STATES:
+            pi, _ = _solve_uniformized(q_sub, residual_tol, _TRIAL_ITERATIONS)
+        if pi is None and _factor_size(q_sub, direct_limit) <= direct_limit:
             method = "direct"
             try:
                 pi = _solve_direct(q_sub)
@@ -322,7 +373,8 @@ def solve_stationary(
                 residual = _residual(pi, q_sub)
         else:
             method = "uniformization"
-            pi, _ = _solve_uniformized(q_sub, residual_tol)
+            if pi is None:
+                pi, _ = _solve_uniformized(q_sub, residual_tol)
             residual = _residual(pi, q_sub)
         if residual > bound:
             raise ConvergenceError(

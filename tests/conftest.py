@@ -16,6 +16,12 @@ settings.register_profile(
     database=None,
 )
 settings.load_profile("passandswap")
+# ``pytest --hypothesis-profile=stress`` draws fresh examples on every run,
+# many more of them, to search for failures the fixed examples miss.
+settings.register_profile(
+    "stress", derandomize=False, deadline=None, max_examples=2000,
+    database=None,
+)
 
 
 class UnitIncrementRates(RateFunction):

@@ -1,12 +1,11 @@
 import inspect
 import random
-import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from passandswap import (
@@ -167,26 +166,30 @@ def _dense_reference(qa):
     return np.linalg.lstsq(a, b, rcond=None)[0], np.linalg.cond(a)
 
 
+# Rates near 1e6 put the rounding error of pi Q above an absolute 1e-11.
+@example(_generator(2, {(0, 1): 1e6, (1, 0): 10.0**5.75}))
 @given(strongly_connected_generators())
 def test_direct_solve_matches_dense_reference(g):
     qa = g.matrix.toarray()
     n = g.n_states
     ref, cond = _dense_reference(qa)
+    # solve_stationary's guard: residual_tol per unit of max(1, max |q_ii|)
+    bound = RESIDUAL_TOL * max(1.0, np.abs(np.diag(qa)).max())
     try:
         sol = solve_stationary(g)
     except ConvergenceError:
         # a refusal is allowed only where rounding alone can put max |pi Q|
-        # above the absolute residual_tol, or where both reduced systems
-        # (last state fixed, then first) are singular to working precision
+        # above the guard, or where both reduced systems (last state fixed,
+        # then first) are singular to working precision
         floor = n * EPS * (np.abs(ref) @ np.abs(qa)).max()
         cond = min(np.linalg.cond(qa[:-1, :-1]), np.linalg.cond(qa[1:, 1:]))
-        assert floor > RESIDUAL_TOL or EPS * cond > 1
+        assert floor > bound or EPS * cond > 1
         return
     (cls,) = sol.solutions
     assert cls.method == "direct"
     assert (sol.n_components, sol.n_transient_states) == (1, 0)
     pi = np.array([cls.distribution[i] for i in range(n)])
-    assert np.abs(pi @ qa).max() <= RESIDUAL_TOL
+    assert np.abs(pi @ qa).max() <= bound
     # 1e-10, except where rounding the rates alone moves the law further
     assert np.abs(pi - ref).max() <= max(1e-10, 8 * n * EPS * cond)
 
@@ -422,43 +425,92 @@ def test_direct_limit_zero_forces_uniformization():
     assert (one.method, one.distribution) == ("uniformization", {"only": 1.0})
 
 
-# Rung 4 of the bipartite cluster family: (2,2,2|2,1,1) slots, 17,556
-# tandem states.  Its LU factor would need far more than the default
-# ``direct_limit`` nonzeros: it took minutes and gigabytes to make.
-RUNG4_DOC = {
-    "schema": "pands-cluster/1",
-    "job_types": [
-        {"name": "A", "rate": 1.0, "slots": 2, "machines": ["1", "3"]},
-        {"name": "B", "rate": 1.2, "slots": 2, "machines": ["2", "3"]},
-        {"name": "C", "rate": 0.8, "slots": 2, "machines": ["1", "2"]},
-    ],
-    "machines": [
-        {"name": "1", "rate": 1.0, "buffer": 2},
-        {"name": "2", "rate": 1.0, "buffer": 1},
-        {"name": "3", "rate": 1.5, "buffer": 1},
-    ],
-}
+def test_open_chain_leaves_the_trial_early_and_goes_direct(monkeypatch):
+    # The 3,280-state chain contracts by about 0.57 per checkpoint at its
+    # third, which projects thousands of steps to the floor: the trial
+    # gives up there, long before its budget, and the class is factored.
+    gen = _open_generator(7)
+    calls = []
+    iterate = oracle._solve_uniformized
+
+    def counted(*args):
+        pi, history = iterate(*args)
+        calls.append((args[2:], pi is None, len(history)))
+        return pi, history
+
+    monkeypatch.setattr(oracle, "_solve_uniformized", counted)
+    (cls,) = solve_stationary(gen).solutions
+    assert cls.method == "direct"
+    assert calls == [((oracle._TRIAL_ITERATIONS,), True, 3)]
+
+
+def test_uniformization_stops_where_the_residual_stops_falling(
+    monkeypatch, two_class_queue
+):
+    # With the floor out of reach the iteration still stops, at the first
+    # checkpoint that does not lower a residual already within the guard.
+    monkeypatch.setattr(oracle, "_FLOOR_MULTIPLE", 0.0)
+    gen = build_generator(transition_fn(two_class_queue, 5), ())
+    pi, history = oracle._solve_uniformized(gen.matrix, RESIDUAL_TOL)
+    assert history[-2] <= history[-1] <= RESIDUAL_TOL * max(
+        1.0, np.abs(gen.matrix.diagonal()).max()
+    )
+    assert total_variation(
+        dict(zip(gen.states, pi)), solve_unique(gen)
+    ) < 1e-10
+
+
+def _bipartite_doc(buffers):
+    """The bipartite cluster family of the benchmark's ladder: three job
+    types with two waiting slots each, machine buffers ``buffers``."""
+    return {
+        "schema": "pands-cluster/1",
+        "job_types": [
+            {"name": "A", "rate": 1.0, "slots": 2, "machines": ["1", "3"]},
+            {"name": "B", "rate": 1.2, "slots": 2, "machines": ["2", "3"]},
+            {"name": "C", "rate": 0.8, "slots": 2, "machines": ["1", "2"]},
+        ],
+        "machines": [
+            {"name": name, "rate": rate, "buffer": b}
+            for (name, rate), b in zip(
+                (("1", 1.0), ("2", 1.0), ("3", 1.5)), buffers
+            )
+        ],
+    }
+
+
+def _refuse_factoring(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("probed or factored a class the trial solves")
+
+    monkeypatch.setattr(oracle, "_factor_size", refuse)
+    monkeypatch.setattr(oracle, "_solve_direct", refuse)
+
+
+def test_tandem_converging_in_the_trial_matches_the_analytic_law(
+    monkeypatch,
+):
+    # (2,2,2|1,1,1): 7,560 states, about 300 steps to the floor, against a
+    # factor of 5.9M nonzeros.  At the floor the law is within 3e-13 of
+    # the analytic one; an absolute 1e-11 stop left it 2.6e-9 away.
+    ct = compile_cluster(parse_document(_bipartite_doc((1, 1, 1))).spec)
+    gen = build_generator(transition_fn(ct.network), ct.initial)
+    assert gen.n_states == 7_560
+    _refuse_factoring(monkeypatch)
+    (cls,) = solve_stationary(gen).solutions
+    assert cls.method == "uniformization"
+    analytic = dict(analyze_tandem(ct.network, ct.initial).distribution)
+    assert total_variation(cls.distribution, analytic) < 1e-12
 
 
 def test_tandem_with_a_large_factor_goes_to_uniformization(monkeypatch):
-    ct = compile_cluster(parse_document(RUNG4_DOC).spec)
+    # (2,2,2|2,1,1): 17,556 states.  Its LU factor would need far more than
+    # the default ``direct_limit`` nonzeros and took minutes and gigabytes
+    # to make; the trial reaches the floor in about 350 steps, so neither
+    # a probe nor a factor runs.
+    ct = compile_cluster(parse_document(_bipartite_doc((2, 1, 1))).spec)
     gen = build_generator(transition_fn(ct.network), ct.initial)
     assert gen.n_states == 17_556
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("factored a class over direct_limit")
-
-    spent = []
-    estimate = oracle._factor_size
-
-    def timed(*args):
-        t0 = time.perf_counter()
-        out = estimate(*args)
-        spent.append(time.perf_counter() - t0)
-        return out
-
-    monkeypatch.setattr(oracle, "_solve_direct", refuse)
-    monkeypatch.setattr(oracle, "_factor_size", timed)
+    _refuse_factoring(monkeypatch)
     (cls,) = solve_stationary(gen).solutions
     assert cls.method == "uniformization"
-    assert len(spent) == 1 and spent[0] < 1.0
