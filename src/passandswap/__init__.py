@@ -41,7 +41,6 @@ from .product_form import (
     TruncatedDistribution,
     balance,
     flow_rates,
-    log_state_weight,
     macrostate_flow_identity,
     stability_check,
     state_weight,

@@ -306,33 +306,35 @@ class TandemNetwork:
         return (), d
 
 
+def _first_served(state: TandemState, oc: CompletionOutcome) -> TandemState:
+    # A departure from the first queue joins the second queue's tail.
+    return oc.next_state, state[1] + (oc.departing_class,)
+
+
+def _second_served(state: TandemState, oc: CompletionOutcome) -> TandemState:
+    return state[0] + (oc.departing_class,), oc.next_state
+
+
 def tandem_step(
     graph: SwappingGraph, s: TandemState, queue_index: int, position: int
 ) -> TandemState:
     """One completion in the chosen queue; the departing customer joins the
     tail of the other queue."""
-    c, d = s
-    if queue_index == 1:
-        oc = apply_completion(graph, c, position)
-        return oc.next_state, d + (oc.departing_class,)
-    if queue_index == 2:
-        oc = apply_completion(graph, d, position)
-        return c + (oc.departing_class,), oc.next_state
-    raise UsageError(f"queue_index must be 1 or 2, got {queue_index}")
+    if queue_index not in (1, 2):
+        raise UsageError(f"queue_index must be 1 or 2, got {queue_index}")
+    oc = apply_completion(graph, s[queue_index - 1], position)
+    advance = _first_served if queue_index == 1 else _second_served
+    return advance(s, oc)
 
 
 def tandem_transitions(net: TandemNetwork, s: TandemState) -> list[Transition]:
     """Outgoing transitions of the tandem in ``s``, first queue first: the
     eager reference view of :func:`moves` on a tandem."""
-    c, d = s
     return [
-        Transition("completion", pos, inc,
-                   (oc.next_state, d + (oc.departing_class,)), oc, 1)
-        for pos, inc, oc in completions(net.rate_fn_1, net.swapping, c)
-    ] + [
-        Transition("completion", pos, inc,
-                   (c + (oc.departing_class,), oc.next_state), oc, 2)
-        for pos, inc, oc in completions(net.rate_fn_2, net.swapping, d)
+        Transition("completion", pos, inc, advance(s, oc), oc, queue)
+        for queue, rate_fn, advance in ((1, net.rate_fn_1, _first_served),
+                                        (2, net.rate_fn_2, _second_served))
+        for pos, inc, oc in completions(rate_fn, net.swapping, s[queue - 1])
     ]
 
 
@@ -353,17 +355,6 @@ def _served(
     return served
 
 
-def queue_moves(
-    rate_fn: RateFunction,
-    graph: SwappingGraph,
-    make: Callable[[State, int, float, CompletionOutcome], Any],
-) -> Callable[[State], tuple]:
-    """:func:`_served`, memoized by the queue's content.  A tandem state is
-    a pair of contents, so two such memos hold the moves of both queues;
-    their size is the number of distinct contents seen, not of states."""
-    return functools.cache(_served(rate_fn, graph, make))
-
-
 # A move is (rate, advance, arg, counts, tag).  The next state is
 # ``advance(state, arg)``, built for the chosen move only; ``counts`` names
 # the counters the move adds one to; ``tag`` is ("arrive", class, None),
@@ -374,15 +365,6 @@ Move = tuple[float, Callable[[Any, Any], Any], Any, tuple[str, ...], tuple]
 
 def _goto(state: Any, next_state: Any) -> Any:
     return next_state
-
-
-def _first_served(state: TandemState, oc: CompletionOutcome) -> TandemState:
-    # A departure from the first queue joins the second queue's tail.
-    return oc.next_state, state[1] + (oc.departing_class,)
-
-
-def _second_served(state: TandemState, oc: CompletionOutcome) -> TandemState:
-    return state[0] + (oc.departing_class,), oc.next_state
 
 
 def moves(
@@ -416,10 +398,12 @@ def moves(
         return make
 
     if isinstance(model, TandemNetwork):
-        first = queue_moves(model.rate_fn_1, model.swapping,
-                            completion(1, _first_served, lambda oc: oc))
-        second = queue_moves(model.rate_fn_2, model.swapping,
-                             completion(2, _second_served, lambda oc: oc))
+        first = functools.cache(_served(
+            model.rate_fn_1, model.swapping,
+            completion(1, _first_served, lambda oc: oc)))
+        second = functools.cache(_served(
+            model.rate_fn_2, model.swapping,
+            completion(2, _second_served, lambda oc: oc)))
         return lambda s: first(s[0]) + second(s[1])
     if isinstance(model, ClosedQueue):
         return _served(model.rate_fn, model.swapping, completion(
@@ -887,8 +871,8 @@ class MacrostateAnalysis:
     ``space`` counts the adhering tandem states and ``states`` those in the
     communicating class of the initial state; they agree exactly when the
     chain is irreducible, which a walk over one face of the tandem
-    certifies, or else the search over the reachable tandem states decides
-    (see :func:`analyze_tandem_macrostates`).
+    certifies, or else the class partition of :func:`analyze_tandem`
+    decides (see :func:`analyze_tandem_macrostates`).
     """
 
     space: int
@@ -930,27 +914,6 @@ def _balance_function(
     return log_phi, count
 
 
-def _reachable_tandem_states(net: TandemNetwork, initial: TandemState) -> int:
-    """Number of tandem states reachable from ``initial``.
-
-    Each queue content's moves are computed once, whatever the content of
-    the other queue.
-    """
-    def make(content, pos, rate, oc):
-        return oc.next_state, oc.departing_class
-
-    moves1 = queue_moves(net.rate_fn_1, net.swapping, make)
-    moves2 = queue_moves(net.rate_fn_2, net.swapping, make)
-
-    def successors(s: TandemState) -> list[TandemState]:
-        c, d = s
-        return [(c2, d + (cls,)) for c2, cls in moves1(c)] + [
-            (c + (cls,), d2) for d2, cls in moves2(d)
-        ]
-
-    return len(_flood(initial, successors))
-
-
 def _face_walk(rate_fn: RateFunction, graph: SwappingGraph,
                start: State) -> int:
     """Number of contents a closed queue reaches from ``start``: the face
@@ -965,7 +928,8 @@ def analyze_tandem_macrostates(
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> MacrostateAnalysis:
     """Stationary law of the first-queue macrostate of the tandem started
-    in ``initial``, without enumerating tandem states.
+    in ``initial``, without enumerating tandem states unless no face of
+    the tandem certifies its irreducibility.
 
     The product form ``pi(c, d) ~ Phi_1(c) Phi_2(d)`` sums over the tandem
     states sharing a first-queue macrostate ``x`` to
@@ -993,11 +957,11 @@ def analyze_tandem_macrostates(
     face state will do as the start, whatever ``initial`` is; the walk
     starts from that of :meth:`TandemNetwork.initial_state`.  The mirror
     face, every token in the first queue walked under ``rate_fn_1``, is
-    tried next.  When both walks fall short, the search over the tandem
-    states reachable from ``initial`` gives the verdict, and a reducible
-    chain falls back to the microstate analysis of :func:`analyze_tandem`,
-    which restricts the law to the class of ``initial``; its marginal is
-    returned with its warning.
+    tried next.  When both walks fall short, the microstate analysis of
+    :func:`analyze_tandem` partitions the tandem states once.  One class
+    leaves the law above standing; several restrict the law to the class
+    of ``initial``, whose first-queue marginal is returned with the
+    partition's warning.
     """
     initial = _tandem_initial(net, initial)
     # There are never more macrostates than tandem states; a budget below
@@ -1020,19 +984,19 @@ def analyze_tandem_macrostates(
         )
     face = net.initial_state()[1]  # every token in the second queue
     full = net.population
-    if (
+    if not (
         _face_walk(net.rate_fn_2, net.swapping, face) == count2[full]
         or _face_walk(net.rate_fn_1, net.swapping, face[::-1]) == count1[full]
-        or _reachable_tandem_states(net, initial) == space
     ):
-        log_w = [log_phi1[x] + log_phi2[y] for x, y in pairs]
-        z = _logsumexp(log_w)
-        dist = {x: math.exp(w - z) for (x, _), w in zip(pairs, log_w)}
-        return MacrostateAnalysis(space, space, dist, ())
-    micro = analyze_tandem(net, initial, budget)
-    return MacrostateAnalysis(
-        space,
-        len(micro.states),
-        first_queue_marginal(micro.distribution, net.n_classes),
-        micro.warnings,
-    )
+        micro = analyze_tandem(net, initial, budget)
+        if micro.partition.n_components > 1:
+            return MacrostateAnalysis(
+                space,
+                len(micro.states),
+                first_queue_marginal(micro.distribution, net.n_classes),
+                micro.warnings,
+            )
+    log_w = [log_phi1[x] + log_phi2[y] for x, y in pairs]
+    z = _logsumexp(log_w)
+    dist = {x: math.exp(w - z) for (x, _), w in zip(pairs, log_w)}
+    return MacrostateAnalysis(space, space, dist, ())

@@ -22,9 +22,8 @@ from .closed import (
     TandemState,
     adheres_tandem,
     first_queue_marginal,
-    tandem_step,
+    tandem_transitions,
 )
-from .dynamics import apply_completion
 from .errors import (
     StructureError,
     UnsupportedFeatureError,
@@ -406,32 +405,28 @@ def protocol_trace(
     names = ct.class_names
     out: list[TraceEntry] = []
     for step, (queue, position) in enumerate(events):
-        c, d = state
-        if queue == 1:
-            side, rf = c, net.rate_fn_1
-        elif queue == 2:
-            side, rf = d, net.rate_fn_2
-        else:
+        if queue not in (1, 2):
             raise UsageError(f"invalid event at step {step}: queue {queue}")
+        side = state[queue - 1]
         if not 0 <= position < len(side):
             raise UsageError(
                 f"invalid event at step {step}: position {position} out of "
                 f"range in queue {queue}"
             )
-        increments = rf.increments(side)
-        if increments[position] <= 0.0:
+        move = next((t for t in tandem_transitions(net, state)
+                     if t.queue == queue and t.index == position), None)
+        if move is None:  # completions at zero rate are not transitions
             raise UsageError(
                 f"invalid event at step {step}: position {position} in "
                 f"queue {queue} has zero service rate"
             )
+        next_state, oc = move.next_state, move.outcome
         if queue == 1:
             agent_ids = _newly_served(ct.first_compat, side, position)
             agents = tuple(sorted(ct.machine_names[s] for s in agent_ids))
         else:
             agent_ids = _newly_served(ct.second_compat, side, position)
             agents = tuple(sorted(ct.type_names[k] for k in agent_ids))
-        next_state = tandem_step(net.swapping, state, queue, position)
-        oc = apply_completion(net.swapping, side, position)
         class_names = tuple(names[side[pos]] for pos in oc.chain)
         departing = names[oc.departing_class]
         if queue == 1:

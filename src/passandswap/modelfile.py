@@ -294,7 +294,8 @@ def _parse_open(doc: Mapping[str, Any]) -> LoadedOpen:
     )
     n = _class_count(doc)
     rates = tuple(
-        _positive(r, "arrival_rates") for r in doc["arrival_rates"]
+        _positive(r, "arrival_rates")
+        for r in _array(doc["arrival_rates"], "arrival_rates")
     )
     if len(rates) != n:
         raise ModelFormatError("arrival_rates must list one rate per class")

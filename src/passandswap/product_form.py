@@ -23,37 +23,22 @@ from .model import (
     PandsQueue,
     RateFunction,
     State,
+    all_states,
     macrostate,
 )
 
 DEFAULT_STATE_BUDGET = 1_000_000
 
 
-def balance(rate_fn: RateFunction, state: Sequence[int]) -> float:
-    """Log balance weight of ``state``: minus the sum of the logs of the
-    overall rates of its prefixes.  The empty state has log weight 0."""
-    log_value = 0.0
-    counts = [0] * rate_fn.n_classes
-    for cls in state:
-        counts[cls] += 1
-        r = rate_fn.rate(tuple(counts))
-        if r <= 0.0:
-            raise UsageError(
-                f"overall rate is not positive on prefix {tuple(counts)}"
-            )
-        log_value -= math.log(r)
-    return log_value
-
-
 def memoized_log_balance(
     rate_fn: RateFunction,
 ) -> Callable[[Sequence[int]], float]:
-    """``lambda s: balance(rate_fn, s)`` with one memo entry per queue
-    content.
+    """Log balance weight of a state, with one memo entry per queue
+    content: minus the sum of the logs of the overall rates of its
+    prefixes.  The empty state has log weight 0.
 
     A content's log weight is its parent's (the content without its last
-    customer) minus the log of the overall rate of its macrostate: the
-    float operations of :func:`balance`, in the same order.
+    customer) minus the log of the overall rate of its macrostate.
     """
     memo: dict[tuple[int, ...], float] = {(): 0.0}
 
@@ -80,16 +65,29 @@ def memoized_log_balance(
     return log_weight
 
 
-def log_state_weight(queue: PandsQueue, state: Sequence[int]) -> float:
-    """Log of the unnormalized product-form measure of ``state``."""
-    w = balance(queue.rate_fn, state)
-    for cls in state:
-        w += math.log(queue.arrival_rates[cls])
-    return w
+def balance(rate_fn: RateFunction, state: Sequence[int]) -> float:
+    """Log balance weight of ``state`` (see :func:`memoized_log_balance`)."""
+    return memoized_log_balance(rate_fn)(state)
+
+
+def _state_weights(queue: PandsQueue) -> Callable[[Sequence[int]], float]:
+    """:func:`state_weight` over ``queue``: the balance weight times the
+    arrival rate of each customer, summed in log space and memoized."""
+    log_balance = memoized_log_balance(queue.rate_fn)
+    log_lam = [math.log(l) for l in queue.arrival_rates]
+
+    def weight(state: Sequence[int]) -> float:
+        w = log_balance(state)
+        for cls in state:
+            w += log_lam[cls]
+        return math.exp(w)
+
+    return weight
 
 
 def state_weight(queue: PandsQueue, state: Sequence[int]) -> float:
-    return math.exp(log_state_weight(queue, state))
+    """Unnormalized product-form measure of ``state``."""
+    return _state_weights(queue)(state)
 
 
 def _logsumexp(values: Sequence[float]) -> float:
@@ -213,31 +211,30 @@ def verify_partial_balance(
     """
     if max_len < 1:
         raise UsageError("max_len must be at least 1")
-    w = weight_fn or (lambda s: state_weight(queue, s))
+    w = weight_fn or _state_weights(queue)
     n_cls = queue.n_classes
     rate_fn = queue.rate_fn
     max_dep = 0.0
     max_arr = 0.0
     worst: tuple = ()
     checked = 0
-    for length in range(max_len + 1):
-        for state in itertools.product(range(n_cls), repeat=length):
-            checked += 1
-            wc = w(state)
-            if state:
-                lhs = wc * rate_fn.state_rate(state)
-                rhs = w(state[:-1]) * queue.arrival_rates[state[-1]]
-                res = _relative_residual(lhs, rhs)
-                if res > max_dep:
-                    max_dep, worst = res, ("departure", state)
-            for i in range(n_cls):
-                lhs = wc * queue.arrival_rates[i]
-                rhs = 0.0
-                for prev, pos in predecessors(queue.swapping, state, i):
-                    rhs += w(prev) * rate_fn.increments(prev)[pos]
-                res = _relative_residual(lhs, rhs)
-                if res > max_arr:
-                    max_arr, worst = res, ("arrival", state, i)
+    for state in all_states(n_cls, max_len):
+        checked += 1
+        wc = w(state)
+        if state:
+            lhs = wc * rate_fn.state_rate(state)
+            rhs = w(state[:-1]) * queue.arrival_rates[state[-1]]
+            res = _relative_residual(lhs, rhs)
+            if res > max_dep:
+                max_dep, worst = res, ("departure", state)
+        for i in range(n_cls):
+            lhs = wc * queue.arrival_rates[i]
+            rhs = 0.0
+            for prev, pos in predecessors(queue.swapping, state, i):
+                rhs += w(prev) * rate_fn.increments(prev)[pos]
+            res = _relative_residual(lhs, rhs)
+            if res > max_arr:
+                max_arr, worst = res, ("arrival", state, i)
     return PartialBalanceReport(
         max(max_dep, max_arr), max_dep, max_arr, worst, checked
     )
@@ -309,9 +306,10 @@ def macrostate_flow_identity(
     the macrostate attaining it.
     """
     n = queue.n_classes
+    weight = _state_weights(queue)
     by_macro: dict[Macrostate, tuple[list[float], list[float]]] = {}
     for state in itertools.product(range(n), repeat=total):
-        wgt = state_weight(queue, state)
+        wgt = weight(state)
         phi_d, phi_s = flow_rates(queue, state)
         key = macrostate(state, n)
         acc = by_macro.setdefault(key, ([0.0] * n, [0.0] * n))

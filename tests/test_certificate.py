@@ -1,11 +1,12 @@
 """Soundness of the face certificate of ``analyze_tandem_macrostates``.
 
 Whenever the certificate accepts (the macrostate engine returns without
-searching the tandem states), ``communicating_classes`` must find exactly
-one class.  The models are grouped clusters drawn by seed, the family that
-holds every reducible spec of ``tests/test_macrostates.py``, and small
-random tandems: a random acyclic orientation of a random loop-free swapping
-graph, with random ``MultiServerRates`` per queue.  Every class is served
+its microstate fallback, ``analyze_tandem``), ``communicating_classes``
+must find exactly one class.  The models are grouped clusters drawn by
+seed, the family that holds every reducible spec of
+``tests/test_macrostates.py``, and small random tandems: a random
+acyclic orientation of a random loop-free swapping graph, with random
+``MultiServerRates`` per queue.  Every class is served
 by some server, so every occurring macrostate has a positive rate.
 """
 
@@ -31,21 +32,21 @@ from test_macrostates import _random_grouped  # noqa: E402
 from test_sim_moves import multi_server_rates, swapping_graphs  # noqa: E402
 
 
-class _Searched(Exception):
+class _FellBack(Exception):
     pass
 
 
 def _certified(net, initial=None) -> bool:
     """True when the macrostate engine decides irreducibility without the
-    tandem-state search."""
+    microstate fallback."""
 
-    def search(*args):
-        raise _Searched
+    def fallback(*args):
+        raise _FellBack
 
-    with mock.patch.object(closed, "_reachable_tandem_states", search):
+    with mock.patch.object(closed, "analyze_tandem", fallback):
         try:
             analyze_tandem_macrostates(net, initial)
-        except _Searched:
+        except _FellBack:
             return False
     return True
 

@@ -500,3 +500,10 @@ def test_multi_server_tables_are_arrays_of_integer_ids(capsys, tmp_path):
         code, err = _exit_and_error(capsys, tmp_path, "validate", bad)
         assert code == 2
         assert f"rate_function.{message}" in err
+
+
+def test_arrival_rates_must_be_an_array(capsys, tmp_path):
+    bad = dict(OPEN_DOC, arrival_rates=3)
+    code, err = _exit_and_error(capsys, tmp_path, "validate", bad)
+    assert code == 2
+    assert "arrival_rates: expected an array" in err
