@@ -355,6 +355,8 @@ def _cmd_cluster_analyze(args, loaded) -> tuple[dict, list[str]]:
 
 
 def _cmd_simulate(args, loaded) -> tuple[dict, list[str]]:
+    if args.top < 0:
+        raise UsageError(f"--top {args.top} is negative")
     cfg = SimConfig(
         events=args.events,
         time=args.time,

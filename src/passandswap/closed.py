@@ -410,6 +410,8 @@ def moves(
             0, _goto, lambda oc: oc.next_state + (oc.departing_class,)))
     if not isinstance(model, PandsQueue):
         raise UsageError(f"no moves for {type(model).__name__}")
+    if capacity is not None and capacity < 0:
+        raise UsageError("capacity must be non-negative")
     served = _served(model.rate_fn, model.swapping,
                      completion(0, _goto, lambda oc: oc.next_state))
     rates = tuple(enumerate(model.arrival_rates))

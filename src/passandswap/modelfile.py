@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .closed import (
     ClosedQueue,
@@ -179,12 +179,24 @@ def _rate_function(obj: Any, n_classes: int, where: str) -> RateFunction:
         def subset(value: Any, at: str) -> frozenset[int]:
             return frozenset(_state(value, n_classes, f"{where}.saturation"))
 
-        entries = dict(_table(obj["entries"], f"{where}.entries",
-                              macrostate=counts, rate=_number))
+        def keyed(field: str, key: str, read: Callable) -> dict:
+            """The rows of ``field`` as a dict; a key given twice is an
+            error, named as its later row gives it."""
+            out = {}
+            rows = _table(obj[field], f"{where}.{field}",
+                          **{key: read}, rate=_number)
+            for row, (k, rate) in zip(obj[field], rows):
+                if k in out:
+                    raise ModelFormatError(
+                        f"{where}.{field}: duplicate {key} {row[key]}"
+                    )
+                out[k] = rate
+            return out
+
+        entries = keyed("entries", "macrostate", counts)
         saturation = None
         if "saturation" in obj:
-            saturation = dict(_table(obj["saturation"], f"{where}.saturation",
-                                     subset=subset, rate=_number))
+            saturation = keyed("saturation", "subset", subset)
         return TableRates(n_classes, entries, saturation)
     raise ModelFormatError(f"{where}: unknown rate function kind {kind!r}")
 

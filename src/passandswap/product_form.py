@@ -195,9 +195,7 @@ def _relative_residual(a: float, b: float) -> float:
 
 
 def verify_partial_balance(
-    queue: PandsQueue,
-    max_len: int,
-    weight_fn: Callable[[State], float] | None = None,
+    queue: PandsQueue, max_len: int
 ) -> PartialBalanceReport:
     """Check, for every state ``c`` of length at most ``max_len``:
 
@@ -206,12 +204,11 @@ def verify_partial_balance(
     * for each class ``i``, arrival flow out of ``c`` equals the departure
       flow in over all predecessors of ``(c, i)``.
 
-    Residuals are relative.  ``weight_fn`` overrides the product-form weight
-    (useful to confirm that corrupted weights are flagged).
+    Residuals are relative.
     """
     if max_len < 1:
         raise UsageError("max_len must be at least 1")
-    w = weight_fn or _state_weights(queue)
+    w = _state_weights(queue)
     n_cls = queue.n_classes
     rate_fn = queue.rate_fn
     max_dep = 0.0

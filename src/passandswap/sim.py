@@ -12,12 +12,14 @@ from :func:`closed.moves`.  A completion's chain, departing class and rate
 depend only on the content of the queue it happens in, so the moves of an
 open or closed queue are memoized here once per state, which is its
 content, and ``moves`` memoizes a tandem's once per content of each of its
-two queues.  The protocol's moves are computed once per protocol state, by
-``ProtocolSimulator.apply`` itself.  Each memo lives for one ``simulate``
-or ``simulate_protocol`` call and is shared by its replications; memory
-grows with the distinct contents or protocol states a run visits, and
-nothing is ever evicted.  The loop draws and sums exactly as a per-event
-recomputation would, so seeded results do not depend on the memo.
+two queues.  The protocol's state is its released machine tokens and its
+waiting jobs, each in order, and its moves are memoized once per such state
+from the pure ``ProtocolSimulator.transitions`` and ``.apply``.  Each memo
+lives for one ``simulate`` or ``simulate_protocol`` call and is shared by
+its replications; memory grows with the distinct contents or protocol
+states a run visits, and nothing is ever evicted.  The loop draws and sums
+exactly as a per-event recomputation would, so seeded results do not
+depend on the memo.
 """
 
 from __future__ import annotations
@@ -220,8 +222,8 @@ def simulate(
 
 
 class ProtocolSimulator:
-    """Operational stepper for the slot-token assignment protocol on
-    bipartite cluster specifications.
+    """Pure definition of the slot-token assignment protocol on bipartite
+    cluster specifications.
 
     Machines keep fixed-length buffers served oldest-first; the dispatcher
     keeps released machine tokens in release order and a bounded number of
@@ -230,16 +232,20 @@ class ProtocolSimulator:
     free waiting slot, and is rejected otherwise; a completion hands the
     freed slot to the oldest waiting compatible job, or releases its token.
 
+    A state is ``(released, waiting)``: those two queues, as tuples of
+    machine and of type indices.  Machine ``s`` holds ``buffer_len[s] -
+    released.count(s)`` jobs, and in :attr:`start` all its tokens are
+    released.  The methods return new states and never change ``self``.
+
     This never consults the tandem encoding, so it can cross-validate it.
     """
 
     def __init__(self, spec: ClusterSpec):
         type_names = spec.job_types
         machine_names = spec.machines
-        class_set = set(spec.classes)
         if (
             set(type_names) & set(machine_names)
-            or class_set != set(type_names) | set(machine_names)
+            or set(spec.classes) != set(type_names) | set(machine_names)
             or any(
                 spec.machine_bindings.get(m, ()) != (m,)
                 for m in machine_names
@@ -251,7 +257,6 @@ class ProtocolSimulator:
             )
         self.spec = spec
         self.types = type_names
-        self.machines = machine_names
         self.type_ids = {t: k for k, t in enumerate(type_names)}
         self.machine_ids = {m: s for s, m in enumerate(machine_names)}
         self.buffer_len = [int(spec.counts[m]) for m in machine_names]
@@ -265,110 +270,80 @@ class ProtocolSimulator:
             compat_machines[self.type_ids[high]].append(self.machine_ids[low])
         self.compat = [tuple(sorted(ms)) for ms in compat_machines]
         self.serves = [
-            tuple(
-                k
-                for k in range(len(type_names))
-                if s in self.compat[k]
-            )
+            tuple(k for k, ms in enumerate(self.compat) if s in ms)
             for s in range(len(machine_names))
         ]
-        self.reset()
+        released = (s for s, n in enumerate(self.buffer_len) for _ in range(n))
+        self.start: tuple = (tuple(released), ())
 
-    def reset(self) -> None:
-        self.free_tokens: list[int] = [
-            s for s in range(len(self.machines)) for _ in range(self.buffer_len[s])
-        ]
-        self.buffers = [0] * len(self.machines)
-        self.waiting: list[int] = []
-        self.waiting_counts = [0] * len(self.types)
-
-    def snapshot(self) -> tuple:
-        """The state as a hashable ``(free tokens, buffers, waiting)``."""
-        return tuple(self.free_tokens), tuple(self.buffers), tuple(self.waiting)
-
-    def restore(self, state: tuple) -> None:
-        """Return to a state taken by :meth:`snapshot`."""
-        free_tokens, buffers, waiting = state
-        self.free_tokens = list(free_tokens)
-        self.buffers = list(buffers)
-        self.waiting = list(waiting)
-        self.waiting_counts = [waiting.count(k) for k in range(len(self.types))]
-
-    def transitions(self) -> list[tuple[float, tuple]]:
+    def transitions(self, state: tuple) -> list[tuple[float, tuple]]:
+        """The enabled ``(rate, tag)`` events: arrivals, then completions."""
+        released = state[0]
         moves = []
         for k, rate in enumerate(self.arrival_rates):
             if rate > 0.0:
                 moves.append((rate, ("arrive", k)))
         for s, rate in enumerate(self.machine_rates):
-            if self.buffers[s] > 0:
+            if released.count(s) < self.buffer_len[s]:
                 moves.append((rate, ("complete", s)))
         return moves
 
-    def apply(self, tag: tuple) -> str:
-        """Apply an event and report what happened: "commit", "wait",
-        "reject", "release", or "reseize"."""
+    def apply(self, state: tuple, tag: tuple) -> tuple[tuple, str]:
+        """The state after event ``tag`` and what happened: "commit",
+        "wait", "reject", "release", or "reseize"."""
+        released, waiting = state
         kind = tag[0]
         if kind == "arrive":
             k = tag[1]
-            for idx, s in enumerate(self.free_tokens):
+            for idx, s in enumerate(released):
                 if s in self.compat[k]:
-                    del self.free_tokens[idx]
-                    self.buffers[s] += 1
-                    return "commit"
-            if self.waiting_counts[k] < self.wait_len[k]:
-                self.waiting.append(k)
-                self.waiting_counts[k] += 1
-                return "wait"
-            return "reject"
+                    return (released[:idx] + released[idx + 1:], waiting), "commit"
+            if waiting.count(k) < self.wait_len[k]:
+                return (released, waiting + (k,)), "wait"
+            return state, "reject"
         if kind == "complete":
             s = tag[1]
-            if self.buffers[s] <= 0:
+            if released.count(s) >= self.buffer_len[s]:
                 raise UsageError(f"machine {s} has no job to complete")
-            self.buffers[s] -= 1
-            for idx, k in enumerate(self.waiting):
+            for idx, k in enumerate(waiting):
                 if k in self.serves[s]:
-                    del self.waiting[idx]
-                    self.waiting_counts[k] -= 1
-                    self.buffers[s] += 1
-                    return "reseize"
-            self.free_tokens.append(s)
-            return "release"
+                    return (released, waiting[:idx] + waiting[idx + 1:]), "reseize"
+            return (released + (s,), waiting), "release"
         raise UsageError(f"unknown event tag {tag!r}")
 
-    def held_counts(self) -> tuple[int, ...]:
+    def held_counts(self, state: tuple) -> tuple[int, ...]:
         """Tokens held by jobs, per token class, in spec class order."""
+        released, waiting = state
         out = []
         for name in self.spec.classes:
             if name in self.type_ids:
-                out.append(self.waiting_counts[self.type_ids[name]])
+                out.append(waiting.count(self.type_ids[name]))
             else:
-                out.append(self.buffers[self.machine_ids[name]])
+                s = self.machine_ids[name]
+                out.append(self.buffer_len[s] - released.count(s))
         return tuple(out)
 
 
 def _protocol_moves(sim: ProtocolSimulator) -> MovesOf:
-    """Memoized moves of the protocol, keyed by ``sim.snapshot()``.  A
-    state's held-count key and moves are read off ``sim`` on the state's
-    first visit, and each move's next state is what ``sim.apply`` makes."""
+    """Memoized moves of the protocol, keyed by protocol state: a state's
+    held-count key, and each enabled event with the next state and outcome
+    that ``sim.apply`` returns."""
     arrivals = [f"arrivals:{t}" for t in sim.types]
     rejections = [f"rejections:{t}" for t in sim.types]
 
     @functools.cache
     def moves_of(state):
-        sim.restore(state)
-        key = sim.held_counts()
         out = []
-        for rate, tag in sim.transitions():
-            sim.restore(state)
-            result = sim.apply(tag)
+        for rate, tag in sim.transitions(state):
+            after, result = sim.apply(state, tag)
             if tag[0] == "complete":
                 counts = ("completions",)
             elif result == "reject":
                 counts = (arrivals[tag[1]], rejections[tag[1]])
             else:
                 counts = (arrivals[tag[1]],)
-            out.append((rate, _goto, sim.snapshot(), counts, (*tag, result)))
-        return key, tuple(out)
+            out.append((rate, _goto, after, counts, (*tag, result)))
+        return sim.held_counts(state), tuple(out)
 
     return moves_of
 
@@ -381,12 +356,11 @@ def simulate_protocol(spec: ClusterSpec, cfg: SimConfig) -> SimResult:
     per-type blocking fractions carry standard errors across replications.
     """
     sim = ProtocolSimulator(spec)
-    start = sim.snapshot()
     moves_of = _protocol_moves(sim)
     occ_reps, counter_reps, fraction_reps = [], [], []
     for rep in range(cfg.replications):
         occupancy, seen = _run_replication(
-            moves_of, start, cfg, _rep_rng(cfg.seed, rep), None
+            moves_of, sim.start, cfg, _rep_rng(cfg.seed, rep), None
         )
         # The protocol reports completions first, then arrivals and
         # rejections by type, zeros included.

@@ -295,6 +295,28 @@ def test_simulate_cluster_protocol(capsys, model_path):
     assert "blocking:A" in doc["result"]["fractions"]
 
 
+def test_negative_capacity_exits_2_in_analyze_and_simulate(capsys, model_path):
+    path = model_path(TWO_CLASS_DOC)
+    for command in ("analyze", "simulate"):
+        argv = [command, path, "-N", "-1"] + (
+            ["--events", "100"] if command == "simulate" else []
+        )
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: capacity must be non-negative\n"
+        )
+
+
+def test_simulate_rejects_a_negative_top(capsys, model_path):
+    argv = ["simulate", model_path(TWO_CLASS_DOC), "-N", "2",
+            "--events", "2000", "--reps", "2"]
+    assert main(argv + ["--top", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: --top -1 is negative\n")
+    code, doc = run_json(capsys, argv + ["--top", "0"])
+    assert code == 0
+    assert doc["result"]["occupancy_top"] == []
+
+
 def test_repeated_runs_are_byte_identical(capsys, model_path):
     path = model_path(TWO_CLASS_DOC)
     argv = ["analyze", path, "-N", "4", "--format", "json"]

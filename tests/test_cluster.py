@@ -323,17 +323,21 @@ def test_single_slot_protocol_matches_tandem_trace():
     ct = compile_cluster(spec)
     sim = ProtocolSimulator(spec)
     state = ct.initial
-    # align the stepper's free-token order with the compiled initial state
+    # start the protocol with its released tokens in the order of the
+    # compiled initial state's machine tokens, and no job waiting
     minimal = set(ct.minimal)
-    sim.free_tokens = [
-        sim.machine_ids[ct.class_names[cls]]
-        for cls in state[1]
-        if cls in minimal
-    ]
+    protocol = (
+        tuple(
+            sim.machine_ids[ct.class_names[cls]]
+            for cls in state[1]
+            if cls in minimal
+        ),
+        (),
+    )
     rng = random.Random(99)
     steps = 10_000
     for _ in range(steps):
-        moves = sim.transitions()
+        moves = sim.transitions(protocol)
         total = sum(rate for rate, _ in moves)
         pick = rng.random() * total
         acc = 0.0
@@ -356,9 +360,10 @@ def test_single_slot_protocol_matches_tandem_trace():
             ]
             if positions:
                 state = tandem_step(ct.network.swapping, state, 2, positions[0])
-                sim.apply(tag)
+                protocol, _ = sim.apply(protocol, tag)
             else:
-                assert sim.apply(tag) == "reject"
+                protocol, result = sim.apply(protocol, tag)
+                assert result == "reject"
         else:
             s = tag[1]
             positions = [
@@ -368,10 +373,10 @@ def test_single_slot_protocol_matches_tandem_trace():
             ]
             assert positions, "busy machine must appear in the first queue"
             state = tandem_step(ct.network.swapping, state, 1, positions[0])
-            sim.apply(tag)
+            protocol, _ = sim.apply(protocol, tag)
         held, avail = _tandem_view(ct, state)
-        assert held == sim.held_counts()
-        assert avail == [ct.machine_names[s] for s in sim.free_tokens]
+        assert held == sim.held_counts(protocol)
+        assert avail == [ct.machine_names[s] for s in protocol[0]]
 
 
 def test_protocol_simulator_rejects_nonbipartite():

@@ -115,6 +115,29 @@ def test_table_entries_must_be_integer_counts_and_numbers():
             parse_document(table_doc(**rf))
 
 
+def test_table_rows_must_not_repeat_a_key(capsys, tmp_path):
+    def table_doc(entries, saturation):
+        rate_function = {"kind": "table", "entries": entries,
+                         "saturation": saturation}
+        return dict(OPEN_DOC, swapping_edges=[], rate_function=rate_function)
+
+    once = [{"macrostate": [1, 0], "rate": 1.0}]
+    twice = once + [{"macrostate": [1, 0], "rate": 2.0}]
+    subsets = [{"subset": [2, 1], "rate": 2.0}, {"subset": [1, 2], "rate": 3.0}]
+    for doc, message in (
+        (table_doc(twice, subsets[:1]),
+         r"rate_function\.entries: duplicate macrostate \[1, 0\]$"),
+        (table_doc(once, subsets),
+         r"rate_function\.saturation: duplicate subset \[1, 2\]$"),
+    ):
+        with pytest.raises(ModelFormatError, match=message):
+            parse_document(doc)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table_doc(twice, subsets[:1])))
+    assert main(["analyze", str(path), "-N", "2"]) == 2
+    assert "duplicate macrostate [1, 0]" in capsys.readouterr().err
+
+
 CLOSED_DOC = {
     "schema": "pands-closed/1",
     "classes": 3,

@@ -15,11 +15,11 @@ from passandswap import (
     macrostate_flow_identity,
     solve_unique,
     stability_check,
-    state_weight,
     stationary_truncated,
     total_variation,
     verify_partial_balance,
 )
+from passandswap import product_form
 from conftest import transition_fn
 
 
@@ -92,14 +92,17 @@ def test_partial_balance_small_residual(two_class_queue, three_class_queue):
     assert verify_partial_balance(three_class_queue, 4).max_residual < 1e-10
 
 
-def test_partial_balance_flags_corruption(three_class_queue):
+def test_partial_balance_flags_corruption(three_class_queue, monkeypatch):
     bad_state = (0, 1)
+    # taken before the patch, so that ``corrupted`` does not call itself
+    true_weight = product_form._state_weights(three_class_queue)
 
     def corrupted(state):
-        w = state_weight(three_class_queue, state)
+        w = true_weight(state)
         return w * 1.01 if state == bad_state else w
 
-    report = verify_partial_balance(three_class_queue, 3, weight_fn=corrupted)
+    monkeypatch.setattr(product_form, "_state_weights", lambda queue: corrupted)
+    report = verify_partial_balance(three_class_queue, 3)
     assert report.max_residual > 1e-6
 
 

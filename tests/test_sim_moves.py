@@ -6,8 +6,11 @@ order: ``tandem_transitions`` on random bipartite and grouped clusters;
 loop-free graphs; and ``open_transitions`` on open queues with random
 graphs (loops allowed) and random ``MultiServerRates``, plus exactly one
 rejection self-move per class at capacity.  The protocol's moves,
-memoized per protocol state, must replay a fresh ``ProtocolSimulator``
-stepped by ``apply``.
+memoized per protocol state, must replay a fresh ``ProtocolSimulator``'s
+``transitions`` and ``apply`` without changing the simulator they read;
+along the same walks no buffer or waiting room overflows, an arrival
+waits or is rejected only when no released token fits it, and a
+completion reseizes only when a compatible job waits.
 """
 
 import random
@@ -191,21 +194,47 @@ def test_memoized_protocol_moves_replay_apply(seed, picks):
     memo_sim = ProtocolSimulator(spec)
     moves_of = _protocol_moves(memo_sim)
     fresh = ProtocolSimulator(spec)
-    state = fresh.snapshot()
+    state = fresh.start
     for pick in picks:
         key, got = moves_of(state)
-        assert key == fresh.held_counts()
+        assert key == fresh.held_counts(state)
         assert [(rate, tag[:2]) for rate, _, _, _, tag in got] == (
-            fresh.transitions()
+            fresh.transitions(state)
         )
         _, advance, arg, counts, tag = got[pick % len(got)]
-        result = fresh.apply(tag[:2])
+        after, result = fresh.apply(state, tag[:2])
         assert tag[2] == result
         state = advance(state, arg)
-        assert state == fresh.snapshot()
+        assert state == after
         if tag[0] == "complete":
             assert counts == ("completions",)
         else:
             name = memo_sim.types[tag[1]]
             rejected = (f"rejections:{name}",) if result == "reject" else ()
             assert counts == (f"arrivals:{name}",) + rejected
+    # the memo reads its simulator and never changes it
+    assert vars(memo_sim) == vars(fresh)
+
+
+@given(seed=st.integers(0, 10_000), picks=PICKS)
+def test_protocol_keeps_its_bounds_and_its_dispatch_rules(seed, picks):
+    sim = ProtocolSimulator(_spec("bipartite", seed))
+    machine_classes = [sim.spec.classes.index(m) for m in sim.spec.machines]
+    type_classes = [sim.spec.classes.index(t) for t in sim.types]
+    state = sim.start
+    for pick in picks:
+        held = sim.held_counts(state)
+        for s, cls in enumerate(machine_classes):
+            assert 0 <= held[cls] <= sim.buffer_len[s]
+        for k, cls in enumerate(type_classes):
+            assert 0 <= held[cls] <= sim.wait_len[k]
+        moves = sim.transitions(state)
+        _, tag = moves[pick % len(moves)]
+        released, waiting = state
+        state, result = sim.apply(state, tag)
+        if tag[0] == "arrive":
+            compatible = any(s in sim.compat[tag[1]] for s in released)
+            assert compatible == (result == "commit")
+        else:
+            served = any(k in sim.serves[tag[1]] for k in waiting)
+            assert served == (result == "reseize")
