@@ -78,11 +78,9 @@ from .cluster import (
     ClusterMetrics,
     ClusterSpec,
     CompiledTandem,
-    TraceEntry,
     compile_cluster,
     macrostate_metrics,
     metrics,
-    protocol_trace,
 )
 from .oracle import (
     GeneratorMatrix,

@@ -522,15 +522,23 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args):
     """The model file of ``args``, checked against the command's kinds."""
     loaded = load_path(args.model)
+    kind = lambda cls: cls.__name__.removeprefix("Loaded").lower()
     if not isinstance(loaded, args.kinds):
-        kind = lambda cls: cls.__name__.removeprefix("Loaded").lower()
         raise UsageError(
             f"{args.command} takes {'/'.join(map(kind, args.kinds))} model "
             f"files, not {kind(type(loaded))}"
         )
-    # Every command with an optional -N runs open models truncated there.
-    if isinstance(loaded, LoadedOpen) and getattr(args, "capacity", 0) is None:
-        raise UsageError(f"{args.command} on an open model needs --capacity")
+    # Every command with an optional -N runs open models truncated there,
+    # and has nothing to truncate on the other kinds.
+    capacity = getattr(args, "capacity", None)
+    if isinstance(loaded, LoadedOpen):
+        if hasattr(args, "capacity") and capacity is None:
+            raise UsageError(
+                f"{args.command} on an open model needs --capacity"
+            )
+    elif capacity is not None:
+        raise UsageError(f"{args.command} takes --capacity on open models "
+                         f"only, not on {kind(type(loaded))} models")
     return loaded
 
 

@@ -22,7 +22,6 @@ from .closed import (
     TandemState,
     adheres_tandem,
     first_queue_marginal,
-    tandem_transitions,
 )
 from .errors import (
     StructureError,
@@ -362,125 +361,3 @@ def metrics(
     return macrostate_metrics(
         ct, first_queue_marginal(distribution, len(ct.class_names))
     )
-
-
-@dataclass(frozen=True)
-class TraceEntry:
-    """One replayed tandem transition with its protocol meaning."""
-
-    step: int
-    queue: int
-    position: int
-    chain: tuple[int, ...]
-    chain_classes: tuple[str, ...]
-    departing: str
-    agents: tuple[str, ...]
-    kind: str
-    description: str
-    state_after: TandemState
-
-
-def _newly_served(
-    compat: Sequence[frozenset[int]], state: tuple[int, ...], position: int
-) -> frozenset[int]:
-    covered: set[int] = set()
-    for cls in state[:position]:
-        covered |= compat[cls]
-    return frozenset(compat[state[position]] - covered)
-
-
-def protocol_trace(
-    ct: CompiledTandem,
-    events: Sequence[tuple[int, int]],
-    initial: TandemState | None = None,
-) -> tuple[TraceEntry, ...]:
-    """Replay ``events`` (queue index, completing position) from ``initial``
-    and annotate each transition with its protocol meaning.
-
-    Events must name positions with a positive service rate in the current
-    state; anything else aborts the replay with the failing step index.
-    """
-    state = ct.initial if initial is None else initial
-    net = ct.network
-    names = ct.class_names
-    out: list[TraceEntry] = []
-    for step, (queue, position) in enumerate(events):
-        if queue not in (1, 2):
-            raise UsageError(f"invalid event at step {step}: queue {queue}")
-        side = state[queue - 1]
-        if not 0 <= position < len(side):
-            raise UsageError(
-                f"invalid event at step {step}: position {position} out of "
-                f"range in queue {queue}"
-            )
-        move = next((t for t in tandem_transitions(net, state)
-                     if t.queue == queue and t.index == position), None)
-        if move is None:  # completions at zero rate are not transitions
-            raise UsageError(
-                f"invalid event at step {step}: position {position} in "
-                f"queue {queue} has zero service rate"
-            )
-        next_state, oc = move.next_state, move.outcome
-        if queue == 1:
-            agent_ids = _newly_served(ct.first_compat, side, position)
-            agents = tuple(sorted(ct.machine_names[s] for s in agent_ids))
-        else:
-            agent_ids = _newly_served(ct.second_compat, side, position)
-            agents = tuple(sorted(ct.type_names[k] for k in agent_ids))
-        class_names = tuple(names[side[pos]] for pos in oc.chain)
-        departing = names[oc.departing_class]
-        if queue == 1:
-            who = " and ".join(f"machine {m}" for m in agents) or "a machine"
-            if len(oc.chain) == 1:
-                kind = "departure-release"
-                description = (
-                    f"job completes on {who}; its class-{class_names[0]} token "
-                    f"is released to the available list (no waiting claimant)"
-                )
-            else:
-                kind = "departure-reseize"
-                hops = "; ".join(
-                    f"the class-{class_names[v]} token is seized by the "
-                    f"holder of the class-{class_names[v + 1]} token"
-                    for v in range(len(class_names) - 1)
-                )
-                description = (
-                    f"job completes on {who}; {hops}; the class-{departing} "
-                    f"token is released to the available list"
-                )
-        else:
-            who = " or ".join(f"type-{t}" for t in agents) or "a"
-            if len(oc.chain) == 1:
-                kind = "arrival-wait"
-                description = (
-                    f"a {who} job enters and waits unassigned, holding a "
-                    f"class-{departing} token"
-                )
-            else:
-                kind = "arrival-commit"
-                description = (
-                    f"a {who} job enters and seizes a class-{departing} token"
-                )
-                if len(oc.chain) > 2:
-                    hops = "; ".join(
-                        f"the class-{class_names[v]} token passes to the "
-                        f"holder of the class-{class_names[v + 1]} token"
-                        for v in range(len(class_names) - 1)
-                    )
-                    description += f" ({hops})"
-        out.append(
-            TraceEntry(
-                step,
-                queue,
-                position,
-                oc.chain,
-                class_names,
-                departing,
-                agents,
-                kind,
-                description,
-                next_state,
-            )
-        )
-        state = next_state
-    return tuple(out)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .dynamics import apply_completion, predecessors
+from .dynamics import completions, predecessors
 from .errors import ResourceError, UsageError
 from .model import (
     Macrostate,
@@ -284,11 +284,8 @@ def flow_rates(
     n = queue.n_classes
     phi_d = [0.0] * n
     phi_s = [0.0] * n
-    for pos, inc in enumerate(queue.rate_fn.increments(state)):
-        if inc <= 0.0:
-            continue
+    for pos, inc, oc in completions(queue.rate_fn, queue.swapping, state):
         phi_s[state[pos]] += inc
-        oc = apply_completion(queue.swapping, state, pos)
         phi_d[oc.departing_class] += inc
     return tuple(phi_d), tuple(phi_s)
 

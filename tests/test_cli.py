@@ -55,6 +55,24 @@ REDUCIBLE_DOC = {
     "initial_state": [1, 1, 2, 2],
 }
 
+TANDEM_DOC = {
+    "schema": "pands-tandem/1",
+    "classes": 2,
+    "rate_function_1": {
+        "kind": "multi_server",
+        "server_rates": [1.0],
+        "compat": [[1], [1]],
+    },
+    "rate_function_2": {
+        "kind": "multi_server",
+        "server_rates": [1.0],
+        "compat": [[1], [1]],
+    },
+    "swapping_edges": [[1, 2]],
+    "initial_state_1": [],
+    "initial_state_2": [2, 1],
+}
+
 CLUSTER_DOC = {
     "schema": "pands-cluster/1",
     "job_types": [
@@ -305,6 +323,28 @@ def test_negative_capacity_exits_2_in_analyze_and_simulate(capsys, model_path):
         assert capsys.readouterr() == (
             "", "error: capacity must be non-negative\n"
         )
+
+
+@pytest.mark.parametrize("kind,command", [
+    ("closed", "oracle-compare"),
+    ("closed", "simulate"),
+    ("tandem", "oracle-compare"),
+    ("tandem", "simulate"),
+    ("cluster", "simulate"),
+])
+def test_capacity_on_a_model_without_arrivals_exits_2(
+    capsys, model_path, kind, command
+):
+    doc = {"closed": CLOSED_DOC, "tandem": TANDEM_DOC,
+           "cluster": CLUSTER_DOC}[kind]
+    argv = [command, model_path(doc), "-N", "1"] + (
+        ["--events", "100"] if command == "simulate" else []
+    )
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: {command} takes --capacity on open models only, "
+        f"not on {kind} models\n"
+    ))
 
 
 def test_simulate_rejects_a_negative_top(capsys, model_path):

@@ -11,12 +11,13 @@ from passandswap import (
     UnsupportedFeatureError,
     adheres_tandem,
     analyze_tandem,
+    apply_completion,
     compile_cluster,
     enumerate_sigma,
     macrostate,
     metrics,
-    protocol_trace,
     tandem_step,
+    tandem_transitions,
 )
 
 
@@ -228,74 +229,47 @@ def test_mean_counts_sum_up(two_type_spec):
         assert value == pytest.approx(expect[name])
 
 
-# -------------------------------------------------------------- trace
+# ------------------------------------------------------- tandem steps
 
 
-def test_protocol_trace_golden(two_type_spec):
+def test_tandem_step_golden(two_type_spec):
     ct = compile_cluster(two_type_spec)
     cid = ct.class_id
+    step = lambda state, queue, pos: tandem_step(
+        ct.network.swapping, state, queue, pos
+    )
     # cluster snapshot: jobs hold (2,1,3,1,2,3,A) oldest-first; available
     # tokens are (B,A,B)
     c0 = tuple(cid(x) for x in ("2", "1", "3", "1", "2", "3", "A"))
     d0 = tuple(cid(x) for x in ("B", "A", "B"))
     initial = (c0, d0)
     assert adheres_tandem(initial, ct.network.order)
-    events = [(1, 0), (1, 1), (2, 0)]
-    trace = protocol_trace(ct, events, initial)
 
-    first = trace[0]
-    assert first.kind == "departure-release"
-    assert first.agents == ("2",)
-    assert "machine 2" in first.description
-    assert first.state_after[0] == tuple(
-        cid(x) for x in ("1", "3", "1", "2", "3", "A")
-    )
-    assert first.state_after[1] == tuple(cid(x) for x in ("B", "A", "B", "2"))
+    # machine 2 completes and releases its token
+    first = step(initial, 1, 0)
+    assert first[0] == tuple(cid(x) for x in ("1", "3", "1", "2", "3", "A"))
+    assert first[1] == tuple(cid(x) for x in ("B", "A", "B", "2"))
 
-    second = trace[1]
-    assert second.kind == "departure-reseize"
-    assert second.agents == ("3",)
-    assert second.departing == "A"
-    assert second.state_after[0] == tuple(
-        cid(x) for x in ("1", "1", "2", "3", "3")
-    )
-    assert second.state_after[1] == tuple(
-        cid(x) for x in ("B", "A", "B", "2", "A")
-    )
+    # machine 3 completes and its slot is reseized by the waiting A job
+    second = step(first, 1, 1)
+    assert second[0] == tuple(cid(x) for x in ("1", "1", "2", "3", "3"))
+    assert second[1] == tuple(cid(x) for x in ("B", "A", "B", "2", "A"))
 
-    third = trace[2]
-    assert third.kind == "arrival-commit"
-    assert third.agents == ("B",)
-    assert third.departing == "2"
-    assert "type-B" in third.description
-    assert third.state_after[0] == tuple(
-        cid(x) for x in ("1", "1", "2", "3", "3", "2")
-    )
-    assert third.state_after[1] == tuple(cid(x) for x in ("A", "B", "B", "A"))
-
-
-def test_protocol_trace_rejects_bad_events(two_type_spec):
-    ct = compile_cluster(two_type_spec)
-    from passandswap import UsageError
-
-    with pytest.raises(UsageError, match="step 0"):
-        protocol_trace(ct, [(1, 0)])  # first queue starts empty
-    with pytest.raises(UsageError, match="step 0"):
-        protocol_trace(ct, [(2, 9)])
-    # position with zero rate: the machine tokens sit behind type tokens
-    machine_pos = 4
-    with pytest.raises(UsageError, match="zero service rate"):
-        protocol_trace(ct, [(2, machine_pos)])
+    # a B job arrives and commits to the released machine-2 token
+    third = step(second, 2, 0)
+    assert third[0] == tuple(cid(x) for x in ("1", "1", "2", "3", "3", "2"))
+    assert third[1] == tuple(cid(x) for x in ("A", "B", "B", "A"))
 
 
 def test_hierarchical_trace_cascades():
     spec = ClusterSpec.hierarchical(2, [1.0, 1.0], 1.0)
     ct = compile_cluster(spec)
-    # arrival takes the root token and seizes a leaf token
-    trace = protocol_trace(ct, [(2, 0)])
-    assert trace[0].kind == "arrival-commit"
-    assert trace[0].chain_classes[0] == "1"
-    assert trace[0].departing in {"2", "3"}
+    # an arrival takes the root token and seizes a leaf token
+    arrival = next(t for t in tandem_transitions(ct.network, ct.initial)
+                   if t.queue == 2 and t.index == 0)
+    head = ct.initial[1][arrival.outcome.chain[0]]
+    assert ct.class_names[head] == "1"
+    assert ct.class_names[arrival.outcome.departing_class] in {"2", "3"}
 
 
 # ------------------------------------------------ protocol equivalence
@@ -326,6 +300,7 @@ def test_single_slot_protocol_matches_tandem_trace():
     # start the protocol with its released tokens in the order of the
     # compiled initial state's machine tokens, and no job waiting
     minimal = set(ct.minimal)
+    types = {ct.class_id(t) for t in ct.type_names}
     protocol = (
         tuple(
             sim.machine_ids[ct.class_names[cls]]
@@ -359,8 +334,17 @@ def test_single_slot_protocol_matches_tandem_trace():
                 and k in ct.second_compat[d[pos]]
             ]
             if positions:
+                departing = apply_completion(
+                    ct.network.swapping, d, positions[0]
+                ).departing_class
                 state = tandem_step(ct.network.swapping, state, 2, positions[0])
-                protocol, _ = sim.apply(protocol, tag)
+                protocol, result = sim.apply(protocol, tag)
+                # a job commits when it takes a machine token, and waits
+                # when it takes its own type's token
+                assert (result == "commit") == (departing in minimal)
+                assert (result == "wait") == (
+                    departing == ct.class_id(ct.type_names[k])
+                )
             else:
                 protocol, result = sim.apply(protocol, tag)
                 assert result == "reject"
@@ -372,8 +356,17 @@ def test_single_slot_protocol_matches_tandem_trace():
                 if inc > 0.0 and s in ct.first_compat[c[pos]]
             ]
             assert positions, "busy machine must appear in the first queue"
+            departing = apply_completion(
+                ct.network.swapping, c, positions[0]
+            ).departing_class
             state = tandem_step(ct.network.swapping, state, 1, positions[0])
-            protocol, _ = sim.apply(protocol, tag)
+            protocol, result = sim.apply(protocol, tag)
+            # a waiting job reseizes the slot when a type token goes back,
+            # and the machine releases its slot when its own token does
+            assert (result == "reseize") == (departing in types)
+            assert (result == "release") == (
+                departing == ct.class_id(ct.machine_names[s])
+            )
         held, avail = _tandem_view(ct, state)
         assert held == sim.held_counts(protocol)
         assert avail == [ct.machine_names[s] for s in protocol[0]]

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from passandswap import (
     SwappingGraph,
@@ -132,6 +134,38 @@ def test_predecessors_match_exhaustive_replay(seed):
                 got = set(predecessors(graph, state, cls))
                 want = table.get((state, cls), set())
                 assert got == want
+
+
+@st.composite
+def random_completions(draw):
+    """A swapping graph on 1 to 5 classes, loops allowed, a state of up to
+    10 customers, and a completing position in it."""
+    n = draw(st.integers(1, 5))
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    graph = SwappingGraph.from_pairs(
+        n, draw(st.lists(st.sampled_from(pairs), unique=True))
+    )
+    state = tuple(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                max_size=10)))
+    return graph, state, draw(st.integers(0, len(state) - 1))
+
+
+@given(random_completions())
+def test_completion_and_predecessors_on_random_graphs(case):
+    graph, state, position = case
+    out = apply_completion(graph, state, position)
+    chain = out.chain
+    assert chain[0] == position
+    assert all(a < b_ for a, b_ in zip(chain, chain[1:]))
+    for a, b_ in zip(chain, chain[1:]):
+        assert state[b_] in graph.neighbors(state[a])
+    assert sorted(out.next_state + (out.departing_class,)) == sorted(state)
+    preds = predecessors(graph, out.next_state, out.departing_class)
+    assert (state, position) in preds
+    for prev, pos in preds:
+        back = apply_completion(graph, prev, pos)
+        assert back.next_state == out.next_state
+        assert back.departing_class == out.departing_class
 
 
 def test_open_transitions_empty_state(two_class_queue):
