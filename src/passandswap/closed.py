@@ -367,22 +367,15 @@ def _goto(state: Any, next_state: Any) -> Any:
     return next_state
 
 
-def moves(
+def queue_moves(
     model: PandsQueue | ClosedQueue | TandemNetwork,
     capacity: int | None = None,
-) -> Callable[[Any], tuple[Move, ...]]:
-    """The moves of ``model`` as a function of its state: for an open
-    queue, one arrival per class then its completions, head first, where an
-    arrival at ``capacity`` (if set) is a rejection that keeps the state;
-    for a closed queue, its completions, the departing customer rejoining
-    at the tail; for a tandem, its first queue's completions, then its
-    second's.
-
-    A tandem's moves are memoized per content of each queue, which every
-    traversal meets again under many contents of the other queue.  A single
-    queue's state *is* its content, so a caller that revisits states keeps
-    its own memo.
-    """
+) -> tuple[Callable[[State], tuple[Move, ...]], ...]:
+    """The moves of each queue of ``model`` as a function of that queue's
+    content, unmemoized: one function for an open or a closed queue, whose
+    state is its content, and two for a tandem, whose completions carry
+    their ``CompletionOutcome`` as ``arg``.  :func:`moves` says what the
+    moves are."""
     shared: dict[tuple[int, int], tuple[str, ...]] = {}
 
     def completion(queue: int, advance, arg):
@@ -398,16 +391,15 @@ def moves(
         return make
 
     if isinstance(model, TandemNetwork):
-        first = functools.cache(_served(
-            model.rate_fn_1, model.swapping,
-            completion(1, _first_served, lambda oc: oc)))
-        second = functools.cache(_served(
-            model.rate_fn_2, model.swapping,
-            completion(2, _second_served, lambda oc: oc)))
-        return lambda s: first(s[0]) + second(s[1])
+        return (
+            _served(model.rate_fn_1, model.swapping,
+                    completion(1, _first_served, lambda oc: oc)),
+            _served(model.rate_fn_2, model.swapping,
+                    completion(2, _second_served, lambda oc: oc)),
+        )
     if isinstance(model, ClosedQueue):
-        return _served(model.rate_fn, model.swapping, completion(
-            0, _goto, lambda oc: oc.next_state + (oc.departing_class,)))
+        return (_served(model.rate_fn, model.swapping, completion(
+            0, _goto, lambda oc: oc.next_state + (oc.departing_class,))),)
     if not isinstance(model, PandsQueue):
         raise UsageError(f"no moves for {type(model).__name__}")
     if capacity is not None and capacity < 0:
@@ -426,7 +418,30 @@ def moves(
             for i, lam in rates
         ) + served(state)
 
-    return open_moves
+    return (open_moves,)
+
+
+def moves(
+    model: PandsQueue | ClosedQueue | TandemNetwork,
+    capacity: int | None = None,
+) -> Callable[[Any], tuple[Move, ...]]:
+    """The moves of ``model`` as a function of its state: for an open
+    queue, one arrival per class then its completions, head first, where an
+    arrival at ``capacity`` (if set) is a rejection that keeps the state;
+    for a closed queue, its completions, the departing customer rejoining
+    at the tail; for a tandem, its first queue's completions, then its
+    second's.
+
+    A tandem's moves are memoized per content of each queue, which every
+    traversal meets again under many contents of the other queue.  A single
+    queue's state *is* its content, so a caller that revisits states keeps
+    its own memo.
+    """
+    queues = queue_moves(model, capacity)
+    if len(queues) == 1:
+        return queues[0]
+    first, second = map(functools.cache, queues)
+    return lambda s: first(s[0]) + second(s[1])
 
 
 def _targets(step: Callable[[Any], tuple[Move, ...]]) -> Callable[[Any], list]:

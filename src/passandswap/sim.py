@@ -6,31 +6,38 @@ auditable.  A fixed seed fully determines a run, replication streams are
 derived deterministically from it, and results aggregate across
 replications with standard errors.
 
-All four simulators share one event loop, :func:`_run_replication`, fed
-by memoized moves.  The open, closed and tandem models take their moves
-from :func:`closed.moves`.  A completion's chain, departing class and rate
-depend only on the content of the queue it happens in, so the moves of an
-open or closed queue are memoized here once per state, which is its
-content, and ``moves`` memoizes a tandem's once per content of each of its
-two queues.  The protocol's state is its released machine tokens and its
-waiting jobs, each in order, and its moves are memoized once per such state
-from the pure ``ProtocolSimulator.transitions`` and ``.apply``.  Each memo
-lives for one ``simulate`` or ``simulate_protocol`` call and is shared by
-its replications; memory grows with the distinct contents or protocol
-states a run visits, and nothing is ever evicted.  The loop draws and sums
-exactly as a per-event recomputation would, so seeded results do not
-depend on the memo.
+All four simulators share one event loop, :func:`_run_replication`, over
+integer-indexed tables.  A *part* is a protocol state, a single queue's
+state, or the content of one queue of a tandem.  A run gives a part an id
+the first time it visits it and reads the part's moves once, into flat
+rows: its occupancy-key id, the running sums of its move rates, and per
+move the next part (resolved to an id the first time the move is taken),
+the class handed to the other queue, and the counters it adds to.  The
+open, closed and tandem models read their moves from
+:func:`closed.queue_moves`, the protocol from the pure
+``ProtocolSimulator.transitions``, ``.apply`` and ``.held_counts``.  A
+tandem's state is a pair of ids, one per queue, and a departing customer
+reaches the other queue's tail through a table of ``(id, class) -> id``; a
+single-part model runs the same loop beside a second table whose one part
+has no moves.  Occupancy accumulates under integer codes, mapped back to
+keys in first-seen order at the end.  The tables live for one ``simulate``
+or ``simulate_protocol`` call and are shared by its replications; memory
+grows with the distinct parts a run visits, and nothing is evicted.  The
+loop draws, sums and compares exactly as a per-event recomputation of the
+moves would, so seeded results do not depend on the tables.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from math import log
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
-from .closed import ClosedQueue, Move, TandemNetwork, _goto, moves
+from .closed import ClosedQueue, TandemNetwork, queue_moves
 from .cluster import ClusterSpec
 from .errors import CapabilityError, DeadlockError, UsageError
 from .model import PandsQueue
@@ -52,10 +59,16 @@ class SimConfig:
     def __post_init__(self) -> None:
         if (self.events is None) == (self.time is None):
             raise UsageError("set exactly one of events= or time=")
-        if self.events is not None and self.events <= 0:
-            raise UsageError("events must be positive")
-        if self.time is not None and self.time <= 0.0:
-            raise UsageError("time must be positive")
+        if self.events is not None and (
+            not isinstance(self.events, int) or isinstance(self.events, bool)
+            or self.events <= 0
+        ):
+            raise UsageError(f"events must be a positive integer, got "
+                             f"{self.events!r}")
+        # ``now >= time`` never holds for a NaN or an infinite horizon
+        if self.time is not None and not 0.0 < self.time < math.inf:
+            raise UsageError(f"time must be positive and finite, got "
+                             f"{self.time!r}")
         if not 0.0 <= self.warmup < 1.0:
             raise UsageError("warmup must lie in [0, 1)")
         if self.replications < 1:
@@ -104,24 +117,120 @@ def _rep_rng(seed: int, rep: int) -> random.Random:
     return random.Random(f"{seed}/{rep}")
 
 
-# ``MovesOf`` maps a state to its occupancy key and its moves, each a
-# ``closed.Move``; the protocol's move tags are the event tag followed by
-# what ``ProtocolSimulator.apply`` reported.
-MovesOf = Callable[[Any], tuple[Hashable, tuple[Move, ...]]]
+# A row move is ``(rate, next part, class handed to the other queue or
+# None, counts)``, where ``counts`` names the counters the move adds one to.
+RowsOf = Callable[[Any], Sequence[tuple[float, Any, int | None, tuple[str, ...]]]]
+
+# An occupancy code holds a key id above the low bits and a second part id
+# in them.
+_SHIFT = 32
+_LOW = (1 << _SHIFT) - 1
+
+
+class _Table:
+    """Flat rows of the parts of one queue, or of the protocol, that a run
+    has visited, indexed by part id.
+
+    The first table of a run keeps the running sums of each part's move
+    rates and their total, to pick a move by bisection; the second keeps
+    the rates, which are added to the first's total one by one.  A part's
+    next parts stay as given by ``rows_of`` until a move is first taken,
+    and ``appended`` resolves, per part and class, the part that receives
+    that class at its tail, ``-1`` until first needed.
+    """
+
+    def __init__(
+        self,
+        rows_of: RowsOf,
+        counter_ids: dict[tuple[str, ...], int],
+        key_of: Callable[[Any], Hashable] | None = None,
+        summed: bool = True,
+        width: int = 0,
+    ):
+        self.rows_of = rows_of
+        self.counter_ids = counter_ids  # shared by the tables of one run
+        self.key_of = key_of  # None: a part is its own occupancy key
+        self.summed = summed
+        self.width = width  # classes a part can receive at its tail
+        self.ids: dict[Any, int] = {}
+        self.parts: list = []
+        self.keys: dict[Hashable, int] = {}
+        self.code: list[int] = []  # key id << _SHIFT
+        self.cum: list[tuple[float, ...]] = []
+        self.total: list[float] = []
+        self.rates: list[tuple[float, ...]] = []
+        self.next: list[list] = []
+        self.handed: list[tuple[int | None, ...]] = []
+        self.counter: list[tuple[int, ...]] = []
+        self.appended: list[list[int]] = []
+
+    def id(self, part: Any) -> int:
+        """The id of ``part``, reading its rows on first sight."""
+        p = self.ids.get(part)
+        if p is not None:
+            return p
+        p = self.ids[part] = len(self.parts)
+        self.parts.append(part)
+        kid = p if self.key_of is None else self.keys.setdefault(
+            self.key_of(part), len(self.keys))
+        self.code.append(kid << _SHIFT)
+        rows = self.rows_of(part)
+        rates, nexts, handed, counts = zip(*rows) if rows else ((),) * 4
+        if self.summed:
+            cum = tuple(accumulate(rates))
+            self.cum.append(cum)
+            self.total.append(cum[-1] if cum else 0.0)
+        else:
+            self.rates.append(rates)
+        self.next.append(list(nexts))
+        self.handed.append(handed)
+        ids = self.counter_ids
+        self.counter.append(tuple(
+            ids.setdefault(c, len(ids)) for c in counts))
+        if self.width:
+            self.appended.append([-1] * self.width)
+        return p
+
+    def append(self, p: int, cls: int) -> int:
+        """The id of part ``p`` with a ``cls`` customer joined at its tail."""
+        q = self.appended[p][cls] = self.id(self.parts[p] + (cls,))
+        return q
+
+    def key_names(self) -> list:
+        """Occupancy keys by key id."""
+        return self.parts if self.key_of is None else list(self.keys)
+
+
+def _no_moves(part: Any) -> tuple:
+    return ()
 
 
 def _run_replication(
-    moves_of: MovesOf,
+    first: _Table,
+    second: _Table | None,
     initial: Any,
     cfg: SimConfig,
     rng: random.Random,
-    trace: TraceFn | None,
+    trace: Callable[[float, int, Any, int], None] | None,
 ) -> tuple[dict, dict]:
-    """One replication of the exponential race: time-weighted occupancy
-    fractions by key, and event counters, both in first-seen key order."""
-    occupancy: dict[Any, float] = {}
-    hits: dict[tuple[str, ...], int] = {}
-    state = initial
+    """One replication of the exponential race from ``initial``, a pair of
+    parts when ``second`` is given and a part of ``first`` otherwise:
+    time-weighted occupancy fractions by key, and event counters, both in
+    first-seen key order.  ``trace(time, queue, part, move)`` hears of
+    each event, with queue 0 for ``first``."""
+    pair = second is not None
+    if not pair:
+        second = _Table(_no_moves, first.counter_ids, summed=False)
+        initial = (initial, None)
+    i, j = first.id(initial[0]), second.id(initial[1])
+    code1, cum1, total1 = first.code, first.cum, first.total
+    next1, handed1, counter1 = first.next, first.handed, first.counter
+    rates2, next2, handed2, counter2 = (
+        second.rates, second.next, second.handed, second.counter)
+    appended1, appended2 = first.appended, second.appended
+    draw = rng.random
+    occupancy: dict[int, float] = {}
+    hits: dict[int, int] = {}
     now = 0.0
     tracked = 0.0
 
@@ -140,13 +249,14 @@ def _run_replication(
                 break
         elif now >= horizon_time:
             break
-        key, moves = moves_of(state)
-        total = 0.0
-        for move in moves:
-            total += move[0]
+        total = first_total = total1[i]
+        r2 = rates2[j]
+        for rate in r2:
+            total += rate
         if total <= 0.0:
+            state = (first.parts[i], second.parts[j]) if pair else first.parts[i]
             raise DeadlockError(f"no enabled event in state {state!r}")
-        dt = rng.expovariate(total)
+        dt = -log(1.0 - draw()) / total  # ``rng.expovariate(total)``
         if by_events:
             weight = dt if step >= warm_events else 0.0
         else:
@@ -154,39 +264,71 @@ def _run_replication(
             end = min(now + dt, horizon_time)
             weight = max(0.0, end - start)
         if weight > 0.0:
-            occupancy[key] = occupancy.get(key, 0.0) + weight
+            code = code1[i] | j
+            occupancy[code] = occupancy.get(code, 0.0) + weight
             tracked += weight
-        pick = rng.random() * total
-        chosen = moves[-1]
-        acc = 0.0
-        for move in moves:
-            acc += move[0]
-            if pick < acc:
-                chosen = move
-                break
-        _, advance, arg, counts, tag = chosen
-        if (step >= warm_events) if by_events else (now >= warm_time):
-            hits[counts] = hits.get(counts, 0) + 1
+        pick = draw() * total
+        queue = 0
+        if pick < first_total:
+            # the first running sum above ``pick``, as a scan would find
+            m = bisect_right(cum1[i], pick)
+        elif r2:
+            # past the first queue's moves: scan the second's, falling
+            # back on its last move
+            queue = 1
+            acc = first_total
+            for m, rate in enumerate(r2):
+                acc += rate
+                if pick < acc:
+                    break
+        else:
+            m = len(cum1[i]) - 1
         if trace is not None:
-            if tag[0] == "complete":
-                outcome = tag[2]
-                trace(now + dt, f"complete-q{tag[1][0]}", outcome.chain,
-                      outcome.departing_class)
-            else:
-                trace(now + dt, f"{tag[0]}-{tag[1]}", (), None)
+            trace(now + dt, queue,
+                  second.parts[j] if queue else first.parts[i], m)
+        # Take the move; the two branches mirror each other, kept apart so
+        # that the hot path indexes no table of tables.
+        if queue == 0:
+            row = next1[i]
+            after = row[m]
+            if type(after) is not int:
+                after = row[m] = first.id(after)
+            counter = counter1[i][m]
+            cls = handed1[i][m]
+            if cls is not None:
+                got = appended2[j][cls]
+                j = got if got >= 0 else second.append(j, cls)
+            i = after
+        else:
+            row = next2[j]
+            after = row[m]
+            if type(after) is not int:
+                after = row[m] = second.id(after)
+            counter = counter2[j][m]
+            cls = handed2[j][m]
+            if cls is not None:
+                got = appended1[i][cls]
+                i = got if got >= 0 else first.append(i, cls)
+            j = after
+        if (step >= warm_events) if by_events else (now >= warm_time):
+            hits[counter] = hits.get(counter, 0) + 1
         now += dt
-        state = advance(state, arg)
         step += 1
 
-    if tracked > 0.0:
-        occupancy = {k: v / tracked for k, v in occupancy.items()}
-    # Counting each move's whole ``counts`` tuple at once and expanding it
+    keys1 = first.key_names()
+    parts2 = second.parts
+    out: dict[Hashable, float] = {}
+    for code, weight in occupancy.items():
+        key = keys1[code >> _SHIFT]
+        out[(key, parts2[code & _LOW]) if pair else key] = weight / tracked
+    # Counting each move's whole counts tuple at once and expanding it
     # here keeps the counters' values and their first-seen order.
+    names = list(first.counter_ids)
     counters: dict[str, int] = {}
-    for counts, n in hits.items():
-        for name in counts:
+    for counter, n in hits.items():
+        for name in names[counter]:
             counters[name] = counters.get(name, 0) + n
-    return occupancy, {name: float(n) for name, n in counters.items()}
+    return out, {name: float(n) for name, n in counters.items()}
 
 
 def simulate(
@@ -204,17 +346,42 @@ def simulate(
     """
     if isinstance(model, PandsQueue) and capacity is None:
         raise UsageError("open models need an explicit capacity")
-    step = moves(model, capacity)
-    moves_of = lambda s: (s, step(s))
-    if not isinstance(model, TandemNetwork):
-        # A single queue's state is its content, which ``moves`` leaves to
-        # its caller to memoize; a tandem's are memoized per queue content.
-        moves_of = functools.cache(moves_of)
+    queues = queue_moves(model, capacity)
+    counter_ids: dict[tuple[str, ...], int] = {}
+    if isinstance(model, TandemNetwork):
+        # A tandem completion's ``arg`` is its outcome: the queue keeps the
+        # outcome's next state and the departing class joins the other.
+        def rows(step):
+            return lambda content: [
+                (rate, oc.next_state, oc.departing_class, counts)
+                for rate, _, oc, counts, _ in step(content)
+            ]
+
+        first = _Table(rows(queues[0]), counter_ids, width=model.n_classes)
+        second = _Table(rows(queues[1]), counter_ids, summed=False,
+                        width=model.n_classes)
+    else:
+        (step,) = queues
+        first = _Table(lambda s: [
+            (rate, advance(s, arg), None, counts)
+            for rate, advance, arg, counts, _ in step(s)
+        ], counter_ids)
+        second = None
     if initial is None:
         initial = () if isinstance(model, PandsQueue) else model.initial_state()
+
+    def traced(t: float, queue: int, content: Any, m: int) -> None:
+        # Rebuild the chosen move, with its outcome, for the log line.
+        tag = queues[queue](content)[m][4]
+        if tag[0] == "complete":
+            trace(t, f"complete-q{tag[1][0]}", tag[2].chain,
+                  tag[2].departing_class)
+        else:
+            trace(t, f"{tag[0]}-{tag[1]}", (), None)
+
     runs = [
-        _run_replication(moves_of, initial, cfg, _rep_rng(cfg.seed, rep),
-                         trace if rep == 0 else None)
+        _run_replication(first, second, initial, cfg, _rep_rng(cfg.seed, rep),
+                         traced if rep == 0 and trace is not None else None)
         for rep in range(cfg.replications)
     ]
     return _aggregate([occ for occ, _ in runs],
@@ -324,15 +491,14 @@ class ProtocolSimulator:
         return tuple(out)
 
 
-def _protocol_moves(sim: ProtocolSimulator) -> MovesOf:
-    """Memoized moves of the protocol, keyed by protocol state: a state's
-    held-count key, and each enabled event with the next state and outcome
-    that ``sim.apply`` returns."""
+def _protocol_rows(sim: ProtocolSimulator) -> RowsOf:
+    """The moves of the protocol from a protocol state: each enabled event
+    of ``sim.transitions``, in order, with the next state that
+    ``sim.apply`` returns and the counters its outcome adds to."""
     arrivals = [f"arrivals:{t}" for t in sim.types]
     rejections = [f"rejections:{t}" for t in sim.types]
 
-    @functools.cache
-    def moves_of(state):
+    def rows_of(state):
         out = []
         for rate, tag in sim.transitions(state):
             after, result = sim.apply(state, tag)
@@ -342,10 +508,33 @@ def _protocol_moves(sim: ProtocolSimulator) -> MovesOf:
                 counts = (arrivals[tag[1]], rejections[tag[1]])
             else:
                 counts = (arrivals[tag[1]],)
-            out.append((rate, _goto, after, counts, (*tag, result)))
-        return sim.held_counts(state), tuple(out)
+            out.append((rate, after, None, counts))
+        return out
 
-    return moves_of
+    return rows_of
+
+
+def _protocol_result(types: Sequence[str], runs: list[tuple[dict, dict]]
+                     ) -> SimResult:
+    """Aggregate protocol replications: completions first, then arrivals
+    and rejections by type, zeros included, and blocking by type."""
+    counter_reps, fraction_reps = [], []
+    for _, seen in runs:
+        counters = {}
+        if "completions" in seen:
+            counters["completions"] = seen["completions"]
+        fractions = {}
+        for t in types:
+            arrivals = counters[f"arrivals:{t}"] = seen.get(f"arrivals:{t}", 0.0)
+            rejections = counters[f"rejections:{t}"] = seen.get(
+                f"rejections:{t}", 0.0
+            )
+            fractions[f"blocking:{t}"] = (
+                rejections / arrivals if arrivals else 0.0
+            )
+        counter_reps.append(counters)
+        fraction_reps.append(fractions)
+    return _aggregate([occ for occ, _ in runs], counter_reps, fraction_reps)
 
 
 def simulate_protocol(spec: ClusterSpec, cfg: SimConfig) -> SimResult:
@@ -356,27 +545,10 @@ def simulate_protocol(spec: ClusterSpec, cfg: SimConfig) -> SimResult:
     per-type blocking fractions carry standard errors across replications.
     """
     sim = ProtocolSimulator(spec)
-    moves_of = _protocol_moves(sim)
-    occ_reps, counter_reps, fraction_reps = [], [], []
-    for rep in range(cfg.replications):
-        occupancy, seen = _run_replication(
-            moves_of, sim.start, cfg, _rep_rng(cfg.seed, rep), None
-        )
-        # The protocol reports completions first, then arrivals and
-        # rejections by type, zeros included.
-        counters = {}
-        if "completions" in seen:
-            counters["completions"] = seen["completions"]
-        fractions = {}
-        for t in sim.types:
-            arrivals = counters[f"arrivals:{t}"] = seen.get(f"arrivals:{t}", 0.0)
-            rejections = counters[f"rejections:{t}"] = seen.get(
-                f"rejections:{t}", 0.0
-            )
-            fractions[f"blocking:{t}"] = (
-                rejections / arrivals if arrivals else 0.0
-            )
-        occ_reps.append(occupancy)
-        counter_reps.append(counters)
-        fraction_reps.append(fractions)
-    return _aggregate(occ_reps, counter_reps, fraction_reps)
+    table = _Table(_protocol_rows(sim), {}, key_of=sim.held_counts)
+    runs = [
+        _run_replication(table, None, sim.start, cfg, _rep_rng(cfg.seed, rep),
+                         None)
+        for rep in range(cfg.replications)
+    ]
+    return _protocol_result(sim.types, runs)

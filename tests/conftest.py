@@ -1,13 +1,27 @@
+import functools
+import random
+from typing import Any, Callable, Hashable
+
 import pytest
 from hypothesis import settings
 
 from passandswap import (
+    DeadlockError,
     MultiServerRates,
     PandsQueue,
     RateFunction,
     SwappingGraph,
 )
-from passandswap.closed import moves
+from passandswap.closed import Move, TandemNetwork, _goto, moves
+from passandswap.sim import (
+    ProtocolSimulator,
+    SimConfig,
+    SimResult,
+    TraceFn,
+    _aggregate,
+    _protocol_result,
+    _rep_rng,
+)
 
 # Property tests draw the same examples on every run and stop after a fixed
 # number, so a failure reproduces and the suite's wall time stays bounded.
@@ -121,3 +135,149 @@ def brute_reachability_partition(states, successors):
         )
         closed.append(not leaves)
     return classes, closed
+
+
+# The reference event loop: the simulators' loop before it ran over
+# integer-indexed tables.  It recomputes nothing per event either, but
+# reads every event's moves from a memo keyed by the whole state, so it
+# stays the slow path that the indexed loop must reproduce bit for bit.
+
+# ``MovesOf`` maps a state to its occupancy key and its moves, each a
+# ``closed.Move``; the protocol's move tags are the event tag followed by
+# what ``ProtocolSimulator.apply`` reported.
+MovesOf = Callable[[Any], tuple[Hashable, tuple[Move, ...]]]
+
+
+def _run_replication(
+    moves_of: MovesOf,
+    initial: Any,
+    cfg: SimConfig,
+    rng: random.Random,
+    trace: TraceFn | None,
+) -> tuple[dict, dict]:
+    """One replication of the exponential race: time-weighted occupancy
+    fractions by key, and event counters, both in first-seen key order."""
+    occupancy: dict[Any, float] = {}
+    hits: dict[tuple[str, ...], int] = {}
+    state = initial
+    now = 0.0
+    tracked = 0.0
+
+    by_events = cfg.events is not None
+    if by_events:
+        horizon_events = cfg.events
+        warm_events = int(cfg.warmup * horizon_events)
+    else:
+        horizon_time = cfg.time
+        warm_time = cfg.warmup * horizon_time
+
+    step = 0
+    while True:
+        if by_events:
+            if step >= horizon_events:
+                break
+        elif now >= horizon_time:
+            break
+        key, moves = moves_of(state)
+        total = 0.0
+        for move in moves:
+            total += move[0]
+        if total <= 0.0:
+            raise DeadlockError(f"no enabled event in state {state!r}")
+        dt = rng.expovariate(total)
+        if by_events:
+            weight = dt if step >= warm_events else 0.0
+        else:
+            start = max(now, warm_time)
+            end = min(now + dt, horizon_time)
+            weight = max(0.0, end - start)
+        if weight > 0.0:
+            occupancy[key] = occupancy.get(key, 0.0) + weight
+            tracked += weight
+        pick = rng.random() * total
+        chosen = moves[-1]
+        acc = 0.0
+        for move in moves:
+            acc += move[0]
+            if pick < acc:
+                chosen = move
+                break
+        _, advance, arg, counts, tag = chosen
+        if (step >= warm_events) if by_events else (now >= warm_time):
+            hits[counts] = hits.get(counts, 0) + 1
+        if trace is not None:
+            if tag[0] == "complete":
+                outcome = tag[2]
+                trace(now + dt, f"complete-q{tag[1][0]}", outcome.chain,
+                      outcome.departing_class)
+            else:
+                trace(now + dt, f"{tag[0]}-{tag[1]}", (), None)
+        now += dt
+        state = advance(state, arg)
+        step += 1
+
+    if tracked > 0.0:
+        occupancy = {k: v / tracked for k, v in occupancy.items()}
+    # Counting each move's whole ``counts`` tuple at once and expanding it
+    # here keeps the counters' values and their first-seen order.
+    counters: dict[str, int] = {}
+    for counts, n in hits.items():
+        for name in counts:
+            counters[name] = counters.get(name, 0) + n
+    return occupancy, {name: float(n) for name, n in counters.items()}
+
+
+def reference_simulate(model, cfg: SimConfig, capacity=None, initial=None,
+                       trace: TraceFn | None = None) -> SimResult:
+    """``sim.simulate`` through the reference loop."""
+    step = moves(model, capacity)
+    moves_of = lambda s: (s, step(s))
+    if not isinstance(model, TandemNetwork):
+        # A single queue's state is its content, which ``moves`` leaves to
+        # its caller to memoize; a tandem's are memoized per queue content.
+        moves_of = functools.cache(moves_of)
+    if initial is None:
+        initial = () if isinstance(model, PandsQueue) else model.initial_state()
+    runs = [
+        _run_replication(moves_of, initial, cfg, _rep_rng(cfg.seed, rep),
+                         trace if rep == 0 else None)
+        for rep in range(cfg.replications)
+    ]
+    return _aggregate([occ for occ, _ in runs],
+                      [counters for _, counters in runs], [{} for _ in runs])
+
+
+def _protocol_moves(sim: ProtocolSimulator) -> MovesOf:
+    """Memoized moves of the protocol, keyed by protocol state: a state's
+    held-count key, and each enabled event with the next state and outcome
+    that ``sim.apply`` returns."""
+    arrivals = [f"arrivals:{t}" for t in sim.types]
+    rejections = [f"rejections:{t}" for t in sim.types]
+
+    @functools.cache
+    def moves_of(state):
+        out = []
+        for rate, tag in sim.transitions(state):
+            after, result = sim.apply(state, tag)
+            if tag[0] == "complete":
+                counts = ("completions",)
+            elif result == "reject":
+                counts = (arrivals[tag[1]], rejections[tag[1]])
+            else:
+                counts = (arrivals[tag[1]],)
+            out.append((rate, _goto, after, counts, (*tag, result)))
+        return sim.held_counts(state), tuple(out)
+
+    return moves_of
+
+
+def reference_simulate_protocol(spec, cfg: SimConfig) -> SimResult:
+    """``sim.simulate_protocol`` through the reference loop."""
+    sim = ProtocolSimulator(spec)
+    moves_of = _protocol_moves(sim)
+    runs = [
+        _run_replication(moves_of, sim.start, cfg, _rep_rng(cfg.seed, rep),
+                         None)
+        for rep in range(cfg.replications)
+    ]
+    return _protocol_result(sim.types, runs)

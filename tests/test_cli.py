@@ -357,6 +357,27 @@ def test_simulate_rejects_a_negative_top(capsys, model_path):
     assert doc["result"]["occupancy_top"] == []
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_simulate_rejects_a_time_horizon_it_cannot_reach(
+    capsys, model_path, value
+):
+    argv = ["simulate", model_path(TWO_CLASS_DOC), "-N", "3",
+            "--time", value]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: time must be positive and finite, got {float(value)!r}\n"
+    ))
+
+
+def test_simulate_rejects_a_non_positive_event_count(capsys, model_path):
+    argv = ["simulate", model_path(TWO_CLASS_DOC), "-N", "3",
+            "--events", "0"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", (
+        "error: events must be a positive integer, got 0\n"
+    ))
+
+
 def test_repeated_runs_are_byte_identical(capsys, model_path):
     path = model_path(TWO_CLASS_DOC)
     argv = ["analyze", path, "-N", "4", "--format", "json"]

@@ -633,3 +633,49 @@ def test_enumerate_adhering_is_the_sorted_adhering_permutations(order, data):
     )
     population = macrostate(customers, order.n_classes)
     assert enumerate_adhering(order, population) == expected
+
+
+@st.composite
+def adhering_states(draw, max_classes=5):
+    """A random loop-free swapping graph and a state holding one to three
+    customers of every class that adheres to some placement order: the
+    customers sorted by a random ranking of the classes, then shuffled by
+    adjacent swaps of classes the graph does not join."""
+    n = draw(st.integers(1, max_classes))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    graph = (SwappingGraph.from_pairs(n, edges) if edges
+             else SwappingGraph.edgeless(n))
+    rank = draw(st.permutations(range(n)))
+    population = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    state = [cls for cls in rank for _ in range(population[cls])]
+    if len(state) > 1:
+        for p in draw(st.lists(st.integers(0, len(state) - 2), max_size=40)):
+            if state[p + 1] not in graph.neighbors(state[p]):
+                state[p], state[p + 1] = state[p + 1], state[p]
+    return graph, tuple(state)
+
+
+@given(adhering_states())
+def test_closed_step_preserves_adherence_on_random_graphs(case):
+    graph, state = case
+    order = order_from_state(graph, state)
+    assert order is not None
+    for pos in range(len(state)):
+        nxt = closed_step(graph, state, pos)
+        assert adheres(nxt, order)
+        assert order_from_state(graph, nxt) == order
+
+
+@given(adhering_states(), st.data())
+def test_tandem_step_preserves_adherence_on_random_graphs(case, data):
+    graph, seq = case
+    order = order_from_state(graph, seq)
+    cut = data.draw(st.integers(0, len(seq)))
+    s = (seq[:cut], tuple(reversed(seq[cut:])))
+    assert adheres_tandem(s, order)
+    for queue in (1, 2):
+        for pos in range(len(s[queue - 1])):
+            c, d = tandem_step(graph, s, queue, pos)
+            assert adheres_tandem((c, d), order)
+            assert order_from_state(graph, c + tuple(reversed(d))) == order

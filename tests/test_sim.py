@@ -34,6 +34,25 @@ def test_config_validation():
         SimConfig(events=10, time=1.0)
     with pytest.raises(UsageError):
         SimConfig(events=10, warmup=1.0)
+    assert SimConfig(time=5).time == 5
+
+
+@pytest.mark.parametrize("horizon", [
+    {"time": float("nan")},
+    {"time": float("inf")},
+    {"time": 0.0},
+    {"time": -1.0},
+    {"events": 2.5},
+    {"events": 10.0},
+    {"events": True},
+    {"events": 0},
+    {"events": -3},
+])
+def test_config_rejects_horizons_no_run_can_reach(horizon):
+    # a NaN or infinite time would never end the event loop, and a
+    # non-integer event count has no place in a count of events
+    with pytest.raises(UsageError, match="must be (a )?positive"):
+        SimConfig(**horizon)
 
 
 def test_open_simulation_approaches_analytic(two_class_queue):

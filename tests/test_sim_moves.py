@@ -5,9 +5,10 @@ order: ``tandem_transitions`` on random bipartite and grouped clusters;
 ``closed_step`` at the positive ``increments`` of closed queues on random
 loop-free graphs; and ``open_transitions`` on open queues with random
 graphs (loops allowed) and random ``MultiServerRates``, plus exactly one
-rejection self-move per class at capacity.  The protocol's moves,
-memoized per protocol state, must replay a fresh ``ProtocolSimulator``'s
-``transitions`` and ``apply`` without changing the simulator they read;
+rejection self-move per class at capacity.  The protocol's rows in the
+simulator's indexed table must replay a fresh ``ProtocolSimulator``'s
+``transitions``, ``apply`` and ``held_counts`` without changing the
+simulator they read;
 along the same walks no buffer or waiting room overflows, an arrival
 waits or is rejected only when no released token fits it, and a
 completion reseizes only when a compatible job waits.
@@ -15,6 +16,7 @@ completion reseizes only when a compatible job waits.
 
 import random
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 from hypothesis import given
@@ -30,7 +32,7 @@ from passandswap import (
     open_transitions,
 )
 from passandswap.closed import moves, tandem_transitions
-from passandswap.sim import ProtocolSimulator, _protocol_moves
+from passandswap.sim import _SHIFT, ProtocolSimulator, _protocol_rows, _Table
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from test_macrostates import _random_bipartite, _random_grouped  # noqa: E402
@@ -192,27 +194,30 @@ def test_open_moves_equal_open_transitions_and_reject_at_capacity(
 def test_memoized_protocol_moves_replay_apply(seed, picks):
     spec = _spec("bipartite", seed)
     memo_sim = ProtocolSimulator(spec)
-    moves_of = _protocol_moves(memo_sim)
+    table = _Table(_protocol_rows(memo_sim), {}, key_of=memo_sim.held_counts)
     fresh = ProtocolSimulator(spec)
     state = fresh.start
     for pick in picks:
-        key, got = moves_of(state)
+        p = table.id(state)
+        key = table.key_names()[table.code[p] >> _SHIFT]
         assert key == fresh.held_counts(state)
-        assert [(rate, tag[:2]) for rate, _, _, _, tag in got] == (
-            fresh.transitions(state)
-        )
-        _, advance, arg, counts, tag = got[pick % len(got)]
-        after, result = fresh.apply(state, tag[:2])
-        assert tag[2] == result
-        state = advance(state, arg)
-        assert state == after
+        want = fresh.transitions(state)
+        assert table.cum[p] == tuple(accumulate(rate for rate, _ in want))
+        assert table.total[p] == table.cum[p][-1]
+        m = pick % len(want)
+        tag = want[m][1]
+        after, result = fresh.apply(state, tag)
+        assert table.next[p][m] == after
+        assert table.handed[p][m] is None
+        counts = list(table.counter_ids)[table.counter[p][m]]
+        state = after
         if tag[0] == "complete":
             assert counts == ("completions",)
         else:
             name = memo_sim.types[tag[1]]
             rejected = (f"rejections:{name}",) if result == "reject" else ()
             assert counts == (f"arrivals:{name}",) + rejected
-    # the memo reads its simulator and never changes it
+    # the rows read their simulator and never change it
     assert vars(memo_sim) == vars(fresh)
 
 
