@@ -5,19 +5,25 @@ completing customer passes over subsequent customers it cannot swap with and
 replaces the first swappable one; the ejected customer continues the same
 way, and the first ejected customer with no swappable successor leaves the
 queue.  Positions are 0-based with the queue head at 0.
+
+Both kernels walk the queue once.  The chain's positions strictly increase,
+and each ejected customer resumes the scan just past the position its swap
+took, where nothing has changed yet; so one forward loop that switches to the
+ejected class's neighbours on each swap finds the whole chain.  Backwards,
+the anchors strictly decrease for the same reason, and one backward loop
+finds them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import UsageError
 from .model import PandsQueue, RateFunction, State, SwappingGraph
 
 
-@dataclass(frozen=True, slots=True)
-class CompletionOutcome:
+class CompletionOutcome(NamedTuple):
     """Result of one service completion.
 
     ``chain`` holds the strictly increasing positions touched by the
@@ -33,24 +39,31 @@ class CompletionOutcome:
 def apply_completion(
     graph: SwappingGraph, state: State, position: int
 ) -> CompletionOutcome:
-    """Apply the completion of the customer at ``position`` in ``state``."""
+    """Apply the completion of the customer at ``position`` in ``state``.
+
+    One pass from ``position + 1`` to the tail: a swap leaves every later
+    position as it was, so the ejected customer's scan starts where the
+    swap stood, and the chain is exactly the sequence of swaps.
+    """
     n = len(state)
     if not 0 <= position < n:
         raise UsageError(
             f"position {position} out of range for a state of length {n}"
         )
+    # The neighbour sets, read once: a method call per swap would cost more
+    # than the membership tests.
+    neighbors = graph._neighbors
     cells = list(state)
-    chain = [position]
     moving = cells[position]
-    at = position
-    while True:
-        nbrs = graph.neighbors(moving)
-        nxt = next((q for q in range(at + 1, n) if cells[q] in nbrs), None)
-        if nxt is None:
-            break
-        cells[nxt], moving = moving, cells[nxt]
-        chain.append(nxt)
-        at = nxt
+    swappable = neighbors[moving]
+    chain = [position]
+    for q in range(position + 1, n):
+        c = cells[q]
+        if c in swappable:
+            cells[q] = moving
+            moving = c
+            swappable = neighbors[c]
+            chain.append(q)
     del cells[position]
     return CompletionOutcome(tuple(cells), moving, tuple(chain))
 
@@ -64,21 +77,22 @@ def predecessors(
     Built constructively: walking ``state`` from tail to head, anchor
     positions mark where each chain participant must have been standing,
     and the completing customer may be inserted anywhere between two
-    consecutive anchors.  The result is pairwise distinct and agrees with
-    exhaustively inserting a customer everywhere and replaying completions.
+    consecutive anchors.  The anchors strictly decrease and each search
+    resumes just before the previous anchor, so one backward pass finds
+    them all.  The result is pairwise distinct and agrees with exhaustively
+    inserting a customer everywhere and replaying completions.
     """
     n = len(state)
+    neighbors = graph._neighbors
     anchors: list[int] = []  # strictly decreasing 0-based anchor positions
     chain: list[int] = [departing_class]
-    limit = n
-    while True:
-        nbrs = graph.neighbors(chain[-1])
-        q = next((r for r in range(limit - 1, -1, -1) if state[r] in nbrs), None)
-        if q is None:
-            break
-        anchors.append(q)
-        chain.append(state[q])
-        limit = q
+    swappable = neighbors[departing_class]
+    for r in range(n - 1, -1, -1):
+        c = state[r]
+        if c in swappable:
+            anchors.append(r)
+            chain.append(c)
+            swappable = neighbors[c]
 
     out: list[tuple[State, int]] = []
     base = list(state)
@@ -87,10 +101,10 @@ def predecessors(
             base[anchors[v - 1]] = chain[v - 1]
         hi = n if v == 0 else anchors[v - 1]
         lo = anchors[v] + 1 if v < len(anchors) else 0
-        inserted = chain[v]
+        inserted = (chain[v],)
+        row = tuple(base)
         for slot in range(lo, hi + 1):
-            prev = tuple(base[:slot]) + (inserted,) + tuple(base[slot:])
-            out.append((prev, slot))
+            out.append((row[:slot] + inserted + row[slot:], slot))
     return tuple(out)
 
 

@@ -33,7 +33,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from math import log
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
@@ -103,11 +103,21 @@ def _aggregate(
 ) -> SimResult:
     tables: list[dict] = []
     for reps in (occ_reps, counter_reps, fraction_reps):
+        # The keys of every replication in first-seen order.  Merging dicts
+        # reuses the hashes they store, so a key is hashed only where a later
+        # replication looks it up and where the two tables take it.
+        keys: dict[Hashable, Any] = {}
+        for rep in reps:
+            keys.update(rep)
+        # Each replication's values in that order, read lazily; the first
+        # replication's keys lead it, in their own order.
+        first = reps[0]
+        columns = [chain(first.values(), repeat(0.0, len(keys) - len(first)))]
+        columns += [map(rep.get, keys, repeat(0.0)) for rep in reps[1:]]
         means: dict[Hashable, float] = {}
         errs: dict[Hashable, float] = {}
-        # dict.fromkeys keeps the first-seen key order across replications
-        for k in dict.fromkeys(k for rep in reps for k in rep):
-            means[k], errs[k] = _mean_stderr([rep.get(k, 0.0) for rep in reps])
+        for k, values in zip(keys, zip(*columns)):
+            means[k], errs[k] = _mean_stderr(values)
         tables += [means, errs]
     return SimResult(*tables, len(occ_reps))
 

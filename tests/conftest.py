@@ -6,11 +6,14 @@ import pytest
 from hypothesis import settings
 
 from passandswap import (
+    CompletionOutcome,
     DeadlockError,
     MultiServerRates,
     PandsQueue,
     RateFunction,
+    State,
     SwappingGraph,
+    UsageError,
 )
 from passandswap.closed import Move, TandemNetwork, _goto, moves
 from passandswap.sim import (
@@ -18,7 +21,7 @@ from passandswap.sim import (
     SimConfig,
     SimResult,
     TraceFn,
-    _aggregate,
+    _mean_stderr,
     _protocol_result,
     _rep_rng,
 )
@@ -92,6 +95,75 @@ def six_class_graph():
 @pytest.fixture
 def unit_rates_six():
     return UnitIncrementRates(6)
+
+
+# The reference kernels: the pass-and-swap step as it stood before it became
+# one pass over the queue.  Each chain step searches afresh with a generator,
+# from the last swap on; the one-pass kernels must agree with them exactly.
+
+
+def reference_apply_completion(
+    graph: SwappingGraph, state: State, position: int
+) -> CompletionOutcome:
+    """Apply the completion of the customer at ``position`` in ``state``."""
+    n = len(state)
+    if not 0 <= position < n:
+        raise UsageError(
+            f"position {position} out of range for a state of length {n}"
+        )
+    cells = list(state)
+    chain = [position]
+    moving = cells[position]
+    at = position
+    while True:
+        nbrs = graph.neighbors(moving)
+        nxt = next((q for q in range(at + 1, n) if cells[q] in nbrs), None)
+        if nxt is None:
+            break
+        cells[nxt], moving = moving, cells[nxt]
+        chain.append(nxt)
+        at = nxt
+    del cells[position]
+    return CompletionOutcome(tuple(cells), moving, tuple(chain))
+
+
+def reference_predecessors(
+    graph: SwappingGraph, state: State, departing_class: int
+) -> tuple[tuple[State, int], ...]:
+    """All ``(previous_state, completing_position)`` pairs whose completion
+    yields ``state`` with a departure of ``departing_class``.
+
+    Built constructively: walking ``state`` from tail to head, anchor
+    positions mark where each chain participant must have been standing,
+    and the completing customer may be inserted anywhere between two
+    consecutive anchors.  The result is pairwise distinct and agrees with
+    exhaustively inserting a customer everywhere and replaying completions.
+    """
+    n = len(state)
+    anchors: list[int] = []  # strictly decreasing 0-based anchor positions
+    chain: list[int] = [departing_class]
+    limit = n
+    while True:
+        nbrs = graph.neighbors(chain[-1])
+        q = next((r for r in range(limit - 1, -1, -1) if state[r] in nbrs), None)
+        if q is None:
+            break
+        anchors.append(q)
+        chain.append(state[q])
+        limit = q
+
+    out: list[tuple[State, int]] = []
+    base = list(state)
+    for v in range(len(anchors) + 1):
+        if v > 0:
+            base[anchors[v - 1]] = chain[v - 1]
+        hi = n if v == 0 else anchors[v - 1]
+        lo = anchors[v] + 1 if v < len(anchors) else 0
+        inserted = chain[v]
+        for slot in range(lo, hi + 1):
+            prev = tuple(base[:slot]) + (inserted,) + tuple(base[slot:])
+            out.append((prev, slot))
+    return tuple(out)
 
 
 def transition_fn(model, capacity=None):
@@ -225,6 +297,24 @@ def _run_replication(
         for name in counts:
             counters[name] = counters.get(name, 0) + n
     return occupancy, {name: float(n) for name, n in counters.items()}
+
+
+# The reference aggregation: ``sim._aggregate`` as it stood when it looked
+# every key up in every replication, one key at a time.
+
+
+def _aggregate(
+    occ_reps: list[dict], counter_reps: list[dict], fraction_reps: list[dict]
+) -> SimResult:
+    tables: list[dict] = []
+    for reps in (occ_reps, counter_reps, fraction_reps):
+        means: dict[Hashable, float] = {}
+        errs: dict[Hashable, float] = {}
+        # dict.fromkeys keeps the first-seen key order across replications
+        for k in dict.fromkeys(k for rep in reps for k in rep):
+            means[k], errs[k] = _mean_stderr([rep.get(k, 0.0) for rep in reps])
+        tables += [means, errs]
+    return SimResult(*tables, len(occ_reps))
 
 
 def reference_simulate(model, cfg: SimConfig, capacity=None, initial=None,

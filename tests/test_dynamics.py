@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from passandswap import (
+    CompletionOutcome,
     SwappingGraph,
     UsageError,
     apply_completion,
@@ -13,6 +14,7 @@ from passandswap import (
     open_transitions,
     predecessors,
 )
+from conftest import reference_apply_completion, reference_predecessors
 
 
 def b(*vals):
@@ -166,6 +168,50 @@ def test_completion_and_predecessors_on_random_graphs(case):
         back = apply_completion(graph, prev, pos)
         assert back.next_state == out.next_state
         assert back.departing_class == out.departing_class
+
+
+@st.composite
+def random_states(draw):
+    """A swapping graph on 1 to 6 classes, loops allowed, and a state of up
+    to 14 customers."""
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    graph = SwappingGraph.from_pairs(
+        n, draw(st.lists(st.sampled_from(pairs), unique=True))
+    )
+    state = tuple(draw(st.lists(st.integers(0, n - 1), max_size=14)))
+    return graph, state
+
+
+@given(random_states())
+def test_one_pass_kernels_equal_the_reference(case):
+    # Every completing position and every departing class, field by field
+    # and in order: the one-pass kernels are exact, not merely equivalent.
+    graph, state = case
+    for position in range(len(state)):
+        got = apply_completion(graph, state, position)
+        want = reference_apply_completion(graph, state, position)
+        assert got.next_state == want.next_state
+        assert got.departing_class == want.departing_class
+        assert got.chain == want.chain
+    for cls in range(graph.n_classes):
+        assert predecessors(graph, state, cls) == reference_predecessors(
+            graph, state, cls
+        )
+
+
+def test_completion_outcome_contract(path_graph):
+    # Callers read the outcome by field and ``cli trace`` prints its chain:
+    # three fields in this order, none of which can be reassigned.
+    out = apply_completion(path_graph, b(1, 3, 3, 2, 2, 3, 1, 2), 0)
+    assert CompletionOutcome._fields == (
+        "next_state", "departing_class", "chain"
+    )
+    assert tuple(out) == (out.next_state, out.departing_class, out.chain)
+    assert out == CompletionOutcome(b(3, 3, 1, 2, 2, 1, 3), 1, (0, 3, 5, 7))
+    for name in CompletionOutcome._fields:
+        with pytest.raises(AttributeError):
+            setattr(out, name, None)
 
 
 def test_open_transitions_empty_state(two_class_queue):
