@@ -415,8 +415,7 @@ def _cmd_oracle_compare(args, loaded) -> tuple[dict, list[str]]:
         analytic = _analyze(model, start, args.budget).distribution
     step = moves(model, args.capacity)
     gen = build_generator(
-        lambda s: [(advance(s, arg), rate)
-                   for rate, advance, arg, _, _ in step(s)],
+        lambda s: [(move[1], move[0]) for move in step(s)],
         start,
         budget=args.budget,
     )

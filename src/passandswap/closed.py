@@ -306,13 +306,14 @@ class TandemNetwork:
         return (), d
 
 
-def _first_served(state: TandemState, oc: CompletionOutcome) -> TandemState:
-    # A departure from the first queue joins the second queue's tail.
-    return oc.next_state, state[1] + (oc.departing_class,)
-
-
-def _second_served(state: TandemState, oc: CompletionOutcome) -> TandemState:
-    return state[0] + (oc.departing_class,), oc.next_state
+def _handoff(
+    state: TandemState, queue: int, content: State, cls: int
+) -> TandemState:
+    """``state`` after queue ``queue`` (1 or 2) takes ``content`` and hands
+    a ``cls`` customer to the other queue's tail."""
+    if queue == 1:
+        return content, state[1] + (cls,)
+    return state[0] + (cls,), content
 
 
 def tandem_step(
@@ -323,48 +324,28 @@ def tandem_step(
     if queue_index not in (1, 2):
         raise UsageError(f"queue_index must be 1 or 2, got {queue_index}")
     oc = apply_completion(graph, s[queue_index - 1], position)
-    advance = _first_served if queue_index == 1 else _second_served
-    return advance(s, oc)
+    return _handoff(s, queue_index, oc.next_state, oc.departing_class)
 
 
 def tandem_transitions(net: TandemNetwork, s: TandemState) -> list[Transition]:
     """Outgoing transitions of the tandem in ``s``, first queue first: the
     eager reference view of :func:`moves` on a tandem."""
     return [
-        Transition("completion", pos, inc, advance(s, oc), oc, queue)
-        for queue, rate_fn, advance in ((1, net.rate_fn_1, _first_served),
-                                        (2, net.rate_fn_2, _second_served))
+        Transition("completion", pos, inc,
+                   _handoff(s, queue, oc.next_state, oc.departing_class),
+                   oc, queue)
+        for queue, rate_fn in ((1, net.rate_fn_1), (2, net.rate_fn_2))
         for pos, inc, oc in completions(rate_fn, net.swapping, s[queue - 1])
     ]
 
 
-def _served(
-    rate_fn: RateFunction,
-    graph: SwappingGraph,
-    make: Callable[[State, int, float, CompletionOutcome], Any],
-) -> Callable[[State], tuple]:
-    """``make(content, position, rate, outcome)`` of each completion of
-    :func:`completions`, in that order, as a function of the content."""
-
-    def served(content: State) -> tuple:
-        return tuple(
-            make(content, pos, inc, oc)
-            for pos, inc, oc in completions(rate_fn, graph, content)
-        )
-
-    return served
-
-
-# A move is (rate, advance, arg, counts, tag).  The next state is
-# ``advance(state, arg)``, built for the chosen move only; ``counts`` names
-# the counters the move adds one to; ``tag`` is ("arrive", class, None),
-# ("reject", class, None) or ("complete", (queue, position), outcome), with
-# queue 0 for single-queue models.
-Move = tuple[float, Callable[[Any, Any], Any], Any, tuple[str, ...], tuple]
-
-
-def _goto(state: Any, next_state: Any) -> Any:
-    return next_state
+# A move is (rate, next, handed, counts, tag).  ``next`` is the next state,
+# or for a queue of a tandem its next content; ``handed`` is the class that
+# joins the other tandem queue's tail, and None everywhere else; ``counts``
+# names the counters the move adds one to; ``tag`` is ("arrive", class,
+# None), ("reject", class, None) or ("complete", (queue, position),
+# outcome), with queue 0 for single-queue models.
+Move = tuple[float, Any, int | None, tuple[str, ...], tuple]
 
 
 def queue_moves(
@@ -373,39 +354,39 @@ def queue_moves(
 ) -> tuple[Callable[[State], tuple[Move, ...]], ...]:
     """The moves of each queue of ``model`` as a function of that queue's
     content, unmemoized: one function for an open or a closed queue, whose
-    state is its content, and two for a tandem, whose completions carry
-    their ``CompletionOutcome`` as ``arg``.  :func:`moves` says what the
-    moves are."""
-    shared: dict[tuple[int, int], tuple[str, ...]] = {}
+    state is its content, and two for a tandem, whose completions give the
+    queue's next content and hand the departing class to the other queue.
+    :func:`moves` says what the moves are."""
+    if not isinstance(model, (PandsQueue, ClosedQueue, TandemNetwork)):
+        raise UsageError(f"no moves for {type(model).__name__}")
+    n = model.n_classes
+    counted = {  # the counters of a completion, by (departing, served) class
+        (dep, cls): ("completions", f"departures:{dep}", f"services:{cls}")
+        for dep in range(n) for cls in range(n)
+    }
 
-    def completion(queue: int, advance, arg):
-        def make(content, pos, rate, oc):
-            key = dep, served = oc.departing_class, content[pos]
-            if key not in shared:  # one counts tuple per such pair
-                shared[key] = (
-                    "completions", f"departures:{dep}", f"services:{served}"
-                )
-            tag = ("complete", (queue, pos), oc)
-            return rate, advance, arg(oc), shared[key], tag
-
-        return make
+    def served(rate_fn: RateFunction, queue: int,
+               after: Callable[[CompletionOutcome], State]):
+        """The completion moves of :func:`completions`, in order, as a
+        function of the content; ``after(outcome)`` is a move's next."""
+        return lambda content: tuple(
+            (inc, after(oc), oc.departing_class if queue else None,
+             counted[oc.departing_class, content[pos]],
+             ("complete", (queue, pos), oc))
+            for pos, inc, oc in completions(rate_fn, model.swapping, content)
+        )
 
     if isinstance(model, TandemNetwork):
         return (
-            _served(model.rate_fn_1, model.swapping,
-                    completion(1, _first_served, lambda oc: oc)),
-            _served(model.rate_fn_2, model.swapping,
-                    completion(2, _second_served, lambda oc: oc)),
+            served(model.rate_fn_1, 1, lambda oc: oc.next_state),
+            served(model.rate_fn_2, 2, lambda oc: oc.next_state),
         )
     if isinstance(model, ClosedQueue):
-        return (_served(model.rate_fn, model.swapping, completion(
-            0, _goto, lambda oc: oc.next_state + (oc.departing_class,))),)
-    if not isinstance(model, PandsQueue):
-        raise UsageError(f"no moves for {type(model).__name__}")
+        return (served(model.rate_fn, 0, lambda oc: (
+            oc.next_state + (oc.departing_class,))),)
     if capacity is not None and capacity < 0:
         raise UsageError("capacity must be non-negative")
-    served = _served(model.rate_fn, model.swapping,
-                     completion(0, _goto, lambda oc: oc.next_state))
+    completed = served(model.rate_fn, 0, lambda oc: oc.next_state)
     rates = tuple(enumerate(model.arrival_rates))
     arrived = [(f"arrivals:{i}",) for i, _ in rates]
     rejected = [(f"arrivals:{i}", f"rejections:{i}") for i, _ in rates]
@@ -413,10 +394,10 @@ def queue_moves(
     def open_moves(state: State) -> tuple[Move, ...]:
         full = capacity is not None and len(state) >= capacity
         return tuple(
-            (lam, _goto, state, rejected[i], ("reject", i, None)) if full
-            else (lam, _goto, state + (i,), arrived[i], ("arrive", i, None))
+            (lam, state, None, rejected[i], ("reject", i, None)) if full
+            else (lam, state + (i,), None, arrived[i], ("arrive", i, None))
             for i, lam in rates
-        ) + served(state)
+        ) + completed(state)
 
     return (open_moves,)
 
@@ -424,29 +405,36 @@ def queue_moves(
 def moves(
     model: PandsQueue | ClosedQueue | TandemNetwork,
     capacity: int | None = None,
-) -> Callable[[Any], tuple[Move, ...]]:
+) -> Callable[[Any], Sequence[Move]]:
     """The moves of ``model`` as a function of its state: for an open
     queue, one arrival per class then its completions, head first, where an
     arrival at ``capacity`` (if set) is a rejection that keeps the state;
     for a closed queue, its completions, the departing customer rejoining
     at the tail; for a tandem, its first queue's completions, then its
-    second's.
+    second's.  Each move's ``next`` is the whole next state, and its
+    ``handed`` is None.
 
-    A tandem's moves are memoized per content of each queue, which every
-    traversal meets again under many contents of the other queue.  A single
-    queue's state *is* its content, so a caller that revisits states keeps
-    its own memo.
+    A tandem's moves are built from :func:`queue_moves` memoized per
+    content of each queue, which every traversal meets again under many
+    contents of the other queue.  A single queue's state *is* its content,
+    so a caller that revisits states keeps its own memo.
     """
     queues = queue_moves(model, capacity)
     if len(queues) == 1:
         return queues[0]
     first, second = map(functools.cache, queues)
-    return lambda s: first(s[0]) + second(s[1])
+    return lambda s: [
+        (rate, _handoff(s, 1, c, cls), None, counts, tag)
+        for rate, c, cls, counts, tag in first(s[0])
+    ] + [
+        (rate, _handoff(s, 2, d, cls), None, counts, tag)
+        for rate, d, cls, counts, tag in second(s[1])
+    ]
 
 
-def _targets(step: Callable[[Any], tuple[Move, ...]]) -> Callable[[Any], list]:
+def _targets(step: Callable[[Any], Sequence[Move]]) -> Callable[[Any], list]:
     """The next state of each move of ``step``, for a class partition."""
-    return lambda s: [advance(s, arg) for _, advance, arg, _, _ in step(s)]
+    return lambda s: [move[1] for move in step(s)]
 
 
 def enumerate_adhering(
@@ -458,29 +446,28 @@ def enumerate_adhering(
     if len(population) != order.n_classes:
         raise UsageError("population length must match the class count")
     later = order.later
-    remaining = list(population)
+    total = sum(population)
     out: list[State] = []
-    stack: list[int] = []
-
-    def rec(placed: int) -> None:
-        # ``placed`` masks the classes already in ``stack``.
-        if all(k == 0 for k in remaining):
-            out.append(tuple(stack))
+    # Depth first, lower classes first, on an explicit stack of (prefix,
+    # mask of its classes, customers left per class) frames, so a long
+    # queue needs no recursion.
+    frames = [((), 0, tuple(population))]
+    while frames:
+        prefix, placed, left = frames.pop()
+        if len(prefix) == total:
+            out.append(prefix)
             if len(out) > budget:
                 raise ResourceError(
                     f"adhering state enumeration reached {len(out)} states, "
                     f"budget {budget}"
                 )
-            return
-        for cls, k in enumerate(remaining):
-            if k and not later[cls] & placed:
-                remaining[cls] -= 1
-                stack.append(cls)
-                rec(placed | 1 << cls)
-                stack.pop()
-                remaining[cls] += 1
-
-    rec(0)
+            continue
+        frames += [
+            (prefix + (cls,), placed | 1 << cls,
+             left[:cls] + (left[cls] - 1,) + left[cls + 1:])
+            for cls in reversed(range(len(left)))
+            if left[cls] and not later[cls] & placed
+        ]
     return tuple(out)
 
 

@@ -148,29 +148,34 @@ def stationary_truncated(
         )
     log_lam = [math.log(l) for l in queue.arrival_rates]
     rate = queue.rate_fn.rate
-    counts = [0] * n
-    log_weights: dict[State, float] = {}
-    order: list[State] = []
-
-    def extend(state: State, lw: float) -> None:
-        order.append(state)
-        log_weights[state] = lw
-        if len(state) == capacity:
-            return
-        for i in range(n):
-            counts[i] += 1
-            r = rate(tuple(counts))
-            if r <= 0.0:
-                counts[i] -= 1
-                raise UsageError(
-                    f"overall rate is not positive on macrostate {tuple(counts)}"
-                )
-            extend(state + (i,), lw + log_lam[i] - math.log(r))
+    counts = [0] * n  # the macrostate of the popped frame's state
+    log_weights: dict[State, float] = {(): 0.0}
+    # Depth first, children in class order, on an explicit stack of (state,
+    # log weight, class to append) frames, so a long queue needs no
+    # recursion; states are listed as each is reached.
+    frames = [((), 0.0, 0)] if capacity else []
+    while frames:
+        state, lw, i = frames.pop()
+        if i == n:  # every child done: leave the state
+            if state:
+                counts[state[-1]] -= 1
+            continue
+        frames.append((state, lw, i + 1))
+        counts[i] += 1
+        r = rate(tuple(counts))
+        if r <= 0.0:
+            raise UsageError(
+                f"overall rate is not positive on macrostate {tuple(counts)}"
+            )
+        child = state + (i,)
+        child_lw = log_weights[child] = lw + log_lam[i] - math.log(r)
+        if len(child) < capacity:
+            frames.append((child, child_lw, 0))
+        else:
             counts[i] -= 1
-
-    extend((), 0.0)
     log_z = _logsumexp(list(log_weights.values()))
-    return TruncatedDistribution(n, capacity, tuple(order), log_weights, log_z)
+    return TruncatedDistribution(n, capacity, tuple(log_weights), log_weights,
+                                 log_z)
 
 
 @dataclass(frozen=True)

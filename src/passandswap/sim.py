@@ -9,12 +9,13 @@ replications with standard errors.
 All four simulators share one event loop, :func:`_run_replication`, over
 integer-indexed tables.  A *part* is a protocol state, a single queue's
 state, or the content of one queue of a tandem.  A run gives a part an id
-the first time it visits it and reads the part's moves once, into flat
-rows: its occupancy-key id, the running sums of its move rates, and per
+the first time it visits it and reads the part's moves once, each a
+:data:`closed.Move` ``(rate, next, handed, counts, tag)``: the table keeps
+the part's occupancy-key id, the running sums of its move rates, and per
 move the next part (resolved to an id the first time the move is taken),
 the class handed to the other queue, and the counters it adds to.  The
-open, closed and tandem models read their moves from
-:func:`closed.queue_moves`, the protocol from the pure
+open, closed and tandem models' moves are those of
+:func:`closed.queue_moves`, the protocol's are built from the pure
 ``ProtocolSimulator.transitions``, ``.apply`` and ``.held_counts``.  A
 tandem's state is a pair of ids, one per queue, and a departing customer
 reaches the other queue's tail through a table of ``(id, class) -> id``; a
@@ -37,7 +38,7 @@ from itertools import accumulate, chain, repeat
 from math import log
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
-from .closed import ClosedQueue, TandemNetwork, queue_moves
+from .closed import ClosedQueue, Move, TandemNetwork, queue_moves
 from .cluster import ClusterSpec
 from .errors import CapabilityError, DeadlockError, UsageError
 from .model import PandsQueue
@@ -71,8 +72,10 @@ class SimConfig:
                              f"{self.time!r}")
         if not 0.0 <= self.warmup < 1.0:
             raise UsageError("warmup must lie in [0, 1)")
-        if self.replications < 1:
-            raise UsageError("at least one replication is required")
+        reps = self.replications
+        if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
+            raise UsageError(f"replications must be a positive integer, got "
+                             f"{reps!r}")
 
 
 @dataclass(frozen=True)
@@ -127,10 +130,6 @@ def _rep_rng(seed: int, rep: int) -> random.Random:
     return random.Random(f"{seed}/{rep}")
 
 
-# A row move is ``(rate, next part, class handed to the other queue or
-# None, counts)``, where ``counts`` names the counters the move adds one to.
-RowsOf = Callable[[Any], Sequence[tuple[float, Any, int | None, tuple[str, ...]]]]
-
 # An occupancy code holds a key id above the low bits and a second part id
 # in them.
 _SHIFT = 32
@@ -138,8 +137,8 @@ _LOW = (1 << _SHIFT) - 1
 
 
 class _Table:
-    """Flat rows of the parts of one queue, or of the protocol, that a run
-    has visited, indexed by part id.
+    """The rows of the parts of one queue, or of the protocol, that a run
+    has visited, indexed by part id: each part's moves, as given.
 
     The first table of a run keeps the running sums of each part's move
     rates and their total, to pick a move by bisection; the second keeps
@@ -151,7 +150,7 @@ class _Table:
 
     def __init__(
         self,
-        rows_of: RowsOf,
+        rows_of: Callable[[Any], Sequence[Move]],
         counter_ids: dict[tuple[str, ...], int],
         key_of: Callable[[Any], Hashable] | None = None,
         summed: bool = True,
@@ -185,7 +184,7 @@ class _Table:
             self.key_of(part), len(self.keys))
         self.code.append(kid << _SHIFT)
         rows = self.rows_of(part)
-        rates, nexts, handed, counts = zip(*rows) if rows else ((),) * 4
+        rates, nexts, handed, counts, _ = zip(*rows) if rows else ((),) * 5
         if self.summed:
             cum = tuple(accumulate(rates))
             self.cum.append(cum)
@@ -359,23 +358,11 @@ def simulate(
     queues = queue_moves(model, capacity)
     counter_ids: dict[tuple[str, ...], int] = {}
     if isinstance(model, TandemNetwork):
-        # A tandem completion's ``arg`` is its outcome: the queue keeps the
-        # outcome's next state and the departing class joins the other.
-        def rows(step):
-            return lambda content: [
-                (rate, oc.next_state, oc.departing_class, counts)
-                for rate, _, oc, counts, _ in step(content)
-            ]
-
-        first = _Table(rows(queues[0]), counter_ids, width=model.n_classes)
-        second = _Table(rows(queues[1]), counter_ids, summed=False,
+        first = _Table(queues[0], counter_ids, width=model.n_classes)
+        second = _Table(queues[1], counter_ids, summed=False,
                         width=model.n_classes)
     else:
-        (step,) = queues
-        first = _Table(lambda s: [
-            (rate, advance(s, arg), None, counts)
-            for rate, advance, arg, counts, _ in step(s)
-        ], counter_ids)
+        first = _Table(queues[0], counter_ids)
         second = None
     if initial is None:
         initial = () if isinstance(model, PandsQueue) else model.initial_state()
@@ -501,10 +488,11 @@ class ProtocolSimulator:
         return tuple(out)
 
 
-def _protocol_rows(sim: ProtocolSimulator) -> RowsOf:
+def _protocol_rows(sim: ProtocolSimulator) -> Callable[[Any], list[Move]]:
     """The moves of the protocol from a protocol state: each enabled event
     of ``sim.transitions``, in order, with the next state that
-    ``sim.apply`` returns and the counters its outcome adds to."""
+    ``sim.apply`` returns, the counters its outcome adds to, and the event
+    tag followed by that outcome."""
     arrivals = [f"arrivals:{t}" for t in sim.types]
     rejections = [f"rejections:{t}" for t in sim.types]
 
@@ -518,7 +506,7 @@ def _protocol_rows(sim: ProtocolSimulator) -> RowsOf:
                 counts = (arrivals[tag[1]], rejections[tag[1]])
             else:
                 counts = (arrivals[tag[1]],)
-            out.append((rate, after, None, counts))
+            out.append((rate, after, None, counts, (*tag, result)))
         return out
 
     return rows_of

@@ -1,6 +1,6 @@
 import functools
 import random
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Hashable, Sequence
 
 import pytest
 from hypothesis import settings
@@ -15,7 +15,7 @@ from passandswap import (
     SwappingGraph,
     UsageError,
 )
-from passandswap.closed import Move, TandemNetwork, _goto, moves
+from passandswap.closed import Move, TandemNetwork, moves
 from passandswap.sim import (
     ProtocolSimulator,
     SimConfig,
@@ -170,9 +170,7 @@ def transition_fn(model, capacity=None):
     """``state -> [(next state, rate), ...]`` of an open (truncated at
     ``capacity``), closed or tandem model, for ``build_generator``."""
     step = moves(model, capacity)
-    return lambda s: [
-        (advance(s, arg), rate) for rate, advance, arg, _, _ in step(s)
-    ]
+    return lambda s: [(move[1], move[0]) for move in step(s)]
 
 
 def brute_reachability_partition(states, successors):
@@ -217,7 +215,7 @@ def brute_reachability_partition(states, successors):
 # ``MovesOf`` maps a state to its occupancy key and its moves, each a
 # ``closed.Move``; the protocol's move tags are the event tag followed by
 # what ``ProtocolSimulator.apply`` reported.
-MovesOf = Callable[[Any], tuple[Hashable, tuple[Move, ...]]]
+MovesOf = Callable[[Any], tuple[Hashable, Sequence[Move]]]
 
 
 def _run_replication(
@@ -274,7 +272,7 @@ def _run_replication(
             if pick < acc:
                 chosen = move
                 break
-        _, advance, arg, counts, tag = chosen
+        _, after, _, counts, tag = chosen
         if (step >= warm_events) if by_events else (now >= warm_time):
             hits[counts] = hits.get(counts, 0) + 1
         if trace is not None:
@@ -285,7 +283,7 @@ def _run_replication(
             else:
                 trace(now + dt, f"{tag[0]}-{tag[1]}", (), None)
         now += dt
-        state = advance(state, arg)
+        state = after
         step += 1
 
     if tracked > 0.0:
@@ -355,7 +353,7 @@ def _protocol_moves(sim: ProtocolSimulator) -> MovesOf:
                 counts = (arrivals[tag[1]], rejections[tag[1]])
             else:
                 counts = (arrivals[tag[1]],)
-            out.append((rate, _goto, after, counts, (*tag, result)))
+            out.append((rate, after, None, counts, (*tag, result)))
         return sim.held_counts(state), tuple(out)
 
     return moves_of

@@ -396,6 +396,25 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert main(["validate", str(missing)]) == 2
 
 
+def test_long_queues_are_walked_without_recursion(capsys, model_path):
+    # one class: a state per queue length, so the walks that build the
+    # states go one step deeper per customer, far past the recursion limit
+    one_class = {"kind": "multi_server", "server_rates": [1.0],
+                 "compat": [[1]]}
+    open_doc = dict(TWO_CLASS_DOC, classes=1, arrival_rates=[0.5],
+                    rate_function=one_class)
+    code, doc = run_json(capsys,
+                         ["analyze", model_path(open_doc), "-N", "2000"])
+    assert code == 0
+    assert doc["result"]["states"] == 2001
+    closed_doc = dict(CLOSED_DOC, classes=1, rate_function=one_class,
+                      swapping_edges=[], initial_state=[1] * 1500)
+    code, doc = run_json(capsys,
+                         ["closed-analyze", model_path(closed_doc)])
+    assert code == 0
+    assert doc["result"]["states"] == 1
+
+
 def test_budget_exit_code(capsys, model_path):
     path = model_path(TWO_CLASS_DOC)
     assert main(["analyze", path, "-N", "12", "--budget", "10"]) == 3

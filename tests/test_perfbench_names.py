@@ -4,7 +4,9 @@
 renaming or deleting one of them breaks ``perfbench/run.py --trace``.  This
 installs a tracer, checks that every listed name was wrapped, and checks
 that uninstalling restores every patched attribute.  The workloads also
-read ``solve_stationary``'s ``direct_limit`` default by name.
+read ``solve_stationary``'s ``direct_limit`` default by name, and the
+kernel harness ``benchmarks/test_kernels.py`` imports private names of
+``closed``.
 """
 
 import importlib.util
@@ -12,11 +14,13 @@ import inspect
 import types
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+KERNELS = ROOT / "benchmarks" / "test_kernels.py"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -35,7 +39,7 @@ def _qualname(owner, attr) -> str:
 
 
 def test_tracer_patches_every_name_and_restores_it():
-    tracing = _load_tracing()
+    tracing = _load("perfbench_tracing", TRACING)
     tracer = tracing.Tracer()
     try:
         tracer.install()  # raises if a listed name no longer exists
@@ -63,3 +67,13 @@ def test_solve_stationary_keeps_an_integer_direct_limit():
     ].default
     assert isinstance(default, int) and not isinstance(default, bool)
     assert default > 0
+
+
+def test_kernel_harness_still_builds_its_face():
+    # ``benchmarks/test_kernels.py`` lies outside ``testpaths`` and imports
+    # private names of ``closed``; loading it and building its face input
+    # (which asserts 4,032 contents) catches a rename or a reshape of the
+    # moves it walks.
+    kernels = _load("benchmarks_test_kernels", KERNELS)
+    _, _, contents, start = kernels._face()
+    assert start in contents

@@ -34,6 +34,10 @@ def test_config_validation():
         SimConfig(events=10, time=1.0)
     with pytest.raises(UsageError):
         SimConfig(events=10, warmup=1.0)
+    # a replication count is a positive int: not a float, a string or a bool
+    for reps in (1.5, "2", True, 0):
+        with pytest.raises(UsageError, match="replications must be a positive"):
+            SimConfig(events=10, replications=reps)
     assert SimConfig(time=5).time == 5
 
 

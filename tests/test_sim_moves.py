@@ -31,7 +31,8 @@ from passandswap import (
     compile_cluster,
     open_transitions,
 )
-from passandswap.closed import moves, tandem_transitions
+from passandswap.closed import moves, queue_moves, tandem_transitions
+from passandswap.dynamics import completions
 from passandswap.sim import _SHIFT, ProtocolSimulator, _protocol_rows, _Table
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -78,8 +79,7 @@ def _walk(step, state, picks):
         got = step(state)
         if not got:
             return
-        _, advance, arg, _, _ = got[pick % len(got)]
-        state = advance(state, arg)
+        state = got[pick % len(got)][1]
 
 
 def _completion_counts(dep: int, served: int) -> tuple[str, ...]:
@@ -95,15 +95,26 @@ def test_memoized_tandem_moves_equal_tandem_transitions(kind, seed, picks):
     ct = compile_cluster(_spec(kind, seed))
     net = ct.network
     step = moves(net)
+    queues = queue_moves(net)
     for state in _walk(step, ct.initial, picks):
         got = step(state)
         want = tandem_transitions(net, state)
         assert [
-            (rate, advance(state, arg), tag[1][0], tag[1][1], tag[2])
-            for rate, advance, arg, _, tag in got
+            (rate, after, tag[1][0], tag[1][1], tag[2])
+            for rate, after, _, _, tag in got
         ] == [
             (t.rate, t.next_state, t.queue, t.index, t.outcome) for t in want
         ]
+        assert all(handed is None for _, _, handed, _, _ in got)
+        # each queue's moves give its next content and the class it hands
+        # to the other queue, as ``completions`` does
+        for k, queue in enumerate(queues):
+            assert [row[:3] for row in queue(state[k])] == [
+                (inc, oc.next_state, oc.departing_class)
+                for _, inc, oc in completions(
+                    (net.rate_fn_1, net.rate_fn_2)[k], net.swapping, state[k]
+                )
+            ]
         for (_, _, _, counts, tag), t in zip(got, want):
             served = state[t.queue - 1][t.index]
             assert tag[0] == "complete"
@@ -134,13 +145,12 @@ def test_closed_moves_follow_closed_step_and_increments(model, picks):
         assert [tag[1] for _, _, _, _, tag in got] == [
             (0, pos) for pos in positions
         ]
-        for (rate, advance, arg, counts, tag), pos in zip(got, positions):
+        for (rate, after, handed, counts, tag), pos in zip(got, positions):
             oc = tag[2]
             assert rate == incs[pos]
-            assert advance(state, arg) == closed_step(cq.swapping, state, pos)
-            assert oc.next_state + (oc.departing_class,) == (
-                advance(state, arg)
-            )
+            assert after == closed_step(cq.swapping, state, pos)
+            assert oc.next_state + (oc.departing_class,) == after
+            assert handed is None
             assert counts == _completion_counts(
                 oc.departing_class, state[pos]
             )
@@ -168,8 +178,8 @@ def test_open_moves_equal_open_transitions_and_reject_at_capacity(
         kept = [m for m in got if m[4][0] != "reject"]
         want = open_transitions(queue, state, capacity)
         assert [
-            (rate, advance(state, arg), tag[0], tag[1])
-            for rate, advance, arg, _, tag in kept
+            (rate, after, tag[0], tag[1])
+            for rate, after, _, _, tag in kept
         ] == [
             (t.rate, t.next_state,
              "arrive" if t.kind == "arrival" else "complete",
@@ -180,10 +190,10 @@ def test_open_moves_equal_open_transitions_and_reject_at_capacity(
             assert rejections == []
             continue
         assert [
-            (rate, advance(state, arg), counts, tag)
-            for rate, advance, arg, counts, tag in rejections
+            (rate, after, handed, counts, tag)
+            for rate, after, handed, counts, tag in rejections
         ] == [
-            (lam, state, (f"arrivals:{i}", f"rejections:{i}"),
+            (lam, state, None, (f"arrivals:{i}", f"rejections:{i}"),
              ("reject", i, None))
             for i, lam in enumerate(queue.arrival_rates)
         ]
