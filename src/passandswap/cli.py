@@ -151,10 +151,8 @@ def _distribution_rows(probabilities: Mapping, state_key) -> list[dict]:
 
 
 def _class_rows(partition) -> list[dict]:
-    return [
-        {"size": len(c), "closed": partition.closed[i]}
-        for i, c in enumerate(partition.classes)
-    ]
+    # Every class of an adhering space is closed: see communicating_classes.
+    return [{"size": len(c), "closed": True} for c in partition.classes]
 
 
 def _tandem_state_doc(s) -> dict:
@@ -296,7 +294,8 @@ def _cmd_classes(args, loaded) -> tuple[dict, list[str]]:
     payload = {
         "states": len(partition.states),
         "components": _class_rows(partition),
-        "transient_states": len(partition.transient_state_indices()),
+        # Every class is closed (see _class_rows), so no state is transient.
+        "transient_states": 0,
     }
     return payload, list(analysis.warnings)
 

@@ -4,10 +4,10 @@ A closed queue re-appends the departing customer at the tail; a closed
 tandem routes it to the tail of the other queue.  Both preserve *adherence*
 to a placement order (an acyclic orientation of the swapping graph together
 with its reachability relation), which partitions the reachable states.
-This module enumerates adhering state spaces, computes the product-form
-stationary distributions over them, analyzes communicating classes, and
-handles initial states that adhere to no order through a duplicate-class
-splitting construction.
+This module enumerates adhering state spaces, normalizes the product-form
+weights of :mod:`passandswap.product_form` over them, partitions them into
+communicating classes, certifies irreducibility, and handles initial states
+that adhere to no order through a duplicate-class splitting construction.
 
 :func:`moves` is the one transition interface of the open, closed and
 tandem models: the simulators, the analyses' class partitions and the
@@ -39,6 +39,7 @@ from .model import (
 from .product_form import (
     DEFAULT_STATE_BUDGET,
     _logsumexp,
+    balance_function,
     memoized_log_balance,
 )
 
@@ -539,24 +540,16 @@ def first_queue_macrostates(
 @dataclass(frozen=True)
 class ClassPartition:
     """Communicating classes of a finite transition digraph, numbered by
-    their first state, with a closed flag per class (no transition leaves
-    it)."""
+    their first state.  Every class is closed (see
+    :func:`communicating_classes`)."""
 
     states: tuple[Hashable, ...]
     labels: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
-    closed: tuple[bool, ...]
 
     @property
     def n_components(self) -> int:
         return len(self.classes)
-
-    def transient_state_indices(self) -> tuple[int, ...]:
-        return tuple(
-            idx
-            for idx, lab in enumerate(self.labels)
-            if not self.closed[lab]
-        )
 
     def component_of(self, state: Hashable) -> int:
         return self.labels[self.states.index(state)]
@@ -611,9 +604,7 @@ def communicating_classes(
             for j in members:
                 labels[j] = len(classes)
             classes.append(tuple(members))
-    return ClassPartition(
-        tuple(states), tuple(labels), tuple(classes), (True,) * len(classes)
-    )
+    return ClassPartition(tuple(states), tuple(labels), tuple(classes))
 
 
 _REDUCIBLE_WARNING = (
@@ -885,39 +876,6 @@ class MacrostateAnalysis:
     warnings: tuple[str, ...]
 
 
-def _balance_function(
-    rate_fn: RateFunction, later: Sequence[int], xs: Sequence[Macrostate]
-) -> tuple[dict[Macrostate, float], dict[Macrostate, int]]:
-    """Log balance function and content count of a queue, per macrostate.
-
-    ``later`` is the queue's :attr:`PlacementOrder.later`, or the
-    :attr:`PlacementOrder.earlier` of the order it reverses: ``later[i]``
-    masks the classes that ``i`` precedes.  ``Phi(x)`` sums the balance
-    weights of the adhering contents with macrostate ``x``.  Their last
-    customer's class ``i`` precedes no class left in ``x - e_i`` (no mask
-    holds its own class, so ``supp(x)`` stands for ``supp(x - e_i)``), so
-    ``Phi(x) = sum_i Phi(x - e_i) / mu(x)`` over those ``i``.  The same
-    recursion in integers counts the contents.  ``xs`` lists macrostates by
-    total, from zero, and holds every ``x - e_i`` the recursion reads.
-    """
-    log_phi = {xs[0]: 0.0}
-    count = {xs[0]: 1}
-    for x in xs[1:]:
-        held = sum(1 << i for i, k in enumerate(x) if k)
-        terms, total = [], 0
-        for i, k in enumerate(x):
-            if k and not later[i] & held:
-                prev = x[:i] + (k - 1,) + x[i + 1:]
-                terms.append(log_phi[prev])
-                total += count[prev]
-        r = rate_fn.rate(x)
-        if r <= 0.0:
-            raise UsageError(f"overall rate is not positive on macrostate {x}")
-        log_phi[x] = _logsumexp(terms) - math.log(r)
-        count[x] = total
-    return log_phi, count
-
-
 def _face_walk(rate_fn: RateFunction, graph: SwappingGraph,
                start: State) -> int:
     """Number of contents a closed queue reaches from ``start``: the face
@@ -943,10 +901,11 @@ def analyze_tandem_macrostates(
     + 1)`` states, the count the recursion gives at ``population``.  The
     chain is irreducible when a closed-queue walk covers one face:
 
-    1. Every state drains into each face.  :func:`_balance_function`
-       raises unless ``mu_1(x) > 0`` and ``mu_2(population - x) > 0`` on
-       every occurring macrostate, so repeated completions in the first
-       queue empty it, and so do those in the second queue.
+    1. Every state drains into each face.  The macrostate recursion
+       :func:`~passandswap.product_form.balance_function` raises unless
+       ``mu_1(x) > 0`` and ``mu_2(population - x) > 0`` on every occurring
+       macrostate, so repeated completions in the first queue empty it,
+       and so do those in the second queue.
     2. No state is transient.  The product-form measure is positive and
        balanced on the whole space, so every communicating class is closed.
     3. A one-customer round trip is a real path.  From a state with every
@@ -978,8 +937,8 @@ def analyze_tandem_macrostates(
     ys = [
         tuple(k - v for k, v in zip(net.population, x)) for x in reversed(xs)
     ]
-    log_phi1, count1 = _balance_function(net.rate_fn_1, net.order.later, xs)
-    log_phi2, count2 = _balance_function(net.rate_fn_2, net.order.earlier, ys)
+    log_phi1, count1 = balance_function(net.rate_fn_1, net.order.later, xs)
+    log_phi2, count2 = balance_function(net.rate_fn_2, net.order.earlier, ys)
     pairs = list(zip(xs, reversed(ys)))
     space = sum(count1[x] * count2[y] for x, y in pairs)
     if space > budget:

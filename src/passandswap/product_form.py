@@ -1,12 +1,15 @@
-"""Product-form stationary analysis of the open queue.
+"""Every product-form recursion of the pass-and-swap models.
 
-The unnormalized weight of a state multiplies the per-customer arrival rates
-and divides by the overall service rate of every prefix.  Renormalizing these
-weights over all states of length at most ``capacity`` gives the exact
-stationary distribution of the arrival-blocked truncation of the queue, and
-the same weights satisfy the partial balance identities checked by
-:func:`verify_partial_balance`.  Weights accumulate in log space to stay
-finite for deep truncations.
+The unnormalized weight of an open queue's state multiplies the
+per-customer arrival rates and divides by the overall service rate of every
+prefix.  Renormalizing these weights over all states of length at most
+``capacity`` gives the exact stationary distribution of the arrival-blocked
+truncation of the queue (:func:`stationary_truncated`).  The partial
+balance and flow identities are checked on that same walk, so they verify
+the weights that the analyses report.  :func:`balance_function` sums the
+balance weights of a closed queue per macrostate.  Weights accumulate in
+log space to stay finite for deep truncations, and the checks compare
+ratios of weights, so they stay in log space too.
 """
 
 from __future__ import annotations
@@ -18,14 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 from .dynamics import completions, predecessors
 from .errors import ResourceError, UsageError
-from .model import (
-    Macrostate,
-    PandsQueue,
-    RateFunction,
-    State,
-    all_states,
-    macrostate,
-)
+from .model import Macrostate, PandsQueue, RateFunction, State, macrostate
 
 DEFAULT_STATE_BUDGET = 1_000_000
 
@@ -70,24 +66,13 @@ def balance(rate_fn: RateFunction, state: Sequence[int]) -> float:
     return memoized_log_balance(rate_fn)(state)
 
 
-def _state_weights(queue: PandsQueue) -> Callable[[Sequence[int]], float]:
-    """:func:`state_weight` over ``queue``: the balance weight times the
-    arrival rate of each customer, summed in log space and memoized."""
-    log_balance = memoized_log_balance(queue.rate_fn)
-    log_lam = [math.log(l) for l in queue.arrival_rates]
-
-    def weight(state: Sequence[int]) -> float:
-        w = log_balance(state)
-        for cls in state:
-            w += log_lam[cls]
-        return math.exp(w)
-
-    return weight
-
-
 def state_weight(queue: PandsQueue, state: Sequence[int]) -> float:
-    """Unnormalized product-form measure of ``state``."""
-    return _state_weights(queue)(state)
+    """Unnormalized product-form measure of ``state``: its balance weight
+    times the arrival rate of each customer, summed in log space."""
+    w = balance(queue.rate_fn, state)
+    for cls in state:
+        w += math.log(queue.arrival_rates[cls])
+    return math.exp(w)
 
 
 def _logsumexp(values: Sequence[float]) -> float:
@@ -138,14 +123,17 @@ def stationary_truncated(
     if capacity < 0:
         raise UsageError("capacity must be non-negative")
     n = queue.n_classes
-    total_states = (
-        capacity + 1 if n == 1 else (n ** (capacity + 1) - 1) // (n - 1)
-    )
-    if total_states > budget:
-        raise ResourceError(
-            f"truncation at {capacity} needs {total_states} states, "
-            f"budget is {budget}"
-        )
+    # Count the states one length at a time, and stop once past the budget,
+    # so that a deep truncation is refused without a huge integer.
+    total_states = layer = 1
+    for _ in range(capacity):
+        layer *= n
+        total_states += layer
+        if total_states > budget:
+            raise ResourceError(
+                f"truncation at {capacity} customers needs more than "
+                f"{budget} states, the budget"
+            )
     log_lam = [math.log(l) for l in queue.arrival_rates]
     rate = queue.rate_fn.rate
     counts = [0] * n  # the macrostate of the popped frame's state
@@ -209,32 +197,35 @@ def verify_partial_balance(
     * for each class ``i``, arrival flow out of ``c`` equals the departure
       flow in over all predecessors of ``(c, i)``.
 
-    Residuals are relative.
+    The weights are those of :func:`stationary_truncated` at ``max_len +
+    1``, which holds every predecessor.  Each identity is divided by
+    ``w(c)``, so only ratios of weights leave log space and deep states
+    are checked however small their weights.  Residuals are relative.
     """
     if max_len < 1:
         raise UsageError("max_len must be at least 1")
-    w = _state_weights(queue)
-    n_cls = queue.n_classes
+    lw = stationary_truncated(queue, max_len + 1).log_weights
+    lam = queue.arrival_rates
     rate_fn = queue.rate_fn
     max_dep = 0.0
     max_arr = 0.0
     worst: tuple = ()
     checked = 0
-    for state in all_states(n_cls, max_len):
+    for state, lwc in lw.items():
+        if len(state) > max_len:
+            continue
         checked += 1
-        wc = w(state)
         if state:
-            lhs = wc * rate_fn.state_rate(state)
-            rhs = w(state[:-1]) * queue.arrival_rates[state[-1]]
+            lhs = rate_fn.state_rate(state)
+            rhs = math.exp(lw[state[:-1]] - lwc) * lam[state[-1]]
             res = _relative_residual(lhs, rhs)
             if res > max_dep:
                 max_dep, worst = res, ("departure", state)
-        for i in range(n_cls):
-            lhs = wc * queue.arrival_rates[i]
+        for i in range(queue.n_classes):
             rhs = 0.0
             for prev, pos in predecessors(queue.swapping, state, i):
-                rhs += w(prev) * rate_fn.increments(prev)[pos]
-            res = _relative_residual(lhs, rhs)
+                rhs += math.exp(lw[prev] - lwc) * rate_fn.increments(prev)[pos]
+            res = _relative_residual(lam[i], rhs)
             if res > max_arr:
                 max_arr, worst = res, ("arrival", state, i)
     return PartialBalanceReport(
@@ -301,14 +292,17 @@ def macrostate_flow_identity(
     """Largest relative gap between departure-weighted and service-weighted
     probability flow, per macrostate with the given total and per class.
 
-    Uses the unnormalized product-form measure; returns the worst gap and
+    Uses the product-form measure of :func:`stationary_truncated` relative
+    to the largest weight of length ``total``; returns the worst gap and
     the macrostate attaining it.
     """
     n = queue.n_classes
-    weight = _state_weights(queue)
+    lw = stationary_truncated(queue, total).log_weights
+    top = {s: w for s, w in lw.items() if len(s) == total}
+    m = max(top.values())
     by_macro: dict[Macrostate, tuple[list[float], list[float]]] = {}
-    for state in itertools.product(range(n), repeat=total):
-        wgt = weight(state)
+    for state, w in top.items():
+        wgt = math.exp(w - m)
         phi_d, phi_s = flow_rates(queue, state)
         key = macrostate(state, n)
         acc = by_macro.setdefault(key, ([0.0] * n, [0.0] * n))
@@ -323,3 +317,36 @@ def macrostate_flow_identity(
             if res > worst:
                 worst, arg = res, key
     return worst, arg
+
+
+def balance_function(
+    rate_fn: RateFunction, later: Sequence[int], xs: Sequence[Macrostate]
+) -> tuple[dict[Macrostate, float], dict[Macrostate, int]]:
+    """Log balance function and content count of a queue, per macrostate.
+
+    ``later`` is the queue's :attr:`PlacementOrder.later`, or the
+    :attr:`PlacementOrder.earlier` of the order it reverses: ``later[i]``
+    masks the classes that ``i`` precedes.  ``Phi(x)`` sums the balance
+    weights of the adhering contents with macrostate ``x``.  Their last
+    customer's class ``i`` precedes no class left in ``x - e_i`` (no mask
+    holds its own class, so ``supp(x)`` stands for ``supp(x - e_i)``), so
+    ``Phi(x) = sum_i Phi(x - e_i) / mu(x)`` over those ``i``.  The same
+    recursion in integers counts the contents.  ``xs`` lists macrostates by
+    total, from zero, and holds every ``x - e_i`` the recursion reads.
+    """
+    log_phi = {xs[0]: 0.0}
+    count = {xs[0]: 1}
+    for x in xs[1:]:
+        held = sum(1 << i for i, k in enumerate(x) if k)
+        terms, total = [], 0
+        for i, k in enumerate(x):
+            if k and not later[i] & held:
+                prev = x[:i] + (k - 1,) + x[i + 1:]
+                terms.append(log_phi[prev])
+                total += count[prev]
+        r = rate_fn.rate(x)
+        if r <= 0.0:
+            raise UsageError(f"overall rate is not positive on macrostate {x}")
+        log_phi[x] = _logsumexp(terms) - math.log(r)
+        count[x] = total
+    return log_phi, count

@@ -206,7 +206,7 @@ def test_a08_closed_queue_reachability_and_distribution():
         tuple(sorted(adhering)),
         lambda s: [t for t, _ in step(s)],
     )
-    single_class = partition.n_components == 1 and partition.closed == (True,)
+    single_class = partition.n_components == 1
 
     dist = analyze_closed(cq, cq.initial_state())
     uniform_gap = max(

@@ -420,6 +420,18 @@ def test_budget_exit_code(capsys, model_path):
     assert main(["analyze", path, "-N", "12", "--budget", "10"]) == 3
 
 
+def test_deep_truncations_are_refused_at_once(capsys, model_path):
+    # the states are counted one length at a time, up to the budget only
+    path = model_path(OPEN_DOC)
+    for command, capacity in [("analyze", "100000"),
+                              ("oracle-compare", "100000"),
+                              ("analyze", "1000000000")]:
+        assert main([command, path, "-N", capacity]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: truncation at {capacity} customers ")
+        assert err.endswith(" states, the budget\n") and err.count("\n") == 1
+
+
 def test_closed_budget_admits_an_exact_fit(capsys, model_path):
     # no swapping edges: all 3! = 6 orders of the three customers adhere
     path = model_path(dict(CLOSED_DOC, swapping_edges=[],

@@ -52,7 +52,6 @@ def _assert_brute_force_partition(model, states) -> None:
     classes, closed = brute_reachability_partition(states, succ)
     assert partition.classes == tuple(tuple(sorted(c)) for c in classes)
     assert all(closed)
-    assert partition.closed == (True,) * len(classes)
     assert partition.labels == tuple(
         next(k for k, c in enumerate(classes) if i in c)
         for i in range(len(states))

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from passandswap import (
     MultiServerRates,
@@ -15,12 +17,14 @@ from passandswap import (
     macrostate_flow_identity,
     solve_unique,
     stability_check,
+    state_weight,
     stationary_truncated,
     total_variation,
     verify_partial_balance,
 )
 from passandswap import product_form
 from conftest import transition_fn
+from test_sim_moves import multi_server_rates, swapping_graphs
 
 
 def test_balance_of_empty_state(two_class_rates):
@@ -93,17 +97,52 @@ def test_partial_balance_small_residual(two_class_queue, three_class_queue):
 
 
 def test_partial_balance_flags_corruption(three_class_queue, monkeypatch):
-    bad_state = (0, 1)
-    # taken before the patch, so that ``corrupted`` does not call itself
-    true_weight = product_form._state_weights(three_class_queue)
+    walk = product_form.stationary_truncated
 
-    def corrupted(state):
-        w = true_weight(state)
-        return w * 1.01 if state == bad_state else w
+    def corrupted(queue, capacity):
+        dist = walk(queue, capacity)
+        dist.log_weights[(0, 1)] += math.log(1.01)
+        return dist
 
-    monkeypatch.setattr(product_form, "_state_weights", lambda queue: corrupted)
+    monkeypatch.setattr(product_form, "stationary_truncated", corrupted)
     report = verify_partial_balance(three_class_queue, 3)
     assert report.max_residual > 1e-6
+
+
+def test_partial_balance_checks_underflowing_weights(two_class_rates,
+                                                     monkeypatch):
+    # At arrival rates of 1e-200 every weight beyond one customer is 0 in
+    # linear scale, so a check that multiplies weights would pass this
+    # missing predecessor; the ratios of weights still catch it.
+    graph = SwappingGraph.from_pairs(2, [(0, 1)])
+    queue = PandsQueue((1e-200, 1e-200), two_class_rates, graph)
+    assert verify_partial_balance(queue, 4).ok
+    found = product_form.predecessors
+
+    def one_dropped(graph, state, departing_class):
+        got = found(graph, state, departing_class)
+        return got[1:] if len(state) >= 2 else got
+
+    monkeypatch.setattr(product_form, "predecessors", one_dropped)
+    assert verify_partial_balance(queue, 4).max_residual > 1e-6
+
+
+@given(data=st.data(), n=st.integers(1, 3))
+def test_partial_balance_and_flow_identity_on_random_models(data, n):
+    rates = data.draw(multi_server_rates(n))
+    graph = data.draw(swapping_graphs(n, loops=True))
+    lam = data.draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n))
+    queue = PandsQueue(tuple(lam), rates, graph)
+    assert verify_partial_balance(queue, 4).ok
+    for total in range(1, 5):
+        assert macrostate_flow_identity(queue, total)[0] < 1e-10
+
+
+def test_state_weight_matches_the_walk(two_class_queue, three_class_queue):
+    for queue in (two_class_queue, three_class_queue):
+        for state, lw in stationary_truncated(queue, 4).log_weights.items():
+            expect = math.exp(lw)
+            assert abs(state_weight(queue, state) - expect) <= 1e-14 * expect
 
 
 def test_stability_conditions(two_class_queue):
