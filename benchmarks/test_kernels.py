@@ -12,6 +12,10 @@ it.  Two inputs:
   customers (88,573 states), the state space ``oracle-compare -N 10``
   walks.
 
+``MultiServerRates.rate`` runs on the face only, over the macrostate of
+every prefix of every content (44,352 macrostates), whose differences are
+the contents' increments.
+
 Each round runs the kernel over the whole input and returns a checksum, so
 the work is consumed inside the timed region.
 """
@@ -123,6 +127,17 @@ def test_increments(benchmark, states):
     assert _run(
         benchmark,
         lambda: sum(len(rate_fn.increments(s)) for s in contents),
+    ) > 0
+
+
+def test_rate(benchmark):
+    rate_fn, _, contents, _ = _face()
+    n = rate_fn.n_classes
+    prefixes = [macrostate(s[:k], n) for s in contents
+                for k in range(1, len(s) + 1)]
+    assert len(prefixes) == FACE_CONTENTS * 11
+    assert _run(
+        benchmark, lambda: sum(rate_fn.rate(x) for x in prefixes)
     ) > 0
 
 

@@ -10,6 +10,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import heapq
 import json
@@ -70,16 +71,13 @@ def _parse_state(text: str, n_classes: int) -> tuple[int, ...]:
     return tuple(cls - 1 for cls in state)
 
 
-def _header(args: argparse.Namespace, model_path: str | None) -> dict:
+def _header(args: argparse.Namespace) -> dict:
     flags = {
         k: v
         for k, v in sorted(vars(args).items())
         if k not in {"func", "kinds", "command"} and v is not None
     }
-    if model_path is not None:
-        digest = hashlib.sha256(Path(model_path).read_bytes()).hexdigest()
-    else:
-        digest = None
+    digest = hashlib.sha256(Path(args.model).read_bytes()).hexdigest()
     return {
         "schema": "pands-output/1",
         "tool": "passandswap",
@@ -101,8 +99,6 @@ def _emit(header: dict, payload: dict, warnings: list[str],
             out.write("\n")
         else:
             for key, value in header.items():
-                if value is None:
-                    continue
                 if isinstance(value, dict):
                     value = " ".join(f"{k}={v}" for k, v in value.items())
                 out.write(f"# {key}: {value}\n")
@@ -374,6 +370,9 @@ def _cmd_simulate(args, loaded) -> tuple[dict, list[str]]:
 
     model, start, key = _CHAINS[type(loaded)](loaded)
     if isinstance(loaded, LoadedCluster):
+        if args.trace_log:
+            raise UsageError("simulate takes --trace-log on open, closed and "
+                             "tandem models only, not on cluster models")
         result = simulate_protocol(model, cfg)
     else:
         result = simulate(model, cfg, capacity=args.capacity, initial=start,
@@ -439,6 +438,7 @@ def _cmd_oracle_compare(args, loaded) -> tuple[dict, list[str]]:
     return payload, []
 
 
+@functools.cache  # parsing leaves the parser as it was, so build it once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="passandswap",
@@ -545,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, warnings = args.func(args, _load(args))
-        _emit(_header(args, args.model), payload, warnings, args)
+        _emit(_header(args), payload, warnings, args)
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .dynamics import (
-    CompletionOutcome,
     Transition,
     apply_completion,
     completions,
@@ -332,11 +331,11 @@ def tandem_transitions(net: TandemNetwork, s: TandemState) -> list[Transition]:
     """Outgoing transitions of the tandem in ``s``, first queue first: the
     eager reference view of :func:`moves` on a tandem."""
     return [
-        Transition("completion", pos, inc,
-                   _handoff(s, queue, oc.next_state, oc.departing_class),
-                   oc, queue)
+        Transition("completion", pos, inc, _handoff(s, queue, after, cls),
+                   apply_completion(net.swapping, s[queue - 1], pos), queue)
         for queue, rate_fn in ((1, net.rate_fn_1), (2, net.rate_fn_2))
-        for pos, inc, oc in completions(rate_fn, net.swapping, s[queue - 1])
+        for pos, inc, after, cls in completions(rate_fn, net.swapping,
+                                                s[queue - 1])
     ]
 
 
@@ -345,7 +344,9 @@ def tandem_transitions(net: TandemNetwork, s: TandemState) -> list[Transition]:
 # joins the other tandem queue's tail, and None everywhere else; ``counts``
 # names the counters the move adds one to; ``tag`` is ("arrive", class,
 # None), ("reject", class, None) or ("complete", (queue, position),
-# outcome), with queue 0 for single-queue models.
+# departing class), with queue 0 for single-queue models.  A completion's
+# swap chain is left out: ``dynamics.apply_completion`` on the content and
+# position rebuilds it.
 Move = tuple[float, Any, int | None, tuple[str, ...], tuple]
 
 
@@ -366,28 +367,24 @@ def queue_moves(
         for dep in range(n) for cls in range(n)
     }
 
-    def served(rate_fn: RateFunction, queue: int,
-               after: Callable[[CompletionOutcome], State]):
+    def served(rate_fn: RateFunction, queue: int, rejoin: bool = False):
         """The completion moves of :func:`completions`, in order, as a
-        function of the content; ``after(outcome)`` is a move's next."""
-        return lambda content: tuple(
-            (inc, after(oc), oc.departing_class if queue else None,
-             counted[oc.departing_class, content[pos]],
-             ("complete", (queue, pos), oc))
-            for pos, inc, oc in completions(rate_fn, model.swapping, content)
-        )
+        function of the content; with ``rejoin`` the departing customer
+        rejoins the tail, as in a closed queue."""
+        return lambda content: tuple([
+            (inc, after + (cls,) if rejoin else after, cls if queue else None,
+             counted[cls, content[pos]], ("complete", (queue, pos), cls))
+            for pos, inc, after, cls in completions(rate_fn, model.swapping,
+                                                    content)
+        ])
 
     if isinstance(model, TandemNetwork):
-        return (
-            served(model.rate_fn_1, 1, lambda oc: oc.next_state),
-            served(model.rate_fn_2, 2, lambda oc: oc.next_state),
-        )
+        return served(model.rate_fn_1, 1), served(model.rate_fn_2, 2)
     if isinstance(model, ClosedQueue):
-        return (served(model.rate_fn, 0, lambda oc: (
-            oc.next_state + (oc.departing_class,))),)
+        return (served(model.rate_fn, 0, rejoin=True),)
     if capacity is not None and capacity < 0:
         raise UsageError("capacity must be non-negative")
-    completed = served(model.rate_fn, 0, lambda oc: oc.next_state)
+    completed = served(model.rate_fn, 0)
     rates = tuple(enumerate(model.arrival_rates))
     arrived = [(f"arrivals:{i}",) for i, _ in rates]
     rejected = [(f"arrivals:{i}", f"rejections:{i}") for i, _ in rates]

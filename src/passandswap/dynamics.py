@@ -11,7 +11,8 @@ and each ejected customer resumes the scan just past the position its swap
 took, where nothing has changed yet; so one forward loop that switches to the
 ejected class's neighbours on each swap finds the whole chain.  Backwards,
 the anchors strictly decrease for the same reason, and one backward loop
-finds them all.
+finds them all.  The move tables read :func:`completions`, which records no
+chain; :func:`apply_completion` runs the same loop and records it.
 """
 
 from __future__ import annotations
@@ -36,36 +37,37 @@ class CompletionOutcome(NamedTuple):
     chain: tuple[int, ...]
 
 
-def apply_completion(
-    graph: SwappingGraph, state: State, position: int
-) -> CompletionOutcome:
-    """Apply the completion of the customer at ``position`` in ``state``.
-
-    One pass from ``position + 1`` to the tail: a swap leaves every later
-    position as it was, so the ejected customer's scan starts where the
-    swap stood, and the chain is exactly the sequence of swaps.
-    """
-    n = len(state)
-    if not 0 <= position < n:
-        raise UsageError(
-            f"position {position} out of range for a state of length {n}"
-        )
-    # The neighbour sets, read once: a method call per swap would cost more
-    # than the membership tests.
-    neighbors = graph._neighbors
+def _complete(neighbors: tuple[frozenset[int], ...], state: State,
+              position: int, chain: list[int] | None = None
+              ) -> tuple[State, int]:
+    """Next state and departing class of the completion at ``position``,
+    in one pass to the tail (a swap leaves every later position as it was),
+    appending each swap's position to ``chain`` if given."""
     cells = list(state)
     moving = cells[position]
     swappable = neighbors[moving]
-    chain = [position]
-    for q in range(position + 1, n):
+    for q in range(position + 1, len(cells)):
         c = cells[q]
         if c in swappable:
             cells[q] = moving
             moving = c
             swappable = neighbors[c]
-            chain.append(q)
+            if chain is not None:
+                chain.append(q)
     del cells[position]
-    return CompletionOutcome(tuple(cells), moving, tuple(chain))
+    return tuple(cells), moving
+
+
+def apply_completion(
+    graph: SwappingGraph, state: State, position: int
+) -> CompletionOutcome:
+    """Apply the completion of the customer at ``position`` in ``state``."""
+    if not 0 <= position < len(state):
+        raise UsageError(f"position {position} out of range for a state of "
+                         f"length {len(state)}")
+    chain = [position]
+    next_state, departing = _complete(graph._neighbors, state, position, chain)
+    return CompletionOutcome(next_state, departing, tuple(chain))
 
 
 def predecessors(
@@ -110,18 +112,23 @@ def predecessors(
 
 def completions(
     rate_fn: RateFunction, graph: SwappingGraph, content: State
-) -> list[tuple[int, float, CompletionOutcome]]:
-    """``(position, rate, outcome)`` of every completion served at a
-    positive rate in a queue holding ``content``, head first.
+) -> list[tuple[int, float, State, int]]:
+    """``(position, rate, next_content, departing_class)`` of every
+    completion served at a positive rate in a queue holding ``content``,
+    head first.  :func:`apply_completion` at a position gives its chain.
 
     These depend on the queue's content alone, whatever surrounds the
     queue, which is what lets callers memoize them per content.
     """
-    return [
-        (pos, inc, apply_completion(graph, content, pos))
-        for pos, inc in enumerate(rate_fn.increments(content))
-        if inc > 0.0
-    ]
+    # The neighbour sets, read once: a method call per swap would cost more
+    # than the membership tests.
+    neighbors = graph._neighbors
+    out = []
+    for pos, inc in enumerate(rate_fn.increments(content)):
+        if inc > 0.0:
+            next_content, departing = _complete(neighbors, content, pos)
+            out.append((pos, inc, next_content, departing))
+    return out
 
 
 @dataclass(frozen=True)
@@ -150,6 +157,7 @@ def open_transitions(
     if capacity is None or len(state) < capacity:
         for i, lam in enumerate(queue.arrival_rates):
             out.append(Transition("arrival", i, lam, state + (i,)))
-    for pos, inc, oc in completions(queue.rate_fn, queue.swapping, state):
+    for pos, inc, _, _ in completions(queue.rate_fn, queue.swapping, state):
+        oc = apply_completion(queue.swapping, state, pos)
         out.append(Transition("completion", pos, inc, oc.next_state, oc))
     return out

@@ -170,12 +170,15 @@ class MultiServerRates(RateFunction):
     customer occupies.  The overall rate of a state is the summed rate of
     every server compatible with at least one present class, so the
     increment at position ``p`` is the rate of the servers newly activated
-    by that customer.
+    by that customer.  The summed rate of each set of servers is memoized
+    on the instance, outside its equality, hash and repr.
     """
 
     server_rates: tuple[float, ...]
     compat: tuple[frozenset[int], ...]
     _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _mask_rates: dict[int, float] = field(default_factory=dict, init=False,
+                                          repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n_servers = len(self.server_rates)
@@ -211,12 +214,17 @@ class MultiServerRates(RateFunction):
         return len(self.server_rates)
 
     def _mask_rate(self, mask: int) -> float:
-        total = 0.0
-        rates = self.server_rates
-        while mask:
-            low = mask & -mask
-            total += rates[low.bit_length() - 1]
-            mask ^= low
+        """Summed rate of the servers in ``mask``, lowest bit first."""
+        total = self._mask_rates.get(mask)
+        if total is None:
+            total = 0.0
+            rates = self.server_rates
+            rest = mask
+            while rest:
+                low = rest & -rest
+                total += rates[low.bit_length() - 1]
+                rest ^= low
+            self._mask_rates[mask] = total
         return total
 
     def rate(self, counts: Macrostate) -> float:
@@ -228,11 +236,13 @@ class MultiServerRates(RateFunction):
 
     def increments(self, state: Sequence[int]) -> tuple[float, ...]:
         masks = self._masks
+        memo = self._mask_rates
         acc = 0
         out = []
         for cls in state:
             new = masks[cls] & ~acc
-            out.append(self._mask_rate(new) if new else 0.0)
+            out.append((memo[new] if new in memo else self._mask_rate(new))
+                       if new else 0.0)
             acc |= new
         return tuple(out)
 

@@ -280,9 +280,10 @@ def flow_rates(
     n = queue.n_classes
     phi_d = [0.0] * n
     phi_s = [0.0] * n
-    for pos, inc, oc in completions(queue.rate_fn, queue.swapping, state):
+    for pos, inc, _, departing in completions(queue.rate_fn, queue.swapping,
+                                              state):
         phi_s[state[pos]] += inc
-        phi_d[oc.departing_class] += inc
+        phi_d[departing] += inc
     return tuple(phi_d), tuple(phi_s)
 
 

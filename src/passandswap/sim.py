@@ -40,6 +40,7 @@ from typing import Any, Callable, Hashable, Mapping, Sequence
 
 from .closed import ClosedQueue, Move, TandemNetwork, queue_moves
 from .cluster import ClusterSpec
+from .dynamics import apply_completion
 from .errors import CapabilityError, DeadlockError, UsageError
 from .model import PandsQueue
 
@@ -95,8 +96,6 @@ class SimResult:
 def _mean_stderr(values: Sequence[float]) -> tuple[float, float]:
     n = len(values)
     mean = sum(values) / n
-    if n == 1:
-        return mean, 0.0
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
     return mean, math.sqrt(var / n)
 
@@ -106,6 +105,11 @@ def _aggregate(
 ) -> SimResult:
     tables: list[dict] = []
     for reps in (occ_reps, counter_reps, fraction_reps):
+        if len(reps) == 1:
+            # its own mean, bit for bit as no value is -0.0, and no spread
+            tables += [{k: float(v) for k, v in reps[0].items()},
+                       dict.fromkeys(reps[0], 0.0)]
+            continue
         # The keys of every replication in first-seen order.  Merging dicts
         # reuses the hashes they store, so a key is hashed only where a later
         # replication looks it up and where the two tables take it.
@@ -368,11 +372,11 @@ def simulate(
         initial = () if isinstance(model, PandsQueue) else model.initial_state()
 
     def traced(t: float, queue: int, content: Any, m: int) -> None:
-        # Rebuild the chosen move, with its outcome, for the log line.
+        # Rebuild the chosen move, and a completion's chain, for the log line.
         tag = queues[queue](content)[m][4]
         if tag[0] == "complete":
-            trace(t, f"complete-q{tag[1][0]}", tag[2].chain,
-                  tag[2].departing_class)
+            chain = apply_completion(model.swapping, content, tag[1][1]).chain
+            trace(t, f"complete-q{tag[1][0]}", chain, tag[2])
         else:
             trace(t, f"{tag[0]}-{tag[1]}", (), None)
 

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from typing import Any, Callable, Hashable, Sequence
 
@@ -21,7 +22,6 @@ from passandswap.sim import (
     SimConfig,
     SimResult,
     TraceFn,
-    _mean_stderr,
     _protocol_result,
     _rep_rng,
 )
@@ -166,6 +166,42 @@ def reference_predecessors(
     return tuple(out)
 
 
+# The reference multi-server rates: ``MultiServerRates`` as it stood before
+# it memoized the rate of each server mask.  The memoized methods must agree
+# with these bit for bit, cold or warm.
+
+
+def _reference_mask_rate(rf: MultiServerRates, mask: int) -> float:
+    total = 0.0
+    rates = rf.server_rates
+    while mask:
+        low = mask & -mask
+        total += rates[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
+def reference_multi_server_rate(rf: MultiServerRates, counts) -> float:
+    mask = 0
+    for i, k in enumerate(counts):
+        if k:
+            mask |= rf._masks[i]
+    return _reference_mask_rate(rf, mask)
+
+
+def reference_multi_server_increments(
+    rf: MultiServerRates, state
+) -> tuple[float, ...]:
+    masks = rf._masks
+    acc = 0
+    out = []
+    for cls in state:
+        new = masks[cls] & ~acc
+        out.append(_reference_mask_rate(rf, new) if new else 0.0)
+        acc |= new
+    return tuple(out)
+
+
 def transition_fn(model, capacity=None):
     """``state -> [(next state, rate), ...]`` of an open (truncated at
     ``capacity``), closed or tandem model, for ``build_generator``."""
@@ -224,9 +260,12 @@ def _run_replication(
     cfg: SimConfig,
     rng: random.Random,
     trace: TraceFn | None,
+    graph: SwappingGraph | None = None,
 ) -> tuple[dict, dict]:
     """One replication of the exponential race: time-weighted occupancy
-    fractions by key, and event counters, both in first-seen key order."""
+    fractions by key, and event counters, both in first-seen key order.
+    ``trace`` hears of each event, a completion with its swap chain in
+    ``graph``."""
     occupancy: dict[Any, float] = {}
     hits: dict[tuple[str, ...], int] = {}
     state = initial
@@ -277,9 +316,10 @@ def _run_replication(
             hits[counts] = hits.get(counts, 0) + 1
         if trace is not None:
             if tag[0] == "complete":
-                outcome = tag[2]
-                trace(now + dt, f"complete-q{tag[1][0]}", outcome.chain,
-                      outcome.departing_class)
+                queue, pos = tag[1]
+                content = state[queue - 1] if queue else state
+                chain = reference_apply_completion(graph, content, pos).chain
+                trace(now + dt, f"complete-q{queue}", chain, tag[2])
             else:
                 trace(now + dt, f"{tag[0]}-{tag[1]}", (), None)
         now += dt
@@ -298,7 +338,17 @@ def _run_replication(
 
 
 # The reference aggregation: ``sim._aggregate`` as it stood when it looked
-# every key up in every replication, one key at a time.
+# every key up in every replication, one key at a time, and took the mean and
+# standard error of one replication as of any other number of them.
+
+
+def _mean_stderr(values: Sequence[float]) -> tuple[float, float]:
+    n = len(values)
+    mean = sum(values) / n
+    if n == 1:
+        return mean, 0.0
+    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    return mean, math.sqrt(var / n)
 
 
 def _aggregate(
@@ -328,7 +378,7 @@ def reference_simulate(model, cfg: SimConfig, capacity=None, initial=None,
         initial = () if isinstance(model, PandsQueue) else model.initial_state()
     runs = [
         _run_replication(moves_of, initial, cfg, _rep_rng(cfg.seed, rep),
-                         trace if rep == 0 else None)
+                         trace if rep == 0 else None, model.swapping)
         for rep in range(cfg.replications)
     ]
     return _aggregate([occ for occ, _ in runs],

@@ -347,6 +347,22 @@ def test_capacity_on_a_model_without_arrivals_exits_2(
     ))
 
 
+def test_simulate_rejects_a_trace_log_on_cluster_models(
+    capsys, model_path, tmp_path
+):
+    # The protocol simulator logs no events, so the flag would write an
+    # empty file; it is refused before any run, and nothing is written.
+    log = tmp_path / "tl.txt"
+    argv = ["simulate", model_path(CLUSTER_DOC), "--events", "100",
+            "--trace-log", str(log)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", (
+        "error: simulate takes --trace-log on open, closed and tandem "
+        "models only, not on cluster models\n"
+    ))
+    assert not log.exists()
+
+
 def test_simulate_rejects_a_negative_top(capsys, model_path):
     argv = ["simulate", model_path(TWO_CLASS_DOC), "-N", "2",
             "--events", "2000", "--reps", "2"]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from passandswap import (
     CompletionOutcome,
+    MultiServerRates,
     SwappingGraph,
     UsageError,
     apply_completion,
@@ -14,6 +15,7 @@ from passandswap import (
     open_transitions,
     predecessors,
 )
+from passandswap.dynamics import completions
 from conftest import reference_apply_completion, reference_predecessors
 
 
@@ -198,6 +200,33 @@ def test_one_pass_kernels_equal_the_reference(case):
         assert predecessors(graph, state, cls) == reference_predecessors(
             graph, state, cls
         )
+
+
+@st.composite
+def random_queue_contents(draw):
+    """A state of :func:`random_states` and ``MultiServerRates`` of one to
+    three servers for its classes, some compatible with none of them, so
+    that zero increments occur."""
+    graph, state = draw(random_states())
+    n_servers = draw(st.integers(1, 3))
+    rates = draw(st.lists(st.floats(0.1, 10.0), min_size=n_servers,
+                          max_size=n_servers))
+    compat = [draw(st.sets(st.integers(0, n_servers - 1)))
+              for _ in range(graph.n_classes)]
+    return MultiServerRates.build(rates, compat), graph, state
+
+
+@given(random_queue_contents())
+def test_completions_equal_apply_completion(case):
+    # ``completions`` drops the chain and keeps the rest of each positive
+    # completion, in order, as ``apply_completion`` gives it.
+    rate_fn, graph, state = case
+    want = []
+    for pos, inc in enumerate(rate_fn.increments(state)):
+        if inc > 0.0:
+            oc = apply_completion(graph, state, pos)
+            want.append((pos, inc, oc.next_state, oc.departing_class))
+    assert completions(rate_fn, graph, state) == want
 
 
 def test_completion_outcome_contract(path_graph):

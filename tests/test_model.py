@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from passandswap import (
     DomainError,
@@ -12,6 +14,10 @@ from passandswap import (
     all_states,
     macrostate,
     validate_rate_function,
+)
+from conftest import (
+    reference_multi_server_increments,
+    reference_multi_server_rate,
 )
 
 
@@ -146,6 +152,58 @@ def test_table_out_of_domain_raises():
     assert table.rate((0, 0)) == 0.0
     with pytest.raises(DomainError):
         table.rate((1, 1))
+
+
+@st.composite
+def multi_server_cases(draw):
+    """One to six servers of rates spread over six decades, so that the
+    summing order shows in the last bit, one to six classes compatible with
+    any of them, and up to five states of up to 14 customers."""
+    n_servers = draw(st.integers(1, 6))
+    rates = draw(st.lists(st.floats(1e-3, 1e3), min_size=n_servers,
+                          max_size=n_servers))
+    compat = [draw(st.sets(st.integers(0, n_servers - 1)))
+              for _ in range(draw(st.integers(1, 6)))]
+    states = draw(st.lists(
+        st.lists(st.integers(0, len(compat) - 1), max_size=14).map(tuple),
+        min_size=1, max_size=5,
+    ))
+    return rates, compat, states
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@given(multi_server_cases())
+def test_memoized_multi_server_rates_equal_the_reference(case):
+    # Bit for bit: on a fresh instance, whose memo is cold, and on one that
+    # has already seen every state, whose memo is warm.
+    rates, compat, states = case
+    warm = MultiServerRates.build(rates, compat)
+    for _ in range(2):
+        for state in states:
+            counts = macrostate(state, len(compat))
+            want_rate = reference_multi_server_rate(warm, counts)
+            want_incs = reference_multi_server_increments(warm, state)
+            cold = MultiServerRates.build(rates, compat)
+            assert _bits([cold.rate(counts)]) == _bits([want_rate])
+            cold = MultiServerRates.build(rates, compat)
+            assert _bits(cold.increments(state)) == _bits(want_incs)
+            assert _bits(warm.increments(state)) == _bits(want_incs)
+            assert _bits([warm.rate(counts)]) == _bits([want_rate])
+
+
+def test_memo_leaves_equality_hash_and_repr_alone():
+    a = MultiServerRates.build([1.0, 2.0, 4.0], [{0, 2}, {1, 2}])
+    b = MultiServerRates.build([1.0, 2.0, 4.0], [{0, 2}, {1, 2}])
+    before = repr(a)
+    a.increments((0, 1, 0))
+    a.rate((1, 1))
+    assert a._mask_rates and not b._mask_rates
+    assert a == b
+    assert hash(a) == hash(b)
+    assert repr(a) == repr(b) == before
 
 
 def test_saturation_rates():

@@ -103,15 +103,16 @@ def test_memoized_tandem_moves_equal_tandem_transitions(kind, seed, picks):
             (rate, after, tag[1][0], tag[1][1], tag[2])
             for rate, after, _, _, tag in got
         ] == [
-            (t.rate, t.next_state, t.queue, t.index, t.outcome) for t in want
+            (t.rate, t.next_state, t.queue, t.index,
+             t.outcome.departing_class) for t in want
         ]
         assert all(handed is None for _, _, handed, _, _ in got)
         # each queue's moves give its next content and the class it hands
         # to the other queue, as ``completions`` does
         for k, queue in enumerate(queues):
             assert [row[:3] for row in queue(state[k])] == [
-                (inc, oc.next_state, oc.departing_class)
-                for _, inc, oc in completions(
+                (inc, after, departing)
+                for _, inc, after, departing in completions(
                     (net.rate_fn_1, net.rate_fn_2)[k], net.swapping, state[k]
                 )
             ]
@@ -146,14 +147,12 @@ def test_closed_moves_follow_closed_step_and_increments(model, picks):
             (0, pos) for pos in positions
         ]
         for (rate, after, handed, counts, tag), pos in zip(got, positions):
-            oc = tag[2]
+            departing = tag[2]
             assert rate == incs[pos]
             assert after == closed_step(cq.swapping, state, pos)
-            assert oc.next_state + (oc.departing_class,) == after
+            assert after[-1] == departing
             assert handed is None
-            assert counts == _completion_counts(
-                oc.departing_class, state[pos]
-            )
+            assert counts == _completion_counts(departing, state[pos])
 
 
 @st.composite
