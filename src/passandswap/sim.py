@@ -106,7 +106,7 @@ def _aggregate(
     tables: list[dict] = []
     for reps in (occ_reps, counter_reps, fraction_reps):
         if len(reps) == 1:
-            # its own mean, bit for bit as no value is -0.0, and no spread
+            # one replication: its own mean (no value is -0.0), no spread
             tables += [{k: float(v) for k, v in reps[0].items()},
                        dict.fromkeys(reps[0], 0.0)]
             continue

@@ -157,8 +157,8 @@ def test_table_out_of_domain_raises():
 @st.composite
 def multi_server_cases(draw):
     """One to six servers of rates spread over six decades, so that the
-    summing order shows in the last bit, one to six classes compatible with
-    any of them, and up to five states of up to 14 customers."""
+    summing order shows in the last bit, one to six classes each compatible
+    with any subset of them, and up to five states of up to 14 customers."""
     n_servers = draw(st.integers(1, 6))
     rates = draw(st.lists(st.floats(1e-3, 1e3), min_size=n_servers,
                           max_size=n_servers))
