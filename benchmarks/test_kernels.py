@@ -18,10 +18,19 @@ the contents' increments.
 
 Each round runs the kernel over the whole input and returns a checksum, so
 the work is consumed inside the timed region.
+
+``test_cold_start`` times a fresh interpreter importing the CLI module,
+the start-up cost every command pays before it reads its model.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import passandswap
 from passandswap.closed import ClosedQueue, _face_walk, _flood, _targets, moves
 from passandswap.cluster import compile_cluster
 from passandswap.dynamics import apply_completion, completions, predecessors
@@ -146,3 +155,12 @@ def test_face_walk(benchmark):
     assert _run(
         benchmark, lambda: _face_walk(rate_fn, graph, start)
     ) == FACE_CONTENTS
+
+
+def test_cold_start(benchmark):
+    src = str(Path(passandswap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-c", "import passandswap.cli"]
+    assert _run(
+        benchmark, lambda: subprocess.run(argv, env=env).returncode
+    ) == 0

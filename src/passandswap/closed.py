@@ -11,7 +11,9 @@ that adhere to no order through a duplicate-class splitting construction.
 
 :func:`moves` is the one transition interface of the open, closed and
 tandem models: the simulators, the analyses' class partitions and the
-oracle cross-check all read their transitions from it.
+oracle cross-check all read their transitions from it.  The one reader of
+:func:`~passandswap.dynamics.completions` outside it is the irreducibility
+certificate's face walk, which needs only each move's next content.
 """
 
 from __future__ import annotations
@@ -876,9 +878,14 @@ class MacrostateAnalysis:
 def _face_walk(rate_fn: RateFunction, graph: SwappingGraph,
                start: State) -> int:
     """Number of contents a closed queue reaches from ``start``: the face
-    states that one-customer round trips through the empty queue reach."""
-    queue = ClosedQueue(rate_fn, graph, macrostate(start, graph.n_classes))
-    return len(_flood(start, _targets(moves(queue))))
+    states that one-customer round trips through the empty queue reach.
+    The walk needs only each move's next content, so it reads
+    :func:`completions` directly, the departing customer rejoining the
+    tail as in :func:`moves` on a :class:`ClosedQueue`."""
+    return len(_flood(start, lambda content: [
+        after + (cls,)
+        for _, _, after, cls in completions(rate_fn, graph, content)
+    ]))
 
 
 def analyze_tandem_macrostates(

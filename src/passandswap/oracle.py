@@ -5,6 +5,11 @@ Nothing in this module consults balance weights or any other closed-form
 expression; it only replays the transition mechanism to build the generator
 of the continuous-time Markov chain and solves it numerically, so agreement
 with the analytic distributions is a genuine cross-check.
+
+This is the only module that uses numpy and scipy, and each function loads
+them on first use rather than at import: every other answer comes from
+pure-Python recursions and walks, so the commands that never solve a
+generator start without paying for them.
 """
 
 from __future__ import annotations
@@ -13,14 +18,13 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Mapping
-
-import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping
 
 from .errors import ConvergenceError, ResourceError, UsageError
+
+if TYPE_CHECKING:
+    import numpy as np
+    import scipy.sparse as sp
 
 TransitionFn = Callable[[Any], Iterable[tuple[Any, float]]]
 
@@ -55,6 +59,8 @@ def build_generator(
     Parallel transitions between the same pair of states aggregate by rate
     summation; self-transitions cancel in the generator and are dropped.
     """
+    import numpy as np
+    import scipy.sparse as sp
     index: dict[Hashable, int] = {initial: 0}
     order: list[Hashable] = [initial]
     frontier: deque[Hashable] = deque([initial])
@@ -106,6 +112,7 @@ def _check_row_sums(matrix: sp.csr_matrix) -> None:
     """Raise unless every row of ``matrix`` sums to zero within
     ``ROW_SUM_TOL`` per unit of the row's exit rate ``|q_ii|`` (at least
     one): the rounding error of a row's sum grows with its rates."""
+    import numpy as np
     check = np.abs(np.asarray(matrix.sum(axis=1)).ravel())
     slack = ROW_SUM_TOL * np.maximum(1.0, np.abs(matrix.diagonal()))
     if (check > slack).any():
@@ -156,6 +163,8 @@ def _solve_direct(q_sub: sp.csr_matrix, fix_first: bool = False) -> np.ndarray:
     factor that meets an exactly zero pivot raises ``ConvergenceError``, and
     ``solve_stationary`` then tries again with the first state fixed.
     """
+    import numpy as np
+    import scipy.sparse.linalg as spla
     n = q_sub.shape[0]
     if n == 1:
         return np.array([1.0])
@@ -199,6 +208,9 @@ def _factor_size(q_sub: sp.csr_matrix, limit: float) -> float:
     not factor cheap.  The estimate is at least 1, so a ``limit`` of 0
     refuses every class.
     """
+    import numpy as np
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     n = q_sub.shape[0]
     if n <= _PROBE_MIN_STATES:
         return max(q_sub.nnz, n)
@@ -259,6 +271,8 @@ def _solve_uniformized(
     between the last two checkpoints projects that the floor will not be
     reached within it.
     """
+    import numpy as np
+    import scipy.sparse as sp
     n = q_sub.shape[0]
     out_rates = -q_sub.diagonal()
     top = float(out_rates.max()) if n else 0.0
@@ -299,6 +313,7 @@ def _solve_uniformized(
 
 def _residual(pi: np.ndarray, q_sub: sp.csr_matrix) -> float:
     """``max |pi Q|``, or infinity where ``pi`` is not finite."""
+    import numpy as np
     if not np.isfinite(pi).all():
         return math.inf
     return float(np.abs(pi @ q_sub).max()) if len(pi) > 1 else 0.0
@@ -330,6 +345,9 @@ def solve_stationary(
     ``residual_tol`` per unit of the class's largest exit rate ``max
     |q_ii|`` (at least one).
     """
+    import numpy as np
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
     n = g.n_states
     q = g.matrix
     adjacency = sp.csr_matrix((np.ones(q.nnz), q.indices, q.indptr), shape=(n, n))

@@ -1,7 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import passandswap
 from passandswap.cli import main
 
 
@@ -493,3 +499,72 @@ def test_structure_error_exit_code(capsys, model_path):
     }
     assert main(["tandem-analyze", model_path(doc)]) == 1
     assert "adheres to no placement order" in capsys.readouterr().err
+
+
+# Runs in a fresh interpreter: imports the package, runs the CLI on each
+# argv of sys.argv[1] in turn, and prints, as JSON, each run's exit code
+# and which of numpy and scipy were loaded after it.
+_SOLVER_GUARD = """
+import json, sys
+
+def solvers():
+    return sorted({m.partition(".")[0] for m in sys.modules}
+                  & {"numpy", "scipy"})
+
+import passandswap
+from passandswap.cli import main
+
+report = [("import", 0, solvers())]
+for argv in json.loads(sys.argv[1]):
+    report.append((argv[0], main(argv), solvers()))
+print(json.dumps(report))
+"""
+
+
+def test_only_oracle_compare_loads_numpy_and_scipy(model_path, tmp_path):
+    open_ = model_path(OPEN_DOC, "open.json")
+    two = model_path(TWO_CLASS_DOC, "two.json")
+    closed = model_path(CLOSED_DOC, "closed.json")
+    cluster = model_path(CLUSTER_DOC, "cluster.json")
+    tandem = str(tmp_path / "tandem.json")
+    out = str(tmp_path / "out.txt")
+    runs = [
+        ["validate", open_],
+        ["stability", two],
+        ["analyze", two, "-N", "4"],
+        ["trace", open_, "--state", "1,3,3,2", "--position", "1"],
+        ["closed-analyze", closed],
+        ["classes", closed],
+        ["iso", closed],
+        ["cluster-compile", cluster, "-o", tandem],
+        ["tandem-analyze", tandem],
+        ["cluster-analyze", cluster],
+        ["simulate", two, "-N", "4", "--events", "500", "--reps", "2"],
+        ["simulate", cluster, "--events", "500", "--reps", "2"],
+    ]
+    runs = [argv + ["--output", out] for argv in runs]
+    compared = tmp_path / "compare.json"
+    matrix = tmp_path / "matrix.txt"
+    runs.append(["oracle-compare", open_, "-N", "4", "--format", "json",
+                 "--output", str(compared), "--dump-matrix", str(matrix)])
+    src = str(Path(passandswap.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _SOLVER_GUARD, json.dumps(runs)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+    )
+    report = json.loads(done.stdout)
+    *before, last = report
+    assert before == [
+        [name, 0, []] for name in ["import"] + [argv[0] for argv in runs[:-1]]
+    ]
+    assert last == ["oracle-compare", 0, ["numpy", "scipy"]]
+    golden = json.loads(
+        (Path(__file__).resolve().parent / "golden" / "cli.json").read_text()
+    )["oracle-compare/open"]
+    doc = json.loads(compared.read_text())
+    assert doc["result"] == golden["result"]
+    assert doc["warnings"] == golden["warnings"]
+    assert hashlib.sha256(matrix.read_bytes()).hexdigest() == (
+        golden["matrix_sha256"]
+    )
