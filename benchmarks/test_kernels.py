@@ -19,13 +19,23 @@ the contents' increments.
 Each round runs the kernel over the whole input and returns a checksum, so
 the work is consumed inside the timed region.
 
+``test_face_walk_against_reference`` times ``_face_walk`` against the
+flood it replaced, ``_flood`` over ``dynamics.completions`` with the
+departing class rejoining the tail, in alternating rounds of one process,
+so the two sides share the process's noise.  Each benchmark round is one
+pair, the two orders taking turns; the medians of each side and their
+ratio (walk over reference) go to the benchmark's ``extra_info``, which
+``--benchmark-json`` writes out.
+
 ``test_cold_start`` times a fresh interpreter importing the CLI module,
 the start-up cost every command pays before it reads its model.
 """
 
 import os
+import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -38,6 +48,7 @@ from passandswap.model import all_states, macrostate
 from passandswap.modelfile import parse_document
 
 ROUNDS = 5
+AB_ROUNDS = 15  # alternating pairs of the face walk's A/B
 
 # The (2,2,2|2,2,1) rung of the bipartite family at its base rates.
 CLUSTER_DOC = {
@@ -153,8 +164,43 @@ def test_rate(benchmark):
 def test_face_walk(benchmark):
     rate_fn, graph, _, start = _face()
     assert _run(
-        benchmark, lambda: _face_walk(rate_fn, graph, start)
+        benchmark, lambda: len(_face_walk(rate_fn, graph, start))
     ) == FACE_CONTENTS
+
+
+def _reference_face_walk(rate_fn, graph, start):
+    return _flood(start, lambda content: [
+        after + (cls,)
+        for _, _, after, cls in completions(rate_fn, graph, content)
+    ])
+
+
+def test_face_walk_against_reference(benchmark):
+    rate_fn, graph, _, start = _face()
+    sides = {
+        "reference": lambda: _reference_face_walk(rate_fn, graph, start),
+        "walk": lambda: _face_walk(rate_fn, graph, start),
+    }
+    # Runs each side once before timing, as a warm-up.
+    assert sides["walk"]() == sides["reference"]()
+    times = {name: [] for name in sides}
+
+    def pair():
+        order = list(sides)
+        for name in order if len(times["walk"]) % 2 else order[::-1]:
+            start_s = time.perf_counter()
+            contents = sides[name]()
+            times[name].append(time.perf_counter() - start_s)
+        return len(contents)
+
+    assert benchmark.pedantic(pair, rounds=AB_ROUNDS) == FACE_CONTENTS
+    medians = {name: statistics.median(t) for name, t in times.items()}
+    benchmark.extra_info.update(
+        pairs=len(times["walk"]),
+        reference_median_s=medians["reference"],
+        walk_median_s=medians["walk"],
+        ratio=medians["walk"] / medians["reference"],
+    )
 
 
 def test_cold_start(benchmark):

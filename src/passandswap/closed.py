@@ -11,9 +11,9 @@ that adhere to no order through a duplicate-class splitting construction.
 
 :func:`moves` is the one transition interface of the open, closed and
 tandem models: the simulators, the analyses' class partitions and the
-oracle cross-check all read their transitions from it.  The one reader of
-:func:`~passandswap.dynamics.completions` outside it is the irreducibility
-certificate's face walk, which needs only each move's next content.
+oracle cross-check all read their transitions from it.  The one walk
+outside it is the irreducibility certificate's face walk, which needs only
+each move's next content and follows each completion's chain itself.
 """
 
 from __future__ import annotations
@@ -876,16 +876,45 @@ class MacrostateAnalysis:
 
 
 def _face_walk(rate_fn: RateFunction, graph: SwappingGraph,
-               start: State) -> int:
-    """Number of contents a closed queue reaches from ``start``: the face
-    states that one-customer round trips through the empty queue reach.
-    The walk needs only each move's next content, so it reads
-    :func:`completions` directly, the departing customer rejoining the
-    tail as in :func:`moves` on a :class:`ClosedQueue`."""
-    return len(_flood(start, lambda content: [
-        after + (cls,)
-        for _, _, after, cls in completions(rate_fn, graph, content)
-    ]))
+               start: State) -> set[State]:
+    """The contents a closed queue reaches from ``start``: the face states
+    that one-customer round trips through the empty queue reach.
+
+    The walk needs only each completion's next content, the departing
+    customer rejoining the tail as in :func:`moves` on a
+    :class:`ClosedQueue`, so it computes no rate.  It takes the completing
+    positions from :meth:`RateFunction.served_positions`, exactly those of
+    a positive increment (a multi-server family reads them from its server
+    masks), and follows each chain as
+    :func:`~passandswap.dynamics.completions` does, on one copy of the
+    content, appending the departing class in place.
+    """
+    neighbors = graph._neighbors
+    served = rate_fn.served_positions
+    seen = {start}
+    stack = [start]
+    while stack:
+        content = stack.pop()
+        n = len(content)
+        for pos in served(content):
+            cells = list(content)
+            moving = cells[pos]
+            swappable = neighbors[moving]
+            for q in range(pos + 1, n):
+                c = cells[q]
+                if c in swappable:
+                    cells[q] = moving
+                    moving = c
+                    swappable = neighbors[c]
+            del cells[pos]
+            cells.append(moving)
+            after = tuple(cells)
+            # one hash per successor: the set grows only when it is new
+            size = len(seen)
+            seen.add(after)
+            if len(seen) > size:
+                stack.append(after)
+    return seen
 
 
 def analyze_tandem_macrostates(
@@ -952,8 +981,9 @@ def analyze_tandem_macrostates(
     face = net.initial_state()[1]  # every token in the second queue
     full = net.population
     if not (
-        _face_walk(net.rate_fn_2, net.swapping, face) == count2[full]
-        or _face_walk(net.rate_fn_1, net.swapping, face[::-1]) == count1[full]
+        len(_face_walk(net.rate_fn_2, net.swapping, face)) == count2[full]
+        or len(_face_walk(net.rate_fn_1, net.swapping, face[::-1]))
+        == count1[full]
     ):
         micro = analyze_tandem(net, initial, budget)
         if micro.partition.n_components > 1:

@@ -154,6 +154,14 @@ class RateFunction(ABC):
             prev = cur
         return tuple(out)
 
+    def served_positions(self, state: Sequence[int]) -> list[int]:
+        """Positions of ``state`` served at a positive rate, head first:
+        those whose :meth:`increments` entry is positive.  A family that
+        can tell which positions are served without computing the rates
+        overrides this; the closed-queue face walk of ``cluster-analyze``
+        reads it for the completions it follows."""
+        return [p for p, inc in enumerate(self.increments(state)) if inc > 0.0]
+
     def saturation_rate(self, classes: Iterable[int]) -> float:
         """Limiting overall rate when the given classes grow without bound."""
         raise CapabilityError(
@@ -177,14 +185,17 @@ class MultiServerRates(RateFunction):
     server_rates: tuple[float, ...]
     compat: tuple[frozenset[int], ...]
     _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _usable: int = field(init=False, repr=False, compare=False)
     _mask_rates: dict[int, float] = field(default_factory=dict, init=False,
                                           repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n_servers = len(self.server_rates)
-        if any(r <= 0.0 for r in self.server_rates):
+        # ``not r > 0.0`` also refuses NaN, whose increments compare false.
+        if any(not r > 0.0 for r in self.server_rates):
             raise UsageError("server rates must be strictly positive")
         masks = []
+        usable = 0  # the servers some class can use
         for servers in self.compat:
             m = 0
             for s in servers:
@@ -192,7 +203,9 @@ class MultiServerRates(RateFunction):
                     raise UsageError(f"server id {s} out of range")
                 m |= 1 << s
             masks.append(m)
+            usable |= m
         object.__setattr__(self, "_masks", tuple(masks))
+        object.__setattr__(self, "_usable", usable)
 
     @classmethod
     def build(
@@ -245,6 +258,24 @@ class MultiServerRates(RateFunction):
                        if new else 0.0)
             acc |= new
         return tuple(out)
+
+    def served_positions(self, state: Sequence[int]) -> list[int]:
+        """Positions whose class's mask adds a server not yet active.  Every
+        server rate is positive, so these are exactly the positions of a
+        positive increment, found without a float or a memo lookup.  Once
+        every usable server is active, no later position is served."""
+        masks = self._masks
+        usable = self._usable
+        acc = 0
+        out = []
+        for p, cls in enumerate(state):
+            mask = masks[cls]
+            if mask | acc != acc:
+                out.append(p)
+                acc |= mask
+                if acc == usable:
+                    break
+        return out
 
     def saturation_rate(self, classes: Iterable[int]) -> float:
         mask = 0

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from passandswap import (
     macrostate,
     validate_rate_function,
 )
+from passandswap.model import _MAX_PERMUTATIONS
 from conftest import (
     reference_multi_server_increments,
     reference_multi_server_rate,
@@ -128,6 +130,52 @@ def test_validate_flags_order_dependence():
     assert "order-independence" in kinds
 
 
+# From five customers on, a macrostate has more arrangements than
+# ``validate_rate_function`` tries, so it tries a seeded sample of them.
+_SAMPLED_TOTAL = 5
+
+
+def test_validate_samples_arrangements_of_large_macrostates(
+    three_class_rates,
+):
+    assert math.factorial(_SAMPLED_TOTAL) > _MAX_PERMUTATIONS
+    report = validate_rate_function(three_class_rates, _SAMPLED_TOTAL)
+    assert report.ok
+    assert report.violations == ()
+    # every non-empty macrostate of three classes up to five customers
+    assert report.checked_macrostates == math.comb(_SAMPLED_TOTAL + 3, 3) - 1
+
+
+class _HeadDependentRates(RateFunction):
+    """Deliberately broken: a class-1 customer at the head of a queue that
+    also holds class 0 adds 0.5."""
+
+    n_classes = 2
+
+    def rate(self, counts):
+        return float(sum(counts))
+
+    def state_rate(self, state):
+        bonus = 0.5 if state[0] == 1 and 0 in state else 0.0
+        return self.rate(macrostate(state, 2)) + bonus
+
+
+def test_validate_sampling_flags_order_dependence():
+    report = validate_rate_function(_HeadDependentRates(), _SAMPLED_TOTAL)
+    sampled = [
+        v for v in report.violations
+        if v.kind == "order-independence"
+        and len(v.witness[0]) == _SAMPLED_TOTAL
+    ]
+    assert not report.ok
+    # each mixed macrostate of five customers, found among its samples:
+    # the base arrangement puts class 0 first, a flagged sample class 1
+    assert sorted(v.witness[0] for v in sampled) == [
+        (0, 0, 0, 0, 1), (0, 0, 0, 1, 1), (0, 0, 1, 1, 1), (0, 1, 1, 1, 1),
+    ]
+    assert all(v.witness[1][0] == 1 for v in sampled)
+
+
 def test_validate_flags_zero_rate_table():
     table = TableRates.build(1, {(1,): 0.0, (2,): 1.0})
     report = validate_rate_function(table, 2)
@@ -211,3 +259,10 @@ def test_saturation_rates():
     assert rf.saturation_rate({0}) == pytest.approx(5.0)
     assert rf.saturation_rate({1}) == pytest.approx(6.0)
     assert rf.saturation_rate({0, 1}) == pytest.approx(7.0)
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("nan")])
+def test_server_rates_must_be_positive(rate):
+    # A NaN rate would make every increment it enters compare false to 0.
+    with pytest.raises(UsageError, match="must be strictly positive"):
+        MultiServerRates.build([1.0, rate], [[0], [1]])

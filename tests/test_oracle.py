@@ -460,6 +460,35 @@ def test_uniformization_stops_where_the_residual_stops_falling(
     ) < 1e-10
 
 
+def test_uniformization_budget_runs_out_before_any_projection(
+    two_class_queue,
+):
+    # A budget of one checkpoint interval leaves one residual and no
+    # contraction to project from, so the iteration ends by spending it.
+    gen = build_generator(transition_fn(two_class_queue, 5), ())
+    pi, history = oracle._solve_uniformized(
+        gen.matrix, RESIDUAL_TOL, oracle._CHECKPOINT
+    )
+    assert pi is None
+    assert len(history) == 1
+    assert history[0] > oracle._FLOOR_MULTIPLE * EPS * max(
+        1.0, np.abs(gen.matrix.diagonal()).max()
+    )
+    # Without a budget the same class converges.
+    pi, _ = oracle._solve_uniformized(gen.matrix, RESIDUAL_TOL)
+    assert pi is not None
+
+
+def test_uniformization_without_a_budget_raises_past_its_limit(
+    monkeypatch, two_class_queue,
+):
+    monkeypatch.setattr(oracle, "_MAX_ITERATIONS", oracle._CHECKPOINT)
+    gen = build_generator(transition_fn(two_class_queue, 5), ())
+    with pytest.raises(ConvergenceError, match="failed to converge; "
+                       "residual history tail"):
+        oracle._solve_uniformized(gen.matrix, RESIDUAL_TOL)
+
+
 def _bipartite_doc(buffers):
     """The bipartite cluster family of the benchmark's ladder: three job
     types with two waiting slots each, machine buffers ``buffers``."""

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from passandswap import sim
 from passandswap import (
     ClosedQueue,
     ClusterSpec,
@@ -125,6 +128,39 @@ def test_zero_rate_closed_state_deadlocks():
     cq = ClosedQueue(table, g, (1,), PlacementOrder(1, frozenset()))
     with pytest.raises(DeadlockError):
         simulate(cq, SimConfig(events=10, replications=1))
+
+
+class _PickAtTheTotal(random.Random):
+    """Draws 0.5 for each holding time and 1.0 for each move pick, which
+    puts the pick at the total rate, past every running sum."""
+
+    def __init__(self):
+        super().__init__(0)
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return 0.5 if self.draws % 2 else 1.0
+
+
+def test_pick_at_the_total_takes_the_last_move(monkeypatch):
+    # A single-queue model has no second queue to fall through to: the
+    # event loop takes the last move rather than indexing past it.
+    g = SwappingGraph.edgeless(2)
+    cq = ClosedQueue(UnitIncrementRates(2), g, (1, 1),
+                     PlacementOrder(2, frozenset()))
+    monkeypatch.setattr(sim, "_rep_rng", lambda seed, rep: _PickAtTheTotal())
+    events = []
+    res = simulate(cq, SimConfig(events=2, warmup=0.0, replications=1),
+                   initial=(0, 1),
+                   trace=lambda t, kind, chain, dep: events.append(
+                       (kind, chain, dep)))
+    # the tail customer completes and rejoins the tail, twice
+    assert events == [("complete-q0", (1,), 1)] * 2
+    assert res.counters == {
+        "completions": 2.0, "departures:1": 2.0, "services:1": 2.0,
+    }
+    assert res.occupancy == {(0, 1): 1.0}
 
 
 def test_protocol_blocking_and_occupancy_for_silent_type():
