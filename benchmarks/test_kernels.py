@@ -19,13 +19,19 @@ the contents' increments.
 Each round runs the kernel over the whole input and returns a checksum, so
 the work is consumed inside the timed region.
 
-``test_face_walk_against_reference`` times ``_face_walk`` against the
-flood it replaced, ``_flood`` over ``dynamics.completions`` with the
-departing class rejoining the tail, in alternating rounds of one process,
-so the two sides share the process's noise.  Each benchmark round is one
-pair, the two orders taking turns; the medians of each side and their
-ratio (walk over reference) go to the benchmark's ``extra_info``, which
-``--benchmark-json`` writes out.
+Two tests time a kernel against the route it replaced, in alternating
+rounds of one process, so the two sides share the process's noise.  Each
+benchmark round is one pair, the two orders taking turns; the medians of
+each side and their ratio (new over reference) go to the benchmark's
+``extra_info``, which ``--benchmark-json`` writes out:
+
+* ``test_face_walk_against_reference``: ``_face_walk`` against the flood it
+  replaced, ``_flood`` over ``dynamics.completions`` with the departing
+  class rejoining the tail;
+* ``test_build_generator_against_reference``: ``oracle.build_generator``
+  over ``closed.successors`` against the route it replaced, the whole-state
+  move rows of ``tests/conftest.py`` through an adapter into the reference
+  build there, on the open10 chain.
 
 ``test_cold_start`` times a fresh interpreter importing the CLI module,
 the start-up cost every command pays before it reads its model.
@@ -41,14 +47,19 @@ from pathlib import Path
 import pytest
 
 import passandswap
-from passandswap.closed import ClosedQueue, _face_walk, _flood, _targets, moves
+from passandswap.closed import ClosedQueue, _face_walk, _flood, successors
 from passandswap.cluster import compile_cluster
 from passandswap.dynamics import apply_completion, completions, predecessors
 from passandswap.model import all_states, macrostate
 from passandswap.modelfile import parse_document
+from passandswap.oracle import build_generator
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from conftest import reference_build_generator, transition_fn  # noqa: E402
 
 ROUNDS = 5
 AB_ROUNDS = 15  # alternating pairs of the face walk's A/B
+GENERATOR_AB_ROUNDS = 9  # and of the generator build's, 1.5-2 s a pair
 
 # The (2,2,2|2,2,1) rung of the bipartite family at its base rates.
 CLUSTER_DOC = {
@@ -87,7 +98,8 @@ def _face():
     start = net.initial_state()[1]  # every token in the second queue
     queue = ClosedQueue(net.rate_fn_2, net.swapping,
                         macrostate(start, net.n_classes))
-    contents = sorted(_flood(start, _targets(moves(queue))))
+    step = successors(queue)
+    contents = sorted(_flood(start, lambda c: [t for t, _ in step(c)]))
     assert len(contents) == FACE_CONTENTS
     return net.rate_fn_2, net.swapping, contents, start
 
@@ -175,32 +187,56 @@ def _reference_face_walk(rate_fn, graph, start):
     ])
 
 
-def test_face_walk_against_reference(benchmark):
-    rate_fn, graph, _, start = _face()
-    sides = {
-        "reference": lambda: _reference_face_walk(rate_fn, graph, start),
-        "walk": lambda: _face_walk(rate_fn, graph, start),
-    }
-    # Runs each side once before timing, as a warm-up.
-    assert sides["walk"]() == sides["reference"]()
-    times = {name: [] for name in sides}
+def _against_reference(benchmark, name, new, reference, rounds, size):
+    """Time ``new``, named ``name`` in ``extra_info``, against
+    ``reference`` in ``rounds`` alternating pairs; each pair returns
+    ``size`` of its last side's result."""
+    sides = {"reference": reference, name: new}
+    times = {side: [] for side in sides}
 
     def pair():
         order = list(sides)
-        for name in order if len(times["walk"]) % 2 else order[::-1]:
+        for side in order if len(times[name]) % 2 else order[::-1]:
             start_s = time.perf_counter()
-            contents = sides[name]()
-            times[name].append(time.perf_counter() - start_s)
-        return len(contents)
+            result = sides[side]()
+            times[side].append(time.perf_counter() - start_s)
+        return size(result)
 
-    assert benchmark.pedantic(pair, rounds=AB_ROUNDS) == FACE_CONTENTS
-    medians = {name: statistics.median(t) for name, t in times.items()}
+    out = benchmark.pedantic(pair, rounds=rounds)
+    medians = {side: statistics.median(t) for side, t in times.items()}
     benchmark.extra_info.update(
-        pairs=len(times["walk"]),
+        pairs=len(times[name]),
         reference_median_s=medians["reference"],
-        walk_median_s=medians["walk"],
-        ratio=medians["walk"] / medians["reference"],
+        **{f"{name}_median_s": medians[name]},
+        ratio=medians[name] / medians["reference"],
     )
+    return out
+
+
+def test_face_walk_against_reference(benchmark):
+    rate_fn, graph, _, start = _face()
+    reference = lambda: _reference_face_walk(rate_fn, graph, start)
+    walk = lambda: _face_walk(rate_fn, graph, start)
+    # Runs each side once before timing, as a warm-up.
+    assert walk() == reference()
+    assert _against_reference(
+        benchmark, "walk", walk, reference, AB_ROUNDS, len
+    ) == FACE_CONTENTS
+
+
+def test_build_generator_against_reference(benchmark):
+    queue = parse_document(OPEN_DOC).queue
+    reference = lambda: reference_build_generator(
+        transition_fn(queue, OPEN_CAPACITY), ())
+    build = lambda: build_generator(successors(queue, OPEN_CAPACITY), ())
+    # Runs each side once before timing, as a warm-up.
+    got, want = build(), reference()
+    assert got.states == want.states
+    assert (got.matrix != want.matrix).nnz == 0
+    assert _against_reference(
+        benchmark, "build", build, reference, GENERATOR_AB_ROUNDS,
+        lambda g: g.n_states,
+    ) == OPEN_STATES
 
 
 def test_cold_start(benchmark):

@@ -69,8 +69,8 @@ from .closed import (
     enumerate_sigma,
     first_queue_macrostates,
     isomorphic_model,
-    moves,
     order_from_state,
+    successors,
     tandem_step,
     tandem_transitions,
 )

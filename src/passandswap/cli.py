@@ -25,7 +25,7 @@ from .closed import (
     analyze_tandem,
     analyze_tandem_macrostates,
     isomorphic_model,
-    moves,
+    successors,
 )
 from .cluster import compile_cluster, macrostate_metrics
 from .dynamics import apply_completion
@@ -411,12 +411,8 @@ def _cmd_oracle_compare(args, loaded) -> tuple[dict, list[str]]:
                                         budget=args.budget).probabilities()
     else:
         analytic = _analyze(model, start, args.budget).distribution
-    step = moves(model, args.capacity)
-    gen = build_generator(
-        lambda s: [(move[1], move[0]) for move in step(s)],
-        start,
-        budget=args.budget,
-    )
+    gen = build_generator(successors(model, args.capacity), start,
+                          budget=args.budget)
     reference = solve_unique(gen)
     tv = total_variation(analytic, reference)
     residuals = heapq.nlargest(

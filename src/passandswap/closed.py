@@ -1,4 +1,4 @@
-"""Closed pass-and-swap models, and the moves of every model kind.
+"""Closed pass-and-swap models, and the transitions of every model kind.
 
 A closed queue re-appends the departing customer at the tail; a closed
 tandem routes it to the tail of the other queue.  Both preserve *adherence*
@@ -9,11 +9,13 @@ weights of :mod:`passandswap.product_form` over them, partitions them into
 communicating classes, certifies irreducibility, and handles initial states
 that adhere to no order through a duplicate-class splitting construction.
 
-:func:`moves` is the one transition interface of the open, closed and
-tandem models: the simulators, the analyses' class partitions and the
-oracle cross-check all read their transitions from it.  The one walk
-outside it is the irreducibility certificate's face walk, which needs only
-each move's next content and follows each completion's chain itself.
+The open, closed and tandem models have two transition views, both built
+on :func:`~passandswap.dynamics.completions`.  :func:`queue_moves` gives
+the simulators each queue's moves with the counters they add to;
+:func:`successors` gives the oracle's generator build and the analyses'
+class partitions each state's ``(next_state, rate)`` pairs.  The one walk
+outside both is the irreducibility certificate's face walk, which needs
+only each completion's next content and follows each chain itself.
 """
 
 from __future__ import annotations
@@ -330,8 +332,9 @@ def tandem_step(
 
 
 def tandem_transitions(net: TandemNetwork, s: TandemState) -> list[Transition]:
-    """Outgoing transitions of the tandem in ``s``, first queue first: the
-    eager reference view of :func:`moves` on a tandem."""
+    """Outgoing transitions of the tandem in ``s``, first queue first, each
+    with its completion's chain: an eager reference view that the tests
+    compare :func:`queue_moves` and :func:`successors` against."""
     return [
         Transition("completion", pos, inc, _handoff(s, queue, after, cls),
                    apply_completion(net.swapping, s[queue - 1], pos), queue)
@@ -357,10 +360,13 @@ def queue_moves(
     capacity: int | None = None,
 ) -> tuple[Callable[[State], tuple[Move, ...]], ...]:
     """The moves of each queue of ``model`` as a function of that queue's
-    content, unmemoized: one function for an open or a closed queue, whose
-    state is its content, and two for a tandem, whose completions give the
-    queue's next content and hand the departing class to the other queue.
-    :func:`moves` says what the moves are."""
+    content, unmemoized, for the simulators: one function for an open or a
+    closed queue, whose state is its content, and two for a tandem, whose
+    completions give the queue's next content and hand the departing class
+    to the other queue.  An open queue has one arrival per class, where an
+    arrival at ``capacity`` (if set) is a rejection that keeps the state,
+    then its completions, head first; a closed queue's departing customer
+    rejoins at its tail."""
     if not isinstance(model, (PandsQueue, ClosedQueue, TandemNetwork)):
         raise UsageError(f"no moves for {type(model).__name__}")
     n = model.n_classes
@@ -402,39 +408,54 @@ def queue_moves(
     return (open_moves,)
 
 
-def moves(
+def successors(
     model: PandsQueue | ClosedQueue | TandemNetwork,
     capacity: int | None = None,
-) -> Callable[[Any], Sequence[Move]]:
-    """The moves of ``model`` as a function of its state: for an open
-    queue, one arrival per class then its completions, head first, where an
-    arrival at ``capacity`` (if set) is a rejection that keeps the state;
-    for a closed queue, its completions, the departing customer rejoining
-    at the tail; for a tandem, its first queue's completions, then its
-    second's.  Each move's ``next`` is the whole next state, and its
-    ``handed`` is None.
+) -> Callable[[Any], list[tuple[Any, float]]]:
+    """``state -> [(next_state, rate), ...]`` of ``model``, in the order of
+    :func:`queue_moves`, for the generator build and the class partitions:
+    for an open queue, one arrival per class while it holds fewer than
+    ``capacity`` customers (if set), then its completions, head first; for
+    a closed queue, its completions, the departing customer rejoining at
+    the tail; for a tandem, its first queue's completions, then its
+    second's, the departing customer joining the other queue's tail.  A
+    rejection at capacity keeps the state, a self-loop that neither a
+    generator nor a partition reads, so it is left out.
 
-    A tandem's moves are built from :func:`queue_moves` memoized per
-    content of each queue, which every traversal meets again under many
-    contents of the other queue.  A single queue's state *is* its content,
-    so a caller that revisits states keeps its own memo.
+    A tandem's completions are memoized per content of each queue, which
+    every traversal meets again under many contents of the other.  A
+    single queue's state *is* its content, so a caller that revisits
+    states keeps its own memo.
     """
-    queues = queue_moves(model, capacity)
-    if len(queues) == 1:
-        return queues[0]
-    first, second = map(functools.cache, queues)
-    return lambda s: [
-        (rate, _handoff(s, 1, c, cls), None, counts, tag)
-        for rate, c, cls, counts, tag in first(s[0])
-    ] + [
-        (rate, _handoff(s, 2, d, cls), None, counts, tag)
-        for rate, d, cls, counts, tag in second(s[1])
+    if not isinstance(model, (PandsQueue, ClosedQueue, TandemNetwork)):
+        raise UsageError(f"no moves for {type(model).__name__}")
+    graph = model.swapping
+    if isinstance(model, TandemNetwork):
+        first, second = (
+            functools.cache(functools.partial(completions, rate_fn, graph))
+            for rate_fn in (model.rate_fn_1, model.rate_fn_2)
+        )
+        return lambda s: [
+            ((c, s[1] + (cls,)), inc) for _, inc, c, cls in first(s[0])
+        ] + [
+            ((s[0] + (cls,), d), inc) for _, inc, d, cls in second(s[1])
+        ]
+    rate_fn = model.rate_fn
+    if isinstance(model, ClosedQueue):
+        return lambda state: [
+            (after + (cls,), inc)
+            for _, inc, after, cls in completions(rate_fn, graph, state)
+        ]
+    if capacity is not None and capacity < 0:
+        raise UsageError("capacity must be non-negative")
+    rates = tuple(enumerate(model.arrival_rates))
+    return lambda state: (
+        [(state + (i,), lam) for i, lam in rates]
+        if capacity is None or len(state) < capacity else []
+    ) + [
+        (after, inc)
+        for _, inc, after, _ in completions(rate_fn, graph, state)
     ]
-
-
-def _targets(step: Callable[[Any], Sequence[Move]]) -> Callable[[Any], list]:
-    """The next state of each move of ``step``, for a class partition."""
-    return lambda s: [move[1] for move in step(s)]
 
 
 def enumerate_adhering(
@@ -615,13 +636,14 @@ _REDUCIBLE_WARNING = (
 def _solve(
     states: Sequence[Hashable],
     log_weight: Callable[[Any], float],
-    successors: Callable[[Any], Iterable[Any]],
+    step: Callable[[Any], Iterable[tuple[Any, float]]],
     start: Hashable,
 ) -> tuple[
     tuple[Hashable, ...], dict[Hashable, float], ClassPartition, tuple[str, ...]
 ]:
     """Weigh ``states`` in log space, partition them into communicating
-    classes, and normalize the weights.
+    classes of the moves of ``step`` (as :func:`successors` gives them),
+    and normalize the weights.
 
     Irreducibility is verified, never assumed: when the space splits into
     several communicating classes, the distribution is restricted to the
@@ -631,7 +653,9 @@ def _solve(
     # Weighing raises unless every overall rate is positive, which is what
     # makes every class closed, as the partition requires.
     log_w = [log_weight(s) for s in states]
-    partition = communicating_classes(states, successors)
+    partition = communicating_classes(
+        states, lambda s: [t for t, _ in step(s)]
+    )
     support = tuple(states)
     warnings: tuple[str, ...] = ()
     if partition.n_components > 1:
@@ -783,7 +807,7 @@ def analyze_closed(
     support, dist, partition, warnings = _solve(
         enumerate_adhering(work_order, work.population, budget),
         memoized_log_balance(work.rate_fn),
-        _targets(moves(work)),
+        successors(work),
         start,
     )
     if iso is None:
@@ -841,7 +865,7 @@ def analyze_tandem(
     support, dist, partition, warnings = _solve(
         enumerate_sigma(net, budget),
         lambda s: log_b1(s[0]) + log_b2(s[1]),
-        _targets(moves(net)),
+        successors(net),
         initial,
     )
     return TandemAnalysis(initial, support, dist, partition, warnings)
@@ -881,7 +905,7 @@ def _face_walk(rate_fn: RateFunction, graph: SwappingGraph,
     that one-customer round trips through the empty queue reach.
 
     The walk needs only each completion's next content, the departing
-    customer rejoining the tail as in :func:`moves` on a
+    customer rejoining the tail as in :func:`successors` on a
     :class:`ClosedQueue`, so it computes no rate.  It takes the completing
     positions from :meth:`RateFunction.served_positions`, exactly those of
     a positive increment (a multi-server family reads them from its server

@@ -11,8 +11,10 @@ and each ejected customer resumes the scan just past the position its swap
 took, where nothing has changed yet; so one forward loop that switches to the
 ejected class's neighbours on each swap finds the whole chain.  Backwards,
 the anchors strictly decrease for the same reason, and one backward loop
-finds them all.  The move tables read :func:`completions`, which records no
-chain; :func:`apply_completion` runs the same loop and records it.
+finds them all.  :func:`completions`, which records no chain, is the kernel
+of the simulator's move tables and of the generator's and class
+partitions' successors; :func:`apply_completion` runs the same loop and
+records it.
 """
 
 from __future__ import annotations
@@ -115,7 +117,8 @@ def completions(
 ) -> list[tuple[int, float, State, int]]:
     """``(position, rate, next_content, departing_class)`` of every
     completion served at a positive rate in a queue holding ``content``,
-    head first.  :func:`apply_completion` at a position gives its chain.
+    head first, at the positions :meth:`RateFunction.served` gives.
+    :func:`apply_completion` at a position gives its chain.
 
     These depend on the queue's content alone, whatever surrounds the
     queue, which is what lets callers memoize them per content.
@@ -124,10 +127,9 @@ def completions(
     # than the membership tests.
     neighbors = graph._neighbors
     out = []
-    for pos, inc in enumerate(rate_fn.increments(content)):
-        if inc > 0.0:
-            next_content, departing = _complete(neighbors, content, pos)
-            out.append((pos, inc, next_content, departing))
+    for pos, inc in rate_fn.served(content):
+        next_content, departing = _complete(neighbors, content, pos)
+        out.append((pos, inc, next_content, departing))
     return out
 
 
@@ -146,8 +148,9 @@ class Transition:
 def open_transitions(
     queue: PandsQueue, state: State, capacity: int | None = None
 ) -> list[Transition]:
-    """Outgoing transitions of the open queue in ``state``: the eager
-    reference view of ``closed.moves`` on an open queue.
+    """Outgoing transitions of the open queue in ``state``, each with its
+    completion's chain: an eager reference view that the tests compare
+    ``closed.queue_moves`` and ``closed.successors`` against.
 
     With ``capacity`` set, arrivals are suppressed once the queue holds that
     many customers (blocked truncation).  Completions with a zero service

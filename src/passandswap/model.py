@@ -154,6 +154,15 @@ class RateFunction(ABC):
             prev = cur
         return tuple(out)
 
+    def served(self, state: Sequence[int]) -> list[tuple[int, float]]:
+        """``(position, increment)`` of every position of ``state`` served
+        at a positive rate, head first: the positive entries of
+        :meth:`increments`.  A family that can stop reading ``state`` once
+        no later position can be served overrides this; the completion
+        kernel reads it."""
+        return [(p, inc) for p, inc in enumerate(self.increments(state))
+                if inc > 0.0]
+
     def served_positions(self, state: Sequence[int]) -> list[int]:
         """Positions of ``state`` served at a positive rate, head first:
         those whose :meth:`increments` entry is positive.  A family that
@@ -258,6 +267,25 @@ class MultiServerRates(RateFunction):
                        if new else 0.0)
             acc |= new
         return tuple(out)
+
+    def served(self, state: Sequence[int]) -> list[tuple[int, float]]:
+        """The positive :meth:`increments`, read up to the first position
+        at which every usable server is active: every later class's mask
+        lies within the active servers, so its increment is 0."""
+        masks = self._masks
+        usable = self._usable
+        memo = self._mask_rates
+        acc = 0
+        out = []
+        for p, cls in enumerate(state):
+            new = masks[cls] & ~acc
+            if new:
+                out.append((p, memo[new] if new in memo
+                            else self._mask_rate(new)))
+                acc |= new
+                if acc == usable:
+                    break
+        return out
 
     def served_positions(self, state: Sequence[int]) -> list[int]:
         """Positions whose class's mask adds a server not yet active.  Every

@@ -92,7 +92,7 @@ def _number(value: Any, where: str) -> float:
 
 def _positive(value: Any, where: str) -> float:
     number = _number(value, where)
-    if number <= 0:
+    if not number > 0:  # refuses NaN too, which compares false
         raise ModelFormatError(f"{where}: must be positive")
     return number
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping
 
@@ -54,7 +53,9 @@ def build_generator(
     initial: Hashable,
     budget: int = 200_000,
 ) -> GeneratorMatrix:
-    """Breadth-first closure of the reachable state space from ``initial``.
+    """Breadth-first closure of the reachable state space from ``initial``,
+    through ``transitions``, which maps a state to its ``(next_state,
+    rate)`` pairs (``closed.successors`` gives them for every model kind).
 
     Parallel transitions between the same pair of states aggregate by rate
     summation; self-transitions cancel in the generator and are dropped.
@@ -63,31 +64,30 @@ def build_generator(
     import scipy.sparse as sp
     index: dict[Hashable, int] = {initial: 0}
     order: list[Hashable] = [initial]
-    frontier: deque[Hashable] = deque([initial])
     # CSR rows in breadth-first order; each row's columns come in the order
-    # of their first transition, with the diagonal last.
+    # of their first transition, with the diagonal last.  The loop walks
+    # ``order`` as it grows: the frontier is ``order[u + 1:]``.
     indptr = array("q", [0])
     cols = array("q")
     vals = array("d")
-    while frontier:
-        state = frontier.popleft()
-        u = index[state]
+    n = 1  # len(order)
+    for u, state in enumerate(order):
         row: dict[int, float] = {}
         for target, rate in transitions(state):
             if rate < 0.0:
                 raise UsageError(f"negative rate {rate} from state {state!r}")
             if rate == 0.0:
                 continue
-            if target not in index:
-                if len(index) >= budget:
+            # one hash per target: a new state takes the next index
+            v = index.setdefault(target, n)
+            if v == n:
+                if n >= budget:
                     raise ResourceError(
                         f"reachable state count exceeded budget {budget} "
-                        f"(frontier size {len(frontier)})"
+                        f"(frontier size {n - u - 1})"
                     )
-                index[target] = len(order)
                 order.append(target)
-                frontier.append(target)
-            v = index[target]
+                n += 1
             if u != v:
                 row[v] = row.get(v, 0.0) + rate
         exit_rate = 0.0
@@ -97,7 +97,6 @@ def build_generator(
         cols.extend(row)
         vals.extend(row.values())
         indptr.append(len(cols))
-    n = len(order)
     matrix = sp.csr_matrix(
         (np.frombuffer(vals), np.frombuffer(cols, dtype=np.int64),
          np.frombuffer(indptr, dtype=np.int64)),
@@ -399,7 +398,7 @@ def solve_stationary(
                 f"stationary solve residual {residual} above {bound}"
             )
         states = tuple(g.states[i] for i in members)
-        dist = {s: float(p) for s, p in zip(states, pi)}
+        dist = dict(zip(states, pi.tolist()))
         solutions.append(ClassSolution(states, dist, residual, method))
     return StationarySolution(tuple(solutions), n_comp, transient)
 
@@ -420,6 +419,6 @@ def total_variation(
     p: Mapping[Hashable, float], q: Mapping[Hashable, float]
 ) -> float:
     """Half the L1 distance between two distributions on the same support."""
-    if set(p) != set(q):
+    if p.keys() != q.keys():
         raise UsageError("distributions have mismatched supports")
-    return 0.5 * sum(abs(p[k] - q[k]) for k in p)
+    return 0.5 * sum(abs(v - q[k]) for k, v in p.items())

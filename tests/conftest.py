@@ -1,6 +1,8 @@
 import functools
 import math
 import random
+from array import array
+from collections import deque
 from typing import Any, Callable, Hashable, Sequence
 
 import pytest
@@ -12,11 +14,19 @@ from passandswap import (
     MultiServerRates,
     PandsQueue,
     RateFunction,
+    ResourceError,
     State,
     SwappingGraph,
     UsageError,
 )
-from passandswap.closed import Move, TandemNetwork, moves
+from passandswap.closed import (
+    ClosedQueue,
+    Move,
+    TandemNetwork,
+    _handoff,
+    queue_moves,
+)
+from passandswap.oracle import GeneratorMatrix, _check_row_sums
 from passandswap.sim import (
     ProtocolSimulator,
     SimConfig,
@@ -202,11 +212,111 @@ def reference_multi_server_increments(
     return tuple(out)
 
 
+# The reference whole-state view: every model's moves as whole-state
+# ``closed.Move`` rows, as the simulators, the class partitions and the
+# generator build all read them before the partitions and the generator
+# moved to ``closed.successors``.  The reference event loop below still
+# reads them, and ``transition_fn`` adapts them for ``build_generator``.
+
+
+def moves(
+    model: PandsQueue | ClosedQueue | TandemNetwork,
+    capacity: int | None = None,
+) -> Callable[[Any], Sequence[Move]]:
+    """The moves of ``model`` as a function of its state: for an open
+    queue, one arrival per class then its completions, head first, where an
+    arrival at ``capacity`` (if set) is a rejection that keeps the state;
+    for a closed queue, its completions, the departing customer rejoining
+    at the tail; for a tandem, its first queue's completions, then its
+    second's.  Each move's ``next`` is the whole next state, and its
+    ``handed`` is None.
+
+    A tandem's moves are built from ``queue_moves`` memoized per content
+    of each queue, which every traversal meets again under many contents
+    of the other queue.  A single queue's state *is* its content, so a
+    caller that revisits states keeps its own memo.
+    """
+    queues = queue_moves(model, capacity)
+    if len(queues) == 1:
+        return queues[0]
+    first, second = map(functools.cache, queues)
+    return lambda s: [
+        (rate, _handoff(s, 1, c, cls), None, counts, tag)
+        for rate, c, cls, counts, tag in first(s[0])
+    ] + [
+        (rate, _handoff(s, 2, d, cls), None, counts, tag)
+        for rate, d, cls, counts, tag in second(s[1])
+    ]
+
+
+def _targets(step: Callable[[Any], Sequence[Move]]) -> Callable[[Any], list]:
+    """The next state of each move of ``step``, for a class partition."""
+    return lambda s: [move[1] for move in step(s)]
+
+
 def transition_fn(model, capacity=None):
     """``state -> [(next state, rate), ...]`` of an open (truncated at
-    ``capacity``), closed or tandem model, for ``build_generator``."""
+    ``capacity``), closed or tandem model, for ``build_generator``: the
+    whole-state rows of :func:`moves` through an adapter, rejections
+    included."""
     step = moves(model, capacity)
     return lambda s: [(move[1], move[0]) for move in step(s)]
+
+
+# The reference generator build: ``oracle.build_generator`` as it stood when
+# it popped each state from a deque, looked its index up again, and hashed
+# each new target twice.  Fed by ``transition_fn``, it is the route the
+# generator of ``oracle-compare`` took before ``closed.successors``; the
+# build from ``successors`` must give the same matrix and the same budget
+# error.
+
+
+def reference_build_generator(transitions, initial, budget=200_000):
+    import numpy as np
+    import scipy.sparse as sp
+    index = {initial: 0}
+    order = [initial]
+    frontier = deque([initial])
+    indptr = array("q", [0])
+    cols = array("q")
+    vals = array("d")
+    while frontier:
+        state = frontier.popleft()
+        u = index[state]
+        row: dict[int, float] = {}
+        for target, rate in transitions(state):
+            if rate < 0.0:
+                raise UsageError(f"negative rate {rate} from state {state!r}")
+            if rate == 0.0:
+                continue
+            if target not in index:
+                if len(index) >= budget:
+                    raise ResourceError(
+                        f"reachable state count exceeded budget {budget} "
+                        f"(frontier size {len(frontier)})"
+                    )
+                index[target] = len(order)
+                order.append(target)
+                frontier.append(target)
+            v = index[target]
+            if u != v:
+                row[v] = row.get(v, 0.0) + rate
+        exit_rate = 0.0
+        for val in row.values():
+            exit_rate += val
+        row[u] = -exit_rate
+        cols.extend(row)
+        vals.extend(row.values())
+        indptr.append(len(cols))
+    n = len(order)
+    matrix = sp.csr_matrix(
+        (np.frombuffer(vals), np.frombuffer(cols, dtype=np.int64),
+         np.frombuffer(indptr, dtype=np.int64)),
+        shape=(n, n),
+    )
+    matrix.sort_indices()
+    _check_row_sums(matrix)
+    return GeneratorMatrix(tuple(order), index, matrix)
 
 
 def brute_reachability_partition(states, successors):

@@ -410,6 +410,36 @@ def test_repeated_runs_are_byte_identical(capsys, model_path):
     assert first == second
 
 
+def _with_nan(doc, *path):
+    """A copy of ``doc`` with NaN at ``path``, which ``json.dumps`` writes
+    as a bare ``NaN`` token and ``json.loads`` reads back."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = float("nan")
+    return doc
+
+
+@pytest.mark.parametrize("command, doc, extra, where", [
+    ("analyze", _with_nan(TWO_CLASS_DOC, "arrival_rates", 0), ["-N", "2"],
+     "arrival_rates"),
+    ("analyze", _with_nan(TWO_CLASS_DOC, "rate_function", "server_rates", 1),
+     ["-N", "2"], "rate_function.server_rates"),
+    ("cluster-analyze", _with_nan(CLUSTER_DOC, "job_types", 0, "rate"), [],
+     "job_types.rate"),
+    ("cluster-analyze", _with_nan(CLUSTER_DOC, "machines", 2, "rate"), [],
+     "machines.rate"),
+])
+def test_a_nan_rate_is_refused_at_load(capsys, model_path, command, doc,
+                                        extra, where):
+    path = model_path(doc)
+    assert "NaN" in Path(path).read_text()
+    assert main([command, path] + extra) == 2
+    assert capsys.readouterr() == ("", f"error: {where}: must be positive\n")
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")

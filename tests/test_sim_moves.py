@@ -1,7 +1,8 @@
-"""The one transition interface against the transitions it replaces.
+"""The simulators' moves against the transitions they replace.
 
-Along random walks, ``closed.moves`` must give, move for move and in
-order: ``tandem_transitions`` on random bipartite and grouped clusters;
+Along random walks, the whole-state rows of ``conftest.moves``, built from
+``closed.queue_moves``, must give, move for move and in order:
+``tandem_transitions`` on random bipartite and grouped clusters;
 ``closed_step`` at the positive ``increments`` of closed queues on random
 loop-free graphs; and ``open_transitions`` on open queues with random
 graphs (loops allowed) and random ``MultiServerRates``, plus exactly one
@@ -31,11 +32,12 @@ from passandswap import (
     compile_cluster,
     open_transitions,
 )
-from passandswap.closed import moves, queue_moves, tandem_transitions
+from passandswap.closed import queue_moves, tandem_transitions
 from passandswap.dynamics import completions
 from passandswap.sim import _SHIFT, ProtocolSimulator, _protocol_rows, _Table
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+from conftest import moves  # noqa: E402
 from test_macrostates import _random_bipartite, _random_grouped  # noqa: E402
 
 STEPS = 40
