@@ -28,10 +28,9 @@ each side and their ratio (new over reference) go to the benchmark's
 * ``test_face_walk_against_reference``: ``_face_walk`` against the flood it
   replaced, ``_flood`` over ``dynamics.completions`` with the departing
   class rejoining the tail;
-* ``test_build_generator_against_reference``: ``oracle.build_generator``
-  over ``closed.successors`` against the route it replaced, the whole-state
-  move rows of ``tests/conftest.py`` through an adapter into the reference
-  build there, on the open10 chain.
+* ``test_open_generator_against_reference``: ``oracle.open_generator``
+  against the route it replaced, ``oracle.build_generator`` over the
+  reference open successors of ``tests/conftest.py``, on the open10 chain.
 
 ``test_cold_start`` times a fresh interpreter importing the CLI module,
 the start-up cost every command pays before it reads its model.
@@ -52,14 +51,14 @@ from passandswap.cluster import compile_cluster
 from passandswap.dynamics import apply_completion, completions, predecessors
 from passandswap.model import all_states, macrostate
 from passandswap.modelfile import parse_document
-from passandswap.oracle import build_generator
+from passandswap.oracle import build_generator, open_generator
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from conftest import reference_build_generator, transition_fn  # noqa: E402
+from conftest import open_successors  # noqa: E402
 
 ROUNDS = 5
 AB_ROUNDS = 15  # alternating pairs of the face walk's A/B
-GENERATOR_AB_ROUNDS = 9  # and of the generator build's, 1.5-2 s a pair
+GENERATOR_AB_ROUNDS = 9  # and of the generator build's, about 1 s a pair
 
 # The (2,2,2|2,2,1) rung of the bipartite family at its base rates.
 CLUSTER_DOC = {
@@ -224,15 +223,17 @@ def test_face_walk_against_reference(benchmark):
     ) == FACE_CONTENTS
 
 
-def test_build_generator_against_reference(benchmark):
+def test_open_generator_against_reference(benchmark):
     queue = parse_document(OPEN_DOC).queue
-    reference = lambda: reference_build_generator(
-        transition_fn(queue, OPEN_CAPACITY), ())
-    build = lambda: build_generator(successors(queue, OPEN_CAPACITY), ())
+    reference = lambda: build_generator(
+        open_successors(queue, OPEN_CAPACITY), ())
+    build = lambda: open_generator(queue, OPEN_CAPACITY)
     # Runs each side once before timing, as a warm-up.
     got, want = build(), reference()
     assert got.states == want.states
-    assert (got.matrix != want.matrix).nnz == 0
+    for name in ("indptr", "indices", "data"):
+        assert (getattr(got.matrix, name).tobytes()
+                == getattr(want.matrix, name).tobytes()), name
     assert _against_reference(
         benchmark, "build", build, reference, GENERATOR_AB_ROUNDS,
         lambda g: g.n_states,

@@ -86,6 +86,7 @@ from .oracle import (
     GeneratorMatrix,
     StationarySolution,
     build_generator,
+    open_generator,
     solve_stationary,
     solve_unique,
     total_variation,

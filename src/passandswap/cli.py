@@ -43,7 +43,12 @@ from .modelfile import (
     dump_compiled,
     load_path,
 )
-from .oracle import build_generator, solve_unique, total_variation
+from .oracle import (
+    build_generator,
+    open_generator,
+    solve_unique,
+    total_variation,
+)
 from .product_form import (
     stability_check,
     stationary_truncated,
@@ -409,10 +414,10 @@ def _cmd_oracle_compare(args, loaded) -> tuple[dict, list[str]]:
     if isinstance(loaded, LoadedOpen):
         analytic = stationary_truncated(model, args.capacity,
                                         budget=args.budget).probabilities()
+        gen = open_generator(model, args.capacity, budget=args.budget)
     else:
         analytic = _analyze(model, start, args.budget).distribution
-    gen = build_generator(successors(model, args.capacity), start,
-                          budget=args.budget)
+        gen = build_generator(successors(model), start, budget=args.budget)
     reference = solve_unique(gen)
     tv = total_variation(analytic, reference)
     residuals = heapq.nlargest(

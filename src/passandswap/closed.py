@@ -13,9 +13,11 @@ The open, closed and tandem models have two transition views, both built
 on :func:`~passandswap.dynamics.completions`.  :func:`queue_moves` gives
 the simulators each queue's moves with the counters they add to;
 :func:`successors` gives the oracle's generator build and the analyses'
-class partitions each state's ``(next_state, rate)`` pairs.  The one walk
-outside both is the irreducibility certificate's face walk, which needs
-only each completion's next content and follows each chain itself.
+class partitions each closed or tandem state's ``(next_state, rate)``
+pairs (an open queue's generator is built in closed form by
+``oracle.open_generator``).  The one walk outside both is the
+irreducibility certificate's face walk, which needs only each
+completion's next content and follows each chain itself.
 """
 
 from __future__ import annotations
@@ -409,25 +411,23 @@ def queue_moves(
 
 
 def successors(
-    model: PandsQueue | ClosedQueue | TandemNetwork,
-    capacity: int | None = None,
+    model: ClosedQueue | TandemNetwork,
 ) -> Callable[[Any], list[tuple[Any, float]]]:
-    """``state -> [(next_state, rate), ...]`` of ``model``, in the order of
-    :func:`queue_moves`, for the generator build and the class partitions:
-    for an open queue, one arrival per class while it holds fewer than
-    ``capacity`` customers (if set), then its completions, head first; for
-    a closed queue, its completions, the departing customer rejoining at
-    the tail; for a tandem, its first queue's completions, then its
-    second's, the departing customer joining the other queue's tail.  A
-    rejection at capacity keeps the state, a self-loop that neither a
-    generator nor a partition reads, so it is left out.
+    """``state -> [(next_state, rate), ...]`` of a closed queue or tandem,
+    in the order of :func:`queue_moves`, for the generator build and the
+    class partitions: for a closed queue, its completions, the departing
+    customer rejoining at the tail; for a tandem, its first queue's
+    completions, then its second's, the departing customer joining the
+    other queue's tail.  An open queue's truncated generator is built by
+    ``oracle.open_generator``, which knows every state's index in closed
+    form.
 
     A tandem's completions are memoized per content of each queue, which
     every traversal meets again under many contents of the other.  A
-    single queue's state *is* its content, so a caller that revisits
+    closed queue's state *is* its content, so a caller that revisits
     states keeps its own memo.
     """
-    if not isinstance(model, (PandsQueue, ClosedQueue, TandemNetwork)):
+    if not isinstance(model, (ClosedQueue, TandemNetwork)):
         raise UsageError(f"no moves for {type(model).__name__}")
     graph = model.swapping
     if isinstance(model, TandemNetwork):
@@ -441,20 +441,9 @@ def successors(
             ((s[0] + (cls,), d), inc) for _, inc, d, cls in second(s[1])
         ]
     rate_fn = model.rate_fn
-    if isinstance(model, ClosedQueue):
-        return lambda state: [
-            (after + (cls,), inc)
-            for _, inc, after, cls in completions(rate_fn, graph, state)
-        ]
-    if capacity is not None and capacity < 0:
-        raise UsageError("capacity must be non-negative")
-    rates = tuple(enumerate(model.arrival_rates))
-    return lambda state: (
-        [(state + (i,), lam) for i, lam in rates]
-        if capacity is None or len(state) < capacity else []
-    ) + [
-        (after, inc)
-        for _, inc, after, _ in completions(rate_fn, graph, state)
+    return lambda state: [
+        (after + (cls,), inc)
+        for _, inc, after, cls in completions(rate_fn, graph, state)
     ]
 
 

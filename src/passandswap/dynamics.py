@@ -150,7 +150,7 @@ def open_transitions(
 ) -> list[Transition]:
     """Outgoing transitions of the open queue in ``state``, each with its
     completion's chain: an eager reference view that the tests compare
-    ``closed.queue_moves`` and ``closed.successors`` against.
+    ``closed.queue_moves`` against.
 
     With ``capacity`` set, arrivals are suppressed once the queue holds that
     many customers (blocked truncation).  Completions with a zero service

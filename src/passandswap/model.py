@@ -231,10 +231,6 @@ class MultiServerRates(RateFunction):
     def n_classes(self) -> int:  # type: ignore[override]
         return len(self.compat)
 
-    @property
-    def n_servers(self) -> int:
-        return len(self.server_rates)
-
     def _mask_rate(self, mask: int) -> float:
         """Summed rate of the servers in ``mask``, lowest bit first."""
         total = self._mask_rates.get(mask)

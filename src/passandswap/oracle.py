@@ -4,7 +4,11 @@ stationary solutions.
 Nothing in this module consults balance weights or any other closed-form
 expression; it only replays the transition mechanism to build the generator
 of the continuous-time Markov chain and solves it numerically, so agreement
-with the analytic distributions is a genuine cross-check.
+with the analytic distributions is a genuine cross-check.  A closed queue's
+or a tandem's generator is the breadth-first closure of its successors
+(:func:`build_generator`); an open queue's truncated generator is built by
+:func:`open_generator`, which knows the breadth-first order in closed form
+and scans every chain with numpy, to the same bits.
 
 This is the only module that uses numpy and scipy, and each function loads
 them on first use rather than at import: every other answer comes from
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping
 
 from .errors import ConvergenceError, ResourceError, UsageError
+from .model import PandsQueue, all_macrostates, all_states
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,7 +41,10 @@ class GeneratorMatrix:
 
     ``matrix`` holds off-diagonal rates with diagonals set to minus the row
     sums; state indices follow breadth-first discovery order, which is
-    deterministic for a fixed transition function and initial state.
+    deterministic for a fixed transition function and initial state.  For
+    an open queue truncated at a capacity, that order is shortlex: by
+    customer count, then by classes head first (see
+    :func:`open_generator`).
     """
 
     states: tuple[Hashable, ...]
@@ -55,13 +63,12 @@ def build_generator(
 ) -> GeneratorMatrix:
     """Breadth-first closure of the reachable state space from ``initial``,
     through ``transitions``, which maps a state to its ``(next_state,
-    rate)`` pairs (``closed.successors`` gives them for every model kind).
+    rate)`` pairs (``closed.successors`` gives them for closed queues and
+    tandems; an open queue's truncation is built by :func:`open_generator`).
 
     Parallel transitions between the same pair of states aggregate by rate
     summation; self-transitions cancel in the generator and are dropped.
     """
-    import numpy as np
-    import scipy.sparse as sp
     index: dict[Hashable, int] = {initial: 0}
     order: list[Hashable] = [initial]
     # CSR rows in breadth-first order; each row's columns come in the order
@@ -97,6 +104,15 @@ def build_generator(
         cols.extend(row)
         vals.extend(row.values())
         indptr.append(len(cols))
+    return GeneratorMatrix(tuple(order), index, _csr(indptr, cols, vals))
+
+
+def _csr(indptr: array, cols: array, vals: array) -> sp.csr_matrix:
+    """The generator whose CSR rows were streamed into ``indptr``, ``cols``
+    and ``vals``, with each row's columns sorted and its sum checked."""
+    import numpy as np
+    import scipy.sparse as sp
+    n = len(indptr) - 1
     matrix = sp.csr_matrix(
         (np.frombuffer(vals), np.frombuffer(cols, dtype=np.int64),
          np.frombuffer(indptr, dtype=np.int64)),
@@ -104,7 +120,161 @@ def build_generator(
     )
     matrix.sort_indices()
     _check_row_sums(matrix)
-    return GeneratorMatrix(tuple(order), index, matrix)
+    return matrix
+
+
+# States per chunk in ``open_generator``: each numpy call covers thousands
+# of states, and a chunk's arrays (a row of digits per state) stay small
+# beside the matrix, up to ``_CELLS`` digits however long the states are.
+_CHUNK = 4096
+_CELLS = 1 << 18
+
+
+def open_generator(
+    queue: PandsQueue, capacity: int, budget: int = 200_000
+) -> GeneratorMatrix:
+    """Generator of the open ``queue`` with arrivals blocked at ``capacity``
+    customers, built with numpy, a chunk of states at a time.
+
+    It is bit for bit what ``build_generator`` makes from the empty state
+    when a state's transitions are its arrivals in class order while it
+    holds fewer than ``capacity`` customers, then its completions head
+    first: the same states, index, and CSR ``indptr``, ``indices`` and
+    ``data``.  No state is hashed, because each index is known in closed
+    form.  Arrival rates are positive, so every state of at most
+    ``capacity`` customers is reachable, and the breadth-first search finds
+    them in shortlex order: a state's arrivals, in class order, are its
+    only new successors, since a completion leaves a shorter state, found
+    before any state of its own length is walked.  So the state of ``k``
+    customers whose classes, head first, read ``c`` as base-``n`` digits
+    has index ``n^0 + ... + n^(k-1) + c``.
+
+    A customer's increment depends only on the macrostate of the customers
+    ahead of it and its class, so it is read from a table filled by the
+    rate function's own :meth:`~passandswap.model.RateFunction.served` on
+    one representative state per entry.  The states are taken in chunks of
+    consecutive indices, which hold many short levels (customer counts) or
+    part of a long one, their digits padded past each state's tail with a
+    class that is never served and never swaps.  At each position, the
+    chain of every state of the chunk served there is scanned at once,
+    with the swapping graph as a boolean matrix, and the next state's
+    index follows by arithmetic.  Completions that reach the same state are
+    summed in position order, and the diagonal is minus a sum that starts
+    at 0.0, adds the arrival rates in class order, then the merged
+    completions in the order of their first position, as in the generic
+    build.
+
+    A truncation of more than ``budget`` states is refused before any work.
+    """
+    import numpy as np
+    if capacity < 0:
+        raise UsageError("capacity must be non-negative")
+    n = queue.n_classes
+    count = capacity + 1 if n == 1 else (n ** (capacity + 1) - 1) // (n - 1)
+    if count > budget:
+        raise ResourceError(
+            f"the truncation at {capacity} customers needs {count} states, "
+            f"budget {budget}"
+        )
+    # Increments and successors per (prefix macrostate, class), the empty
+    # macrostate first; the padding class ``n`` adds nothing and leaves the
+    # macrostate as it is.  A served customer has fewer than ``capacity``
+    # customers ahead of it.
+    macros = list(all_macrostates(n, capacity - 1))
+    ids = {x: j for j, x in enumerate(macros)}
+    inc = np.zeros((len(macros), n + 1))
+    after = np.repeat(np.arange(len(macros))[:, None], n + 1, axis=1)
+    for j, x in enumerate(macros):
+        rep = tuple(c for c, k in enumerate(x) for _ in range(k))
+        for i in range(n):
+            served = queue.rate_fn.served(rep + (i,))
+            if served and served[-1][0] == len(rep):
+                inc[j, i] = served[-1][1]
+            after[j, i] = ids.get(x[:i] + (x[i] + 1,) + x[i + 1:], 0)
+    swaps = np.zeros((n + 1, n + 1), dtype=bool)
+    for c, others in enumerate(queue.swapping._neighbors):
+        swaps[c, list(others)] = True
+    # a next state's index is read head first, one digit per real class
+    scale = np.append(np.full(n, n), 1)
+    digit = np.append(np.arange(n), 0)
+    power = n ** np.arange(capacity + 1)
+    first = np.cumsum([0, *(n ** k for k in range(capacity + 1))])
+    lam = np.array(queue.arrival_rates)
+    arrivals = 0.0  # in class order, as a row of the generic build; sum()
+    for rate in queue.arrival_rates:  # may compensate
+        arrivals += rate
+    indptr = array("q", [0])
+    cols = array("q")
+    vals = array("d")
+    chunk = max(1, min(_CHUNK, _CELLS // max(1, capacity)))
+    for lo in range(0, count, chunk):
+        u = np.arange(lo, min(lo + chunk, count))
+        m = len(u)
+        k = np.searchsorted(first, u, side="right") - 1
+        v = u - first[k]
+        exponent = k[:, None] - 1 - np.arange(k[-1])
+        digits = np.where(exponent >= 0,
+                          v[:, None] // power[np.maximum(exponent, 0)] % n, n)
+        # the completions' rows, next states and rates, by position
+        none = np.zeros(0, dtype=np.int64)
+        rows, targets, rates = [none], [none], [np.zeros(0)]
+        pid = np.zeros(m, dtype=np.int64)
+        for p in range(k[-1]):
+            cls = digits[:, p]
+            rate = inc[pid, cls]
+            pid = after[pid, cls]
+            at = np.flatnonzero(rate > 0.0)
+            if not len(at):
+                continue
+            # the chain from position p; the next state drops p
+            moving = cls[at]
+            target = v[at] // power[k[at] - p]
+            for q in range(p + 1, k[-1]):
+                c = digits[at, q]
+                swap = swaps[moving, c]
+                cell = np.where(swap, moving, c)
+                target = target * scale[cell] + digit[cell]
+                moving = np.where(swap, c, moving)
+            rows.append(at)
+            targets.append(first[k[at] - 1] + target)
+            rates.append(rate[at])
+        # merge completions by (row, target): one group per distinct next
+        # state, groups sorted by row then target
+        keys = [r * count + t for r, t in zip(rows, targets)]
+        uniq, group = np.unique(np.concatenate(keys), return_inverse=True)
+        group = np.split(group, np.cumsum([len(r) for r in rows])[:-1])
+        merged = np.zeros(len(uniq))
+        for g, r in zip(group, rates):
+            merged[g] += r
+        arriving = k < capacity
+        exit_rates = np.where(arriving, arrivals, 0.0)
+        seen = np.zeros(len(uniq), dtype=bool)
+        for g, r in zip(group, rows):
+            new = ~seen[g]
+            exit_rates[r[new]] += merged[g[new]]
+            seen[g[new]] = True
+        g_row = uniq // count
+        per_row = np.bincount(g_row, minlength=m)
+        lengths = per_row + 1 + n * arriving
+        starts = np.cumsum(lengths) - lengths
+        row_cols = np.empty(lengths.sum(), dtype=np.int64)
+        row_vals = np.empty(len(row_cols))
+        slot = starts[g_row] + np.arange(len(uniq)) - (
+            np.cumsum(per_row) - per_row)[g_row]
+        row_cols[slot] = uniq % count
+        row_vals[slot] = merged
+        diag = starts + per_row
+        row_cols[diag] = u
+        row_vals[diag] = -exit_rates
+        slots = diag[arriving, None] + 1 + np.arange(n)
+        row_cols[slots] = (first[k + 1] + v * n)[arriving, None] + np.arange(n)
+        row_vals[slots] = lam
+        indptr.frombytes((len(cols) + starts + lengths).tobytes())
+        cols.frombytes(row_cols.tobytes())
+        vals.frombytes(row_vals.tobytes())
+    states = tuple(all_states(n, capacity))
+    index = dict(zip(states, range(count)))
+    return GeneratorMatrix(states, index, _csr(indptr, cols, vals))
 
 
 def _check_row_sums(matrix: sp.csr_matrix) -> None:

@@ -26,6 +26,7 @@ from passandswap.closed import (
     _handoff,
     queue_moves,
 )
+from passandswap.dynamics import completions
 from passandswap.oracle import GeneratorMatrix, _check_row_sums
 from passandswap.sim import (
     ProtocolSimulator,
@@ -267,8 +268,8 @@ def transition_fn(model, capacity=None):
 # it popped each state from a deque, looked its index up again, and hashed
 # each new target twice.  Fed by ``transition_fn``, it is the route the
 # generator of ``oracle-compare`` took before ``closed.successors``; the
-# build from ``successors`` must give the same matrix and the same budget
-# error.
+# build from ``successors``, or from ``open_successors`` on an open queue,
+# must give the same matrix and the same budget error.
 
 
 def reference_build_generator(transitions, initial, budget=200_000):
@@ -317,6 +318,34 @@ def reference_build_generator(transitions, initial, budget=200_000):
     matrix.sort_indices()
     _check_row_sums(matrix)
     return GeneratorMatrix(tuple(order), index, matrix)
+
+
+# The reference open successors: the open-queue branch of
+# ``closed.successors`` as it stood before ``oracle.open_generator`` built
+# the truncated generator in closed form.  ``build_generator`` over them is
+# the generic breadth-first build that the closed form must reproduce bit
+# for bit.
+
+
+def open_successors(
+    queue: PandsQueue, capacity: int
+) -> Callable[[Any], list[tuple[Any, float]]]:
+    """``state -> [(next_state, rate), ...]`` of the open ``queue``: one
+    arrival per class while it holds fewer than ``capacity`` customers,
+    then its completions, head first.  A rejection at capacity keeps the
+    state, a self-loop that neither a generator nor a partition reads, so
+    it is left out."""
+    if capacity < 0:
+        raise UsageError("capacity must be non-negative")
+    rate_fn, graph = queue.rate_fn, queue.swapping
+    rates = tuple(enumerate(queue.arrival_rates))
+    return lambda state: (
+        [(state + (i,), lam) for i, lam in rates]
+        if len(state) < capacity else []
+    ) + [
+        (after, inc)
+        for _, inc, after, _ in completions(rate_fn, graph, state)
+    ]
 
 
 def brute_reachability_partition(states, successors):

@@ -23,6 +23,7 @@ from passandswap import (
     verify_partial_balance,
 )
 from passandswap import product_form
+from passandswap.closed import ProjectedRateFunction
 from conftest import transition_fn
 from test_sim_moves import multi_server_rates, swapping_graphs
 
@@ -160,6 +161,26 @@ def test_stability_conditions(two_class_queue):
     report = check(1.6, 1.6)
     assert not report.stable
     assert ((0, 1), 3.2, 3.0) in report.violations
+
+
+@pytest.mark.parametrize("l1, l2", [(0.5, 0.5), (2.0, 0.5), (1.6, 1.6)])
+def test_stability_of_split_classes(two_class_rates, l1, l2):
+    # class 1 split in two halves of its arrivals: a subset of the split
+    # classes saturates as the base classes it projects onto, and the whole
+    # preimage of a base subset brings the same arrivals, so the verdict is
+    # the unsplit queue's
+    projection = (0, 0, 1)
+    split = PandsQueue((l1 / 2, l1 / 2, l2),
+                       ProjectedRateFunction(two_class_rates, projection),
+                       SwappingGraph.edgeless(3))
+    unsplit = PandsQueue((l1, l2), two_class_rates, SwappingGraph.edgeless(2))
+    report = stability_check(split)
+    assert report.stable == stability_check(unsplit).stable
+    assert len(report.saturation) == 7
+    for subset, sat in report.saturation.items():
+        assert sat == two_class_rates.saturation_rate(
+            {projection[i] for i in subset}
+        )
 
 
 def test_stability_single_class():

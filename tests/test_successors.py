@@ -7,14 +7,16 @@ replace, and the generator built from them against the reference build.
   ``ProjectedRateFunction`` splits.
 * Along random walks, ``successors`` must give the ``(next, rate)`` of the
   reference whole-state rows of ``conftest.moves``, in order and bit for
-  bit, less the rejections at capacity: on random open queues with a
-  capacity, closed queues and tandems.
+  bit: on random closed queues and tandems.  On random open queues with a
+  capacity, ``conftest.open_successors``, the reference of
+  ``oracle.open_generator``, must give them less the rejections.
 * On the adhering spaces of random tandems and of closed queues, the
   class partition over the targets of ``successors`` must be the one over
   the reference rows' targets.
-* ``build_generator`` over ``successors`` must give the states and the
-  CSR arrays of ``conftest.reference_build_generator`` over the reference
-  rows, and refuse a budget at the same count with the same message.
+* ``build_generator`` over ``successors`` (``open_successors`` on an open
+  queue) must give the states and the CSR arrays of
+  ``conftest.reference_build_generator`` over the reference rows, and
+  refuse a budget at the same count with the same message.
 """
 
 import sys
@@ -45,6 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from conftest import (  # noqa: E402
     _targets,
     moves,
+    open_successors,
     reference_build_generator,
     transition_fn,
 )
@@ -114,9 +117,15 @@ def test_projected_served_is_the_positive_increments(data, n, n_iso):
         _assert_served_filters_increments(rate_fn, data.draw(_states(n_iso)))
 
 
+def _successors(model, capacity):
+    if isinstance(model, PandsQueue):
+        return open_successors(model, capacity)
+    return successors(model)
+
+
 def _assert_successors_follow_rows(model, capacity, start, picks) -> None:
     step = moves(model, capacity)
-    succ = successors(model, capacity)
+    succ = _successors(model, capacity)
     for state in _walk(step, start, picks):
         assert [(after, rate.hex()) for after, rate in succ(state)] == [
             (after, rate.hex()) for rate, after, _, _, tag in step(state)
@@ -157,7 +166,7 @@ def test_partitions_read_the_same_targets(net):
 
 def _assert_same_generator(model, capacity, start, budget) -> None:
     want = reference_build_generator(transition_fn(model, capacity), start)
-    got = build_generator(successors(model, capacity), start)
+    got = build_generator(_successors(model, capacity), start)
     assert got.states == want.states
     assert got.index == want.index
     for name in ("indptr", "indices", "data"):
@@ -166,7 +175,7 @@ def _assert_same_generator(model, capacity, start, budget) -> None:
     # the budget is refused at the same count, with the same message
     budget = min(budget, got.n_states + 1)
     errors = []
-    for build, step in ((build_generator, successors),
+    for build, step in ((build_generator, _successors),
                         (reference_build_generator, transition_fn)):
         try:
             build(step(model, capacity), start, budget=budget)
@@ -198,6 +207,10 @@ def test_tandem_generator_matches_the_reference_build(net, budget):
 def test_successors_refuse_what_has_no_moves():
     with pytest.raises(UsageError, match="no moves for int"):
         successors(3)
+    queue = PandsQueue((1.0,), MultiServerRates.build([1.0], [{0}]),
+                       SwappingGraph.edgeless(1))
+    with pytest.raises(UsageError, match="no moves for PandsQueue"):
+        successors(queue)
 
 
 def test_budget_message_names_the_frontier():
@@ -205,7 +218,7 @@ def test_budget_message_names_the_frontier():
     queue = PandsQueue((1.0, 1.0), MultiServerRates.build([1.0], [{0}, {0}]),
                        SwappingGraph.edgeless(2))
     with pytest.raises(ResourceError) as exc:
-        build_generator(successors(queue, 5), (), budget=4)
+        build_generator(open_successors(queue, 5), (), budget=4)
     # (), (0,) and (1,) come from (); (0, 0) fills the budget from (0,),
     # and (0, 1) exceeds it while (1,) and (0, 0) wait in the frontier
     assert str(exc.value) == (
