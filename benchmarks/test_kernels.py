@@ -19,7 +19,7 @@ the contents' increments.
 Each round runs the kernel over the whole input and returns a checksum, so
 the work is consumed inside the timed region.
 
-Two tests time a kernel against the route it replaced, in alternating
+Three tests time a kernel against the route it replaced, in alternating
 rounds of one process, so the two sides share the process's noise.  Each
 benchmark round is one pair, the two orders taking turns; the medians of
 each side and their ratio (new over reference) go to the benchmark's
@@ -30,7 +30,11 @@ each side and their ratio (new over reference) go to the benchmark's
   class rejoining the tail;
 * ``test_open_generator_against_reference``: ``oracle.open_generator``
   against the route it replaced, ``oracle.build_generator`` over the
-  reference open successors of ``tests/conftest.py``, on the open10 chain.
+  reference open successors of ``tests/conftest.py``, on the open10 chain;
+* ``test_stationary_truncated_against_reference``: the integer walk of
+  ``product_form.stationary_truncated`` against the tuple walk it replaced,
+  ``reference_stationary_truncated`` of ``tests/conftest.py``, on the
+  open10 model: each side's log weights and log normalizer.
 
 ``test_cold_start`` times a fresh interpreter importing the CLI module,
 the start-up cost every command pays before it reads its model.
@@ -52,13 +56,18 @@ from passandswap.dynamics import apply_completion, completions, predecessors
 from passandswap.model import all_states, macrostate
 from passandswap.modelfile import parse_document
 from passandswap.oracle import build_generator, open_generator
+from passandswap.product_form import stationary_truncated
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from conftest import open_successors  # noqa: E402
+from conftest import (  # noqa: E402
+    open_successors,
+    reference_stationary_truncated,
+)
 
 ROUNDS = 5
 AB_ROUNDS = 15  # alternating pairs of the face walk's A/B
 GENERATOR_AB_ROUNDS = 9  # and of the generator build's, about 1 s a pair
+WALK_AB_ROUNDS = 15  # and of the truncated walk's, about 0.15 s a pair
 
 # The (2,2,2|2,2,1) rung of the bipartite family at its base rates.
 CLUSTER_DOC = {
@@ -237,6 +246,22 @@ def test_open_generator_against_reference(benchmark):
     assert _against_reference(
         benchmark, "build", build, reference, GENERATOR_AB_ROUNDS,
         lambda g: g.n_states,
+    ) == OPEN_STATES
+
+
+def test_stationary_truncated_against_reference(benchmark):
+    queue = parse_document(OPEN_DOC).queue
+    got = stationary_truncated(queue, OPEN_CAPACITY)
+    want = reference_stationary_truncated(queue, OPEN_CAPACITY)
+    assert got.log_normalizer == want.log_normalizer
+    assert got.log_weight_list == list(want.log_weights.values())
+    # Each side returns its state count; the calls above were the warm-up.
+    reference = lambda: len(
+        reference_stationary_truncated(queue, OPEN_CAPACITY).log_weights)
+    walk = lambda: len(stationary_truncated(queue, OPEN_CAPACITY)
+                       .log_weight_list)
+    assert _against_reference(
+        benchmark, "walk", walk, reference, WALK_AB_ROUNDS, lambda n: n
     ) == OPEN_STATES
 
 

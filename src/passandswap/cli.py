@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import heapq
 import json
 import sys
 from pathlib import Path
@@ -45,9 +44,9 @@ from .modelfile import (
 )
 from .oracle import (
     build_generator,
+    compare_laws,
     open_generator,
-    solve_unique,
-    total_variation,
+    unique_solution,
 )
 from .product_form import (
     stability_check,
@@ -411,18 +410,25 @@ def _cmd_simulate(args, loaded) -> tuple[dict, list[str]]:
 
 def _cmd_oracle_compare(args, loaded) -> tuple[dict, list[str]]:
     model, start, key = _CHAINS[type(loaded)](loaded)
+    # The laws are compared as arrays in the analytic law's order, ``q[j]``
+    # the generator's probability of the analytic side's ``j``-th state;
+    # states are built only for the residuals reported.
     if isinstance(loaded, LoadedOpen):
-        analytic = stationary_truncated(model, args.capacity,
-                                        budget=args.budget).probabilities()
+        dist = stationary_truncated(model, args.capacity, budget=args.budget)
         gen = open_generator(model, args.capacity, budget=args.budget)
+        pi = unique_solution(gen).pi
+        p, positions, state_of = (dist.probability_list, dist.shortlex,
+                                  dist.state_at)
     else:
-        analytic = _analyze(model, start, args.budget).distribution
+        law = _analyze(model, start, args.budget).distribution
         gen = build_generator(successors(model), start, budget=args.budget)
-    reference = solve_unique(gen)
-    tv = total_variation(analytic, reference)
-    residuals = heapq.nlargest(
-        10, ((abs(analytic[s] - reference[s]), s) for s in analytic)
-    )
+        pi = unique_solution(gen).pi
+        states = list(law)
+        positions = [gen.index.get(s, -1) for s in states]
+        if len(states) != gen.n_states or -1 in positions:
+            raise UsageError("distributions have mismatched supports")
+        p, state_of = list(law.values()), states.__getitem__
+    tv, residuals = compare_laws(p, pi[positions], state_of)
     if args.dump_matrix:
         lines = [f"# states {gen.n_states}"]
         coo = gen.matrix.tocoo()
@@ -430,7 +436,7 @@ def _cmd_oracle_compare(args, loaded) -> tuple[dict, list[str]]:
             lines.append(f"{int(u)} {int(v)} {float(val)!r}")
         Path(args.dump_matrix).write_text("\n".join(lines) + "\n")
     payload = {
-        "states": len(analytic),
+        "states": len(p),
         "total_variation": _fmt(tv),
         "max_residuals": [
             {"state": key(s), "residual": _fmt(r)} for r, s in residuals

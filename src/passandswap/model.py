@@ -366,7 +366,7 @@ class PandsQueue:
     swapping: SwappingGraph
 
     def __post_init__(self) -> None:
-        if any(lam <= 0.0 for lam in self.arrival_rates):
+        if not all(lam > 0.0 for lam in self.arrival_rates):  # NaN too
             raise UsageError("arrival rates must be strictly positive")
         n = len(self.arrival_rates)
         if self.rate_fn.n_classes != n or self.swapping.n_classes != n:

@@ -8,7 +8,10 @@ with the analytic distributions is a genuine cross-check.  A closed queue's
 or a tandem's generator is the breadth-first closure of its successors
 (:func:`build_generator`); an open queue's truncated generator is built by
 :func:`open_generator`, which knows the breadth-first order in closed form
-and scans every chain with numpy, to the same bits.
+and scans every chain with numpy, to the same bits.  Its states and index,
+and a solved class's law as a mapping, are built only when read:
+:func:`compare_laws` compares two laws as arrays and builds states only for
+the residuals it ranks.
 
 This is the only module that uses numpy and scipy, and each function loads
 them on first use rather than at import: every other answer comes from
@@ -18,10 +21,13 @@ generator start without paying for them.
 
 from __future__ import annotations
 
+import heapq
 import math
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping
+from functools import cached_property
+from typing import (TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping,
+                    Sequence)
 
 from .errors import ConvergenceError, ResourceError, UsageError
 from .model import PandsQueue, all_macrostates, all_states
@@ -44,7 +50,8 @@ class GeneratorMatrix:
     deterministic for a fixed transition function and initial state.  For
     an open queue truncated at a capacity, that order is shortlex: by
     customer count, then by classes head first (see
-    :func:`open_generator`).
+    :func:`open_generator`, whose states and index are built on first
+    read).
     """
 
     states: tuple[Hashable, ...]
@@ -53,7 +60,25 @@ class GeneratorMatrix:
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return self.matrix.shape[0]
+
+
+class _ShortlexGenerator(GeneratorMatrix):
+    """The truncated generator of an open queue, whose states (every state
+    of at most ``capacity`` customers, in shortlex order) and index are
+    built on first read."""
+
+    def __init__(self, n_classes: int, capacity: int, matrix: sp.csr_matrix):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_space", (n_classes, capacity))
+
+    @cached_property
+    def states(self) -> tuple[Hashable, ...]:
+        return tuple(all_states(*self._space))
+
+    @cached_property
+    def index(self) -> Mapping[Hashable, int]:
+        return dict(zip(self.states, range(self.n_states)))
 
 
 def build_generator(
@@ -158,7 +183,11 @@ def open_generator(
     class that is never served and never swaps.  At each position, the
     chain of every state of the chunk served there is scanned at once,
     with the swapping graph as a boolean matrix, and the next state's
-    index follows by arithmetic.  Completions that reach the same state are
+    index follows by arithmetic.  The walk over positions stops once no
+    state of the chunk can be served at a later one (a table over the
+    macrostates ahead, filled bottom up from the increments), and a chain
+    scan once no moving class has a neighbour, the rest of each state then
+    following as it is.  Completions that reach the same state are
     summed in position order, and the diagonal is minus a sum that starts
     at 0.0, adds the arrival rates in class order, then the merged
     completions in the order of their first position, as in the generic
@@ -185,15 +214,25 @@ def open_generator(
     inc = np.zeros((len(macros), n + 1))
     after = np.repeat(np.arange(len(macros))[:, None], n + 1, axis=1)
     for j, x in enumerate(macros):
-        rep = tuple(c for c, k in enumerate(x) for _ in range(k))
+        rep = sum(((c,) * k for c, k in enumerate(x)), ())
         for i in range(n):
             served = queue.rate_fn.served(rep + (i,))
             if served and served[-1][0] == len(rep):
                 inc[j, i] = served[-1][1]
             after[j, i] = ids.get(x[:i] + (x[i] + 1,) + x[i + 1:], 0)
+    # live[j]: a customer behind a prefix of macrostate j may be served,
+    # bottom up from the longest prefixes, whose successors are not listed
+    totals = np.array([sum(x) for x in macros], dtype=np.int64)
+    live = np.zeros(len(macros), dtype=bool)
+    for j in np.argsort(-totals, kind="stable").tolist():
+        live[j] = (inc[j, :n] > 0.0).any() or (
+            totals[j] < capacity - 1 and live[after[j, :n]].any())
     swaps = np.zeros((n + 1, n + 1), dtype=bool)
     for c, others in enumerate(queue.swapping._neighbors):
         swaps[c, list(others)] = True
+    # a class without neighbours ends every chain it moves
+    isolated = ~swaps.any(axis=1)
+    check_isolated = bool(isolated[:n].any())
     # a next state's index is read head first, one digit per real class
     scale = np.append(np.full(n, n), 1)
     digit = np.append(np.arange(n), 0)
@@ -220,6 +259,8 @@ def open_generator(
         rows, targets, rates = [none], [none], [np.zeros(0)]
         pid = np.zeros(m, dtype=np.int64)
         for p in range(k[-1]):
+            if not (live[pid] & (k > p)).any():
+                break  # no position from p on is served
             cls = digits[:, p]
             rate = inc[pid, cls]
             pid = after[pid, cls]
@@ -230,6 +271,11 @@ def open_generator(
             moving = cls[at]
             target = v[at] // power[k[at] - p]
             for q in range(p + 1, k[-1]):
+                if check_isolated and isolated[moving].all():
+                    # no more swaps: the rest of each state follows as is
+                    rest = power[np.maximum(k[at] - q, 0)]
+                    target = target * rest + v[at] % rest
+                    break
                 c = digits[at, q]
                 swap = swaps[moving, c]
                 cell = np.where(swap, moving, c)
@@ -272,9 +318,7 @@ def open_generator(
         indptr.frombytes((len(cols) + starts + lengths).tobytes())
         cols.frombytes(row_cols.tobytes())
         vals.frombytes(row_vals.tobytes())
-    states = tuple(all_states(n, capacity))
-    index = dict(zip(states, range(count)))
-    return GeneratorMatrix(states, index, _csr(indptr, cols, vals))
+    return _ShortlexGenerator(n, capacity, _csr(indptr, cols, vals))
 
 
 def _check_row_sums(matrix: sp.csr_matrix) -> None:
@@ -288,14 +332,27 @@ def _check_row_sums(matrix: sp.csr_matrix) -> None:
         raise ConvergenceError("generator rows do not sum to zero")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassSolution:
-    """Stationary distribution of one closed communicating class."""
+    """Stationary distribution of one closed communicating class:
+    ``pi[j]`` is the probability of the state of index ``members[j]`` in
+    ``generator``, members in index order.  ``states`` and
+    ``distribution`` are built on first read."""
 
-    states: tuple[Hashable, ...]
-    distribution: Mapping[Hashable, float]
+    generator: GeneratorMatrix
+    members: np.ndarray
+    pi: np.ndarray
     residual: float
     method: str
+
+    @cached_property
+    def states(self) -> tuple[Hashable, ...]:
+        states = self.generator.states
+        return tuple(states[i] for i in self.members.tolist())
+
+    @cached_property
+    def distribution(self) -> Mapping[Hashable, float]:
+        return dict(zip(self.states, self.pi.tolist()))
 
 
 @dataclass(frozen=True)
@@ -567,22 +624,26 @@ def solve_stationary(
             raise ConvergenceError(
                 f"stationary solve residual {residual} above {bound}"
             )
-        states = tuple(g.states[i] for i in members)
-        dist = dict(zip(states, pi.tolist()))
-        solutions.append(ClassSolution(states, dist, residual, method))
+        solutions.append(ClassSolution(g, members, pi, residual, method))
     return StationarySolution(tuple(solutions), n_comp, transient)
 
 
-def solve_unique(g: GeneratorMatrix, **kwargs) -> dict[Hashable, float]:
-    """Stationary distribution of a chain with exactly one closed class
-    covering every reachable state."""
+def unique_solution(g: GeneratorMatrix, **kwargs) -> ClassSolution:
+    """The solution of a chain with exactly one closed class covering every
+    reachable state; its ``pi`` is in the order of ``g``'s index."""
     sol = solve_stationary(g, **kwargs)
     if len(sol.solutions) != 1 or sol.n_transient_states:
         raise UsageError(
             f"chain is not irreducible: {len(sol.solutions)} closed classes, "
             f"{sol.n_transient_states} transient states"
         )
-    return dict(sol.solutions[0].distribution)
+    return sol.solutions[0]
+
+
+def solve_unique(g: GeneratorMatrix, **kwargs) -> dict[Hashable, float]:
+    """Stationary distribution of a chain with exactly one closed class
+    covering every reachable state."""
+    return dict(unique_solution(g, **kwargs).distribution)
 
 
 def total_variation(
@@ -592,3 +653,33 @@ def total_variation(
     if p.keys() != q.keys():
         raise UsageError("distributions have mismatched supports")
     return 0.5 * sum(abs(v - q[k]) for k, v in p.items())
+
+
+def compare_laws(
+    p: Sequence[float],
+    q: np.ndarray,
+    state_of: Callable[[int], Hashable],
+    top: int = 10,
+) -> tuple[float, list[tuple[float, Hashable]]]:
+    """Total variation between two laws over the same states, and the
+    ``top`` largest ``(|p - q|, state)`` pairs, largest first.
+
+    ``q[j]`` is the probability of the state ``p[j]`` stands for, and
+    ``state_of(j)`` builds that state.  The answers are bit for bit those
+    of :func:`total_variation` over the laws as mappings in ``p``'s order
+    and of ``heapq.nlargest`` over every pair: the differences are summed
+    in the same order by the same ``sum``, and only the states whose
+    residual is at or above the ``top``-th largest can rank, so only they
+    are built.  A residual that is not finite falls back to ranking every
+    pair, since ``nlargest`` orders NaN as the comparisons fall.
+    """
+    import numpy as np
+    diffs = np.abs(np.asarray(p, dtype=float) - q)
+    residuals = diffs.tolist()
+    tv = 0.5 * sum(residuals)
+    if len(diffs) > top and np.isfinite(diffs).all():
+        cut = np.partition(diffs, len(diffs) - top)[len(diffs) - top]
+        rank = np.flatnonzero(diffs >= cut).tolist()
+    else:
+        rank = range(len(diffs))
+    return tv, heapq.nlargest(top, ((residuals[j], state_of(j)) for j in rank))

@@ -4,9 +4,12 @@ The unnormalized weight of an open queue's state multiplies the
 per-customer arrival rates and divides by the overall service rate of every
 prefix.  Renormalizing these weights over all states of length at most
 ``capacity`` gives the exact stationary distribution of the arrival-blocked
-truncation of the queue (:func:`stationary_truncated`).  The partial
-balance and flow identities are checked on that same walk, so they verify
-the weights that the analyses report.  :func:`balance_function` sums the
+truncation of the queue (:func:`stationary_truncated`), which walks the
+states over integers and records each one's index in the oracle's
+generator, so the oracle's cross-check compares the two laws by index and
+builds tuples only for its output.  The partial balance and flow
+identities are checked on that same walk, so they verify the weights that
+the analyses report.  :func:`balance_function` sums the
 balance weights of a closed queue per macrostate.  Weights accumulate in
 log space to stay finite for deep truncations, and the checks compare
 ratios of weights, so they stay in log space too.
@@ -17,11 +20,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from .dynamics import completions, predecessors
 from .errors import ResourceError, UsageError
-from .model import Macrostate, PandsQueue, RateFunction, State, macrostate
+from .model import (Macrostate, PandsQueue, RateFunction, State,
+                    all_states, macrostate)
 
 DEFAULT_STATE_BUDGET = 1_000_000
 
@@ -77,18 +82,55 @@ def state_weight(queue: PandsQueue, state: Sequence[int]) -> float:
 
 def _logsumexp(values: Sequence[float]) -> float:
     m = max(values)
-    return m + math.log(sum(math.exp(v - m) for v in values))
+    return m + math.log(sum(map(math.exp, [v - m for v in values])))
 
 
 @dataclass(frozen=True)
 class TruncatedDistribution:
-    """Exact stationary distribution of the arrival-blocked truncation."""
+    """Exact stationary distribution of the arrival-blocked truncation.
+
+    The states are listed depth first, children in class order, which is
+    lexicographic order (a state before its extensions).  The walk keeps,
+    per listed state, its log weight (``log_weight_list``) and its index in
+    the breadth-first (shortlex) order of ``oracle.open_generator``
+    (``shortlex``); the states as tuples, ``log_weights`` and the
+    probabilities are built from them on first read.
+    """
 
     n_classes: int
     capacity: int
-    states: tuple[State, ...]
-    log_weights: Mapping[State, float]
+    log_weight_list: list[float]
+    shortlex: list[int]
     log_normalizer: float
+
+    @cached_property
+    def states(self) -> tuple[State, ...]:
+        shortlex = list(all_states(self.n_classes, self.capacity))
+        return tuple(map(shortlex.__getitem__, self.shortlex))
+
+    @cached_property
+    def log_weights(self) -> dict[State, float]:
+        return dict(zip(self.states, self.log_weight_list))
+
+    @cached_property
+    def probability_list(self) -> list[float]:
+        """The probability of each state, in the order of ``states``."""
+        z = self.log_normalizer
+        return list(map(math.exp, [w - z for w in self.log_weight_list]))
+
+    def state_at(self, j: int) -> State:
+        """The ``j``-th state, decoded from its shortlex index."""
+        n, u = self.n_classes, self.shortlex[j]
+        length, level = 0, 1
+        while u >= level:
+            u -= level
+            length += 1
+            level *= n
+        digits = []
+        for _ in range(length):
+            u, d = divmod(u, n)
+            digits.append(d)
+        return tuple(reversed(digits))
 
     def probability(self, state: State) -> float:
         try:
@@ -99,16 +141,54 @@ class TruncatedDistribution:
             ) from None
 
     def probabilities(self) -> dict[State, float]:
-        z = self.log_normalizer
-        return {s: math.exp(w - z) for s, w in self.log_weights.items()}
+        return dict(zip(self.states, self.probability_list))
 
     def mean_counts(self) -> tuple[float, ...]:
         """Expected number of customers of each class."""
         totals = [0.0] * self.n_classes
-        for s, p in self.probabilities().items():
+        for s, p in zip(self.states, self.probability_list):
             for cls in s:
                 totals[cls] += p
         return tuple(totals)
+
+
+def _log_rates(
+    rate_fn: RateFunction, capacity: int
+) -> tuple[list[float], list[list[int]]]:
+    """The log overall rate of every macrostate of at most ``capacity``
+    customers, by id, and each id's successor ids by class.
+
+    The empty macrostate has id 0 (and no rate); the others are numbered,
+    and their rates read, in the order the depth-first walk of
+    :func:`stationary_truncated` first meets them, which is at their sorted
+    states, in lexicographic order.  So the rate function is called in the
+    walk's order, and a non-positive rate raises on the macrostate where a
+    walk reading every state's rate would.
+    """
+    n = rate_fn.n_classes
+    empty = (0,) * n
+    ids = {empty: 0}
+    log_rate = [0.0]
+    frames = [(empty, 0, 0)]  # a sorted state's macrostate, last class, size
+    while frames:
+        x, last, size = frames.pop()
+        if size:
+            r = rate_fn.rate(x)
+            if r <= 0.0:
+                raise UsageError(
+                    f"overall rate is not positive on macrostate {x}"
+                )
+            ids[x] = len(log_rate)
+            log_rate.append(math.log(r))
+        if size < capacity:
+            frames.extend((x[:i] + (x[i] + 1,) + x[i + 1:], i, size + 1)
+                          for i in range(n - 1, last - 1, -1))
+    after = [
+        [ids[x[:i] + (x[i] + 1,) + x[i + 1:]] for i in range(n)]
+        if sum(x) < capacity else []
+        for x in ids
+    ]
+    return log_rate, after
 
 
 def stationary_truncated(
@@ -118,7 +198,12 @@ def stationary_truncated(
     customers.
 
     The result never consults the swapping graph: the measure is the same
-    for every graph over a fixed rate function and arrival rates.
+    for every graph over a fixed rate function and arrival rates.  The walk
+    runs over integers: a macrostate id, whose log rate is read once (see
+    :func:`_log_rates`), and the shortlex index.  A child's log weight is
+    its parent's plus the log arrival rate of its last customer, minus the
+    log rate of its macrostate, and the log normalizer sums the weights in
+    the order they are listed, so no tuple is built.
     """
     if capacity < 0:
         raise UsageError("capacity must be non-negative")
@@ -126,6 +211,7 @@ def stationary_truncated(
     # Count the states one length at a time, and stop once past the budget,
     # so that a deep truncation is refused without a huge integer.
     total_states = layer = 1
+    first = [0, 1]  # the shortlex index of each length's first state
     for _ in range(capacity):
         layer *= n
         total_states += layer
@@ -134,36 +220,34 @@ def stationary_truncated(
                 f"truncation at {capacity} customers needs more than "
                 f"{budget} states, the budget"
             )
-    log_lam = [math.log(l) for l in queue.arrival_rates]
-    rate = queue.rate_fn.rate
-    counts = [0] * n  # the macrostate of the popped frame's state
-    log_weights: dict[State, float] = {(): 0.0}
-    # Depth first, children in class order, on an explicit stack of (state,
-    # log weight, class to append) frames, so a long queue needs no
-    # recursion; states are listed as each is reached.
-    frames = [((), 0.0, 0)] if capacity else []
+        first.append(total_states)
+    log_rate, after = _log_rates(queue.rate_fn, capacity)
+    classes = list(enumerate(math.log(l) for l in queue.arrival_rates))
+    backwards = classes[::-1]
+    log_weights = [0.0]
+    shortlex = [0]
+    # Depth first, children in class order, on an explicit stack of (log
+    # weight, macrostate id, base-n value, length) frames, so a long queue
+    # needs no recursion.  A frame's state is listed when it is popped, and
+    # a state one short of ``capacity`` lists its children at once.
+    frames = [(0.0, 0, 0, 0)] if capacity else []
+    last = capacity - 1
     while frames:
-        state, lw, i = frames.pop()
-        if i == n:  # every child done: leave the state
-            if state:
-                counts[state[-1]] -= 1
-            continue
-        frames.append((state, lw, i + 1))
-        counts[i] += 1
-        r = rate(tuple(counts))
-        if r <= 0.0:
-            raise UsageError(
-                f"overall rate is not positive on macrostate {tuple(counts)}"
-            )
-        child = state + (i,)
-        child_lw = log_weights[child] = lw + log_lam[i] - math.log(r)
-        if len(child) < capacity:
-            frames.append((child, child_lw, 0))
+        lw, macro, v, k = frames.pop()
+        if k:
+            log_weights.append(lw)
+            shortlex.append(first[k] + v)
+        succ = after[macro]
+        if k == last:
+            log_weights.extend([lw + a - log_rate[succ[i]]
+                                for i, a in classes])
+            u = first[k + 1] + v * n
+            shortlex.extend(range(u, u + n))
         else:
-            counts[i] -= 1
-    log_z = _logsumexp(list(log_weights.values()))
-    return TruncatedDistribution(n, capacity, tuple(log_weights), log_weights,
-                                 log_z)
+            frames.extend([(lw + a - log_rate[succ[i]], succ[i], v * n + i,
+                            k + 1) for i, a in backwards])
+    return TruncatedDistribution(n, capacity, log_weights, shortlex,
+                                 _logsumexp(log_weights))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import math
 import random
 from array import array
 from collections import deque
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Sequence
 
 import pytest
@@ -346,6 +347,82 @@ def open_successors(
         (after, inc)
         for _, inc, after, _ in completions(rate_fn, graph, state)
     ]
+
+
+# The reference truncated walk: ``product_form.stationary_truncated`` as it
+# stood when it walked tuples, built each state by concatenation, read the
+# overall rate of every state's macrostate afresh and keyed the log weights
+# by state.  The integer walk must give the same states, log weights,
+# normalizer, probabilities and mean counts bit for bit, and raise on the
+# same macrostate.
+
+
+@dataclass(frozen=True)
+class ReferenceTruncation:
+    n_classes: int
+    capacity: int
+    states: tuple
+    log_weights: dict
+    log_normalizer: float
+
+    def probabilities(self) -> dict:
+        z = self.log_normalizer
+        return {s: math.exp(w - z) for s, w in self.log_weights.items()}
+
+    def mean_counts(self) -> tuple:
+        totals = [0.0] * self.n_classes
+        for s, p in self.probabilities().items():
+            for cls in s:
+                totals[cls] += p
+        return tuple(totals)
+
+
+def reference_stationary_truncated(
+    queue: PandsQueue, capacity: int, budget: int = 1_000_000
+) -> ReferenceTruncation:
+    if capacity < 0:
+        raise UsageError("capacity must be non-negative")
+    n = queue.n_classes
+    total_states = layer = 1
+    for _ in range(capacity):
+        layer *= n
+        total_states += layer
+        if total_states > budget:
+            raise ResourceError(
+                f"truncation at {capacity} customers needs more than "
+                f"{budget} states, the budget"
+            )
+    log_lam = [math.log(l) for l in queue.arrival_rates]
+    rate = queue.rate_fn.rate
+    counts = [0] * n  # the macrostate of the popped frame's state
+    log_weights = {(): 0.0}
+    # Depth first, children in class order, on an explicit stack of (state,
+    # log weight, class to append) frames.
+    frames = [((), 0.0, 0)] if capacity else []
+    while frames:
+        state, lw, i = frames.pop()
+        if i == n:  # every child done: leave the state
+            if state:
+                counts[state[-1]] -= 1
+            continue
+        frames.append((state, lw, i + 1))
+        counts[i] += 1
+        r = rate(tuple(counts))
+        if r <= 0.0:
+            raise UsageError(
+                f"overall rate is not positive on macrostate {tuple(counts)}"
+            )
+        child = state + (i,)
+        child_lw = log_weights[child] = lw + log_lam[i] - math.log(r)
+        if len(child) < capacity:
+            frames.append((child, child_lw, 0))
+        else:
+            counts[i] -= 1
+    values = list(log_weights.values())
+    m = max(values)
+    log_z = m + math.log(sum(math.exp(v - m) for v in values))
+    return ReferenceTruncation(n, capacity, tuple(log_weights), log_weights,
+                               log_z)
 
 
 def brute_reachability_partition(states, successors):

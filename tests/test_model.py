@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from passandswap import (
     DomainError,
     MultiServerRates,
+    PandsQueue,
     RateFunction,
     SwappingGraph,
     TableRates,
@@ -266,3 +267,12 @@ def test_server_rates_must_be_positive(rate):
     # A NaN rate would make every increment it enters compare false to 0.
     with pytest.raises(UsageError, match="must be strictly positive"):
         MultiServerRates.build([1.0, rate], [[0], [1]])
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("nan")])
+def test_arrival_rates_must_be_positive(rate):
+    # A NaN arrival rate compares false to 0 as well; it would make every
+    # probability of the truncated law NaN.
+    with pytest.raises(UsageError, match="arrival rates must be strictly"):
+        PandsQueue((rate, 0.5), MultiServerRates.build([1.0], [{0}, {0}]),
+                   SwappingGraph.edgeless(2))

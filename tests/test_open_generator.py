@@ -111,3 +111,20 @@ def test_budget_fits_exactly_and_refuses_one_over(queue, capacity, count):
 def test_open_generator_refuses_a_negative_capacity():
     with pytest.raises(UsageError, match="capacity must be non-negative"):
         open_generator(PATH_QUEUE, -1)
+
+
+@pytest.mark.parametrize("queue", [
+    SINGLE_QUEUE,  # a loop: every chain runs to the tail
+    PandsQueue((0.5,), SINGLE_QUEUE.rate_fn, SwappingGraph.edgeless(1)),
+    PandsQueue((0.5, 0.5), MultiServerRates.build([1.0, 2.0], [{0}, {0, 1}]),
+               SwappingGraph.from_pairs(2, [(1, 1)])),
+], ids=["loop", "no-loop", "one-isolated"])
+def test_long_queues_stop_their_walks_early(queue):
+    # Past the first customers no position is served, and a chain stops
+    # once its moving class has no neighbour: both walks end early, to the
+    # same bits.
+    capacity = 200 if queue.n_classes == 1 else 12
+    _assert_same_generator(
+        open_generator(queue, capacity),
+        build_generator(open_successors(queue, capacity), ()),
+    )
