@@ -21,7 +21,6 @@ generator start without paying for them.
 
 from __future__ import annotations
 
-import heapq
 import math
 from array import array
 from dataclasses import dataclass
@@ -673,6 +672,7 @@ def compare_laws(
     are built.  A residual that is not finite falls back to ranking every
     pair, since ``nlargest`` orders NaN as the comparisons fall.
     """
+    import heapq
     import numpy as np
     diffs = np.abs(np.asarray(p, dtype=float) - q)
     residuals = diffs.tolist()
