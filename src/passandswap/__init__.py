@@ -88,7 +88,6 @@ from .oracle import (
     build_generator,
     open_generator,
     solve_stationary,
-    solve_unique,
     total_variation,
 )
 from .sim import (

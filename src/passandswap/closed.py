@@ -450,7 +450,7 @@ def successors(
 def enumerate_adhering(
     order: PlacementOrder,
     population: Macrostate,
-    budget: int = DEFAULT_STATE_BUDGET,
+    budget: float = DEFAULT_STATE_BUDGET,
 ) -> tuple[State, ...]:
     """All states with macrostate ``population`` that adhere to ``order``."""
     if len(population) != order.n_classes:
@@ -481,27 +481,20 @@ def enumerate_adhering(
     return tuple(out)
 
 
-def enumerate_sigma(
-    net: TandemNetwork, budget: int = DEFAULT_STATE_BUDGET
-) -> tuple[TandemState, ...]:
-    """All adhering tandem states with total macrostate ``net.population``.
+def enumerate_sigma(net: TandemNetwork) -> tuple[TandemState, ...]:
+    """All adhering tandem states with total macrostate ``net.population``,
+    unbounded: :func:`analyze_tandem` sizes the space before it lists them.
 
     Each adhering single-queue arrangement of the full population splits at
     every cut point into a first-queue prefix and a reversed second-queue
     suffix; the correspondence is one-to-one.
     """
-    full = enumerate_adhering(net.order, net.population, budget)
     total = sum(net.population)
-    if len(full) * (total + 1) > budget:
-        raise ResourceError(
-            f"tandem state enumeration needs {len(full) * (total + 1)} "
-            f"states, budget {budget}"
-        )
-    out: list[TandemState] = []
-    for seq in full:
-        for cut in range(total + 1):
-            out.append((seq[:cut], tuple(reversed(seq[cut:]))))
-    return tuple(out)
+    return tuple(
+        (seq[:cut], tuple(reversed(seq[cut:])))
+        for seq in enumerate_adhering(net.order, net.population, math.inf)
+        for cut in range(total + 1)
+    )
 
 
 def first_queue_macrostates(
@@ -841,18 +834,49 @@ def _tandem_initial(
     return initial
 
 
+def _tandem_space(net: TandemNetwork, budget: int):
+    """The number of adhering tandem states of ``net``, refused over
+    ``budget`` before any state is listed; the log weight of each
+    first-queue macrostate ``x``, ``log Phi_1(x) + log Phi_2(population -
+    x)``, by total; and the face sizes, the states with every token in the
+    first queue and in the second.  The recursion of each ``Phi`` counts
+    its queue's adhering contents in integers."""
+    # There are never more macrostates than tandem states; a budget below
+    # the default still gets the exact count in its message.
+    xs = first_queue_macrostates(
+        net.order, net.population, max(budget, DEFAULT_STATE_BUDGET)
+    )
+    # The second queue is read in reverse, so its rule is the first's under
+    # the reversed order, over y = population - x.
+    full = net.population
+    ys = [tuple(k - v for k, v in zip(full, x)) for x in reversed(xs)]
+    log_phi1, count1 = balance_function(net.rate_fn_1, net.order.later, xs)
+    log_phi2, count2 = balance_function(net.rate_fn_2, net.order.earlier, ys)
+    pairs = list(zip(xs, reversed(ys)))
+    space = sum(count1[x] * count2[y] for x, y in pairs)
+    if space > budget:
+        raise ResourceError(
+            f"the adhering space needs {space} tandem states, budget {budget}"
+        )
+    log_w = {x: log_phi1[x] + log_phi2[y] for x, y in pairs}
+    return space, log_w, (count1[full], count2[full])
+
+
 def analyze_tandem(
     net: TandemNetwork,
     initial: TandemState | None = None,
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> TandemAnalysis:
     """Stationary distribution of the tandem started in ``initial``
-    (default: every token available in the second queue)."""
+    (default: every token available in the second queue).  A space of
+    more than ``budget`` tandem states is refused, with its exact count,
+    before any state is listed (see :func:`_tandem_space`)."""
     initial = _tandem_initial(net, initial)
+    _tandem_space(net, budget)
     log_b1 = memoized_log_balance(net.rate_fn_1)
     log_b2 = memoized_log_balance(net.rate_fn_2)
     support, dist, partition, warnings = _solve(
-        enumerate_sigma(net, budget),
+        enumerate_sigma(net),
         lambda s: log_b1(s[0]) + log_b2(s[1]),
         successors(net),
         initial,
@@ -973,30 +997,11 @@ def analyze_tandem_macrostates(
     partition's warning.
     """
     initial = _tandem_initial(net, initial)
-    # There are never more macrostates than tandem states; a budget below
-    # the default still gets the exact count in its message.
-    xs = first_queue_macrostates(
-        net.order, net.population, max(budget, DEFAULT_STATE_BUDGET)
-    )
-    # The second queue is read in reverse, so its rule is the first's under
-    # the reversed order, over y = population - x.
-    ys = [
-        tuple(k - v for k, v in zip(net.population, x)) for x in reversed(xs)
-    ]
-    log_phi1, count1 = balance_function(net.rate_fn_1, net.order.later, xs)
-    log_phi2, count2 = balance_function(net.rate_fn_2, net.order.earlier, ys)
-    pairs = list(zip(xs, reversed(ys)))
-    space = sum(count1[x] * count2[y] for x, y in pairs)
-    if space > budget:
-        raise ResourceError(
-            f"the adhering space needs {space} tandem states, budget {budget}"
-        )
+    space, log_w, (face1, face2) = _tandem_space(net, budget)
     face = net.initial_state()[1]  # every token in the second queue
-    full = net.population
     if not (
-        len(_face_walk(net.rate_fn_2, net.swapping, face)) == count2[full]
-        or len(_face_walk(net.rate_fn_1, net.swapping, face[::-1]))
-        == count1[full]
+        len(_face_walk(net.rate_fn_2, net.swapping, face)) == face2
+        or len(_face_walk(net.rate_fn_1, net.swapping, face[::-1])) == face1
     ):
         micro = analyze_tandem(net, initial, budget)
         if micro.partition.n_components > 1:
@@ -1006,7 +1011,6 @@ def analyze_tandem_macrostates(
                 first_queue_marginal(micro.distribution, net.n_classes),
                 micro.warnings,
             )
-    log_w = [log_phi1[x] + log_phi2[y] for x, y in pairs]
-    z = _logsumexp(log_w)
-    dist = {x: math.exp(w - z) for (x, _), w in zip(pairs, log_w)}
+    z = _logsumexp(list(log_w.values()))
+    dist = {x: math.exp(w - z) for x, w in log_w.items()}
     return MacrostateAnalysis(space, space, dist, ())

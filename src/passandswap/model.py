@@ -22,7 +22,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import CapabilityError, DomainError, UsageError
+from .errors import CapabilityError, DomainError, ResourceError, UsageError
 
 State = tuple[int, ...]
 Macrostate = tuple[int, ...]
@@ -46,6 +46,23 @@ def all_states(n_classes: int, max_len: int) -> Iterator[State]:
     """Every state of length at most ``max_len``, shortest first."""
     for length in range(max_len + 1):
         yield from itertools.product(range(n_classes), repeat=length)
+
+
+def shortlex_starts(n_classes: int, capacity: int, budget: int) -> list[int]:
+    """The shortlex index of the first state of each length, ``0`` to
+    ``capacity + 1``; the last entry is the number of states of at most
+    ``capacity`` customers.  The states are counted one length at a time,
+    so a truncation of more than ``budget`` states is refused before any
+    huge integer is formed."""
+    first = [0]
+    for length in range(capacity + 1):
+        first.append(first[-1] + n_classes ** length)
+        if first[-1] > budget:
+            raise ResourceError(
+                f"truncation at {capacity} customers needs more than "
+                f"{budget} states, the budget"
+            )
+    return first
 
 
 def all_macrostates(n_classes: int, max_total: int) -> Iterator[Macrostate]:

@@ -29,7 +29,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping,
                     Sequence)
 
 from .errors import ConvergenceError, ResourceError, UsageError
-from .model import PandsQueue, all_macrostates, all_states
+from .model import PandsQueue, all_macrostates, all_states, shortlex_starts
 
 if TYPE_CHECKING:
     import numpy as np
@@ -192,18 +192,15 @@ def open_generator(
     completions in the order of their first position, as in the generic
     build.
 
-    A truncation of more than ``budget`` states is refused before any work.
+    Each length's first index comes from ``model.shortlex_starts``, which
+    refuses a truncation of more than ``budget`` states before any work.
     """
     import numpy as np
     if capacity < 0:
         raise UsageError("capacity must be non-negative")
     n = queue.n_classes
-    count = capacity + 1 if n == 1 else (n ** (capacity + 1) - 1) // (n - 1)
-    if count > budget:
-        raise ResourceError(
-            f"the truncation at {capacity} customers needs {count} states, "
-            f"budget {budget}"
-        )
+    first = np.array(shortlex_starts(n, capacity, budget), dtype=np.int64)
+    count = int(first[-1])
     # Increments and successors per (prefix macrostate, class), the empty
     # macrostate first; the padding class ``n`` adds nothing and leaves the
     # macrostate as it is.  A served customer has fewer than ``capacity``
@@ -236,7 +233,6 @@ def open_generator(
     scale = np.append(np.full(n, n), 1)
     digit = np.append(np.arange(n), 0)
     power = n ** np.arange(capacity + 1)
-    first = np.cumsum([0, *(n ** k for k in range(capacity + 1))])
     lam = np.array(queue.arrival_rates)
     arrivals = 0.0  # in class order, as a row of the generic build; sum()
     for rate in queue.arrival_rates:  # may compensate
@@ -637,12 +633,6 @@ def unique_solution(g: GeneratorMatrix, **kwargs) -> ClassSolution:
             f"{sol.n_transient_states} transient states"
         )
     return sol.solutions[0]
-
-
-def solve_unique(g: GeneratorMatrix, **kwargs) -> dict[Hashable, float]:
-    """Stationary distribution of a chain with exactly one closed class
-    covering every reachable state."""
-    return dict(unique_solution(g, **kwargs).distribution)
 
 
 def total_variation(

@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 from .dynamics import completions, predecessors
 from .errors import ResourceError, UsageError
 from .model import (Macrostate, PandsQueue, RateFunction, State,
-                    all_states, macrostate)
+                    all_states, macrostate, shortlex_starts)
 
 DEFAULT_STATE_BUDGET = 1_000_000
 
@@ -203,24 +203,13 @@ def stationary_truncated(
     :func:`_log_rates`), and the shortlex index.  A child's log weight is
     its parent's plus the log arrival rate of its last customer, minus the
     log rate of its macrostate, and the log normalizer sums the weights in
-    the order they are listed, so no tuple is built.
+    the order they are listed, so no tuple is built.  More than ``budget``
+    states are refused before the walk, by ``model.shortlex_starts``.
     """
     if capacity < 0:
         raise UsageError("capacity must be non-negative")
     n = queue.n_classes
-    # Count the states one length at a time, and stop once past the budget,
-    # so that a deep truncation is refused without a huge integer.
-    total_states = layer = 1
-    first = [0, 1]  # the shortlex index of each length's first state
-    for _ in range(capacity):
-        layer *= n
-        total_states += layer
-        if total_states > budget:
-            raise ResourceError(
-                f"truncation at {capacity} customers needs more than "
-                f"{budget} states, the budget"
-            )
-        first.append(total_states)
+    first = shortlex_starts(n, capacity, budget)
     log_rate, after = _log_rates(queue.rate_fn, capacity)
     classes = list(enumerate(math.log(l) for l in queue.arrival_rates))
     backwards = classes[::-1]

@@ -28,7 +28,6 @@ from passandswap import (
     predecessors,
     simulate,
     simulate_protocol,
-    solve_unique,
     stability_check,
     stationary_truncated,
     tandem_step,
@@ -36,6 +35,7 @@ from passandswap import (
     verify_partial_balance,
 )
 from passandswap.closed import TandemNetwork
+from passandswap.oracle import unique_solution
 from conftest import (
     UnitIncrementRates,
     transition_fn,
@@ -85,7 +85,8 @@ def test_a02_truncated_product_form_vs_oracle():
     for capacity in (4, 6, 8):
         analytic = stationary_truncated(queue, capacity).probabilities()
         gen = build_generator(transition_fn(queue, capacity), ())
-        worst = max(worst, total_variation(analytic, solve_unique(gen)))
+        ref = unique_solution(gen).distribution
+        worst = max(worst, total_variation(analytic, ref))
     elapsed = time.perf_counter() - start
     check("A2", worst < 1e-10 and elapsed < 10.0,
           f"max TV {worst:.2e} over capacities 4/6/8, {elapsed:.2f}s")
@@ -103,7 +104,7 @@ def test_a03_swapping_graph_independence():
     for graph in graphs3:
         queue = PandsQueue((0.8, 0.8, 0.8), THREE_CLASS_RATES, graph)
         gen = build_generator(transition_fn(queue, 6), ())
-        dists.append(solve_unique(gen))
+        dists.append(unique_solution(gen).distribution)
     for p, q in itertools.combinations(dists, 2):
         worst = max(worst, total_variation(p, q))
     # and the two-class rate model under its own three graphs
@@ -116,7 +117,7 @@ def test_a03_swapping_graph_independence():
     for graph in graphs2:
         queue = PandsQueue((0.8, 0.8), TWO_CLASS_RATES, graph)
         gen = build_generator(transition_fn(queue, 6), ())
-        dists2.append(solve_unique(gen))
+        dists2.append(unique_solution(gen).distribution)
     for p, q in itertools.combinations(dists2, 2):
         worst = max(worst, total_variation(p, q))
     check("A3", worst < 1e-10, f"oracle distributions pairwise TV {worst:.2e}")
@@ -212,7 +213,8 @@ def test_a08_closed_queue_reachability_and_distribution():
     uniform_gap = max(
         abs(p - 1.0 / len(dist.states)) for p in dist.distribution.values()
     )
-    tv = total_variation(dict(dist.distribution), solve_unique(gen))
+    ref = unique_solution(gen).distribution
+    tv = total_variation(dict(dist.distribution), ref)
     elapsed = time.perf_counter() - start
     check(
         "A8",
@@ -234,7 +236,8 @@ def test_a09_tandem_distribution_vs_oracle():
     invariant = all(
         macrostate(c + d, 6) == (1,) * 6 for c, d in gen.states
     )
-    tv = total_variation(dict(analysis.distribution), solve_unique(gen))
+    ref = unique_solution(gen).distribution
+    tv = total_variation(dict(analysis.distribution), ref)
     check(
         "A9",
         tv < 1e-10 and invariant,
@@ -266,7 +269,7 @@ def test_a10_duplicate_split_projection():
 
     analysis = analyze_closed(cq, initial)
     gen = build_generator(transition_fn(cq), initial)
-    ref = solve_unique(gen)
+    ref = unique_solution(gen).distribution
     tv = total_variation(dict(analysis.distribution), ref)
     check(
         "A10",

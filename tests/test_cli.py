@@ -495,12 +495,32 @@ def test_closed_budget_admits_an_exact_fit(capsys, model_path):
     assert "reached 6 states, budget 5" in capsys.readouterr().err
 
 
-def test_cluster_budget_names_the_exact_state_count(capsys, model_path):
+def test_cluster_budget_names_the_exact_state_count(capsys, model_path,
+                                                   tmp_path):
     path = model_path(CLUSTER_DOC)
     for budget in ("50", "7"):
         assert main(["cluster-analyze", path, "--budget", budget]) == 3
         err = capsys.readouterr().err
         assert f"needs 96 tandem states, budget {budget}" in err
+    # the compiled tandem is sized the same way by every tandem command
+    tandem = str(tmp_path / "tandem.json")
+    assert main(["cluster-compile", path, "-o", tandem]) == 0
+    capsys.readouterr()
+    for command in ("tandem-analyze", "classes", "oracle-compare"):
+        assert main([command, tandem, "--budget", "50"]) == 3
+        assert capsys.readouterr().err == (
+            "error: the adhering space needs 96 tandem states, budget 50\n"
+        )
+
+
+def test_a_class_that_no_server_serves_exits_2(capsys, model_path):
+    idle = dict(TANDEM_DOC["rate_function_1"], compat=[[1], []])
+    path = model_path(dict(TANDEM_DOC, rate_function_1=idle,
+                           swapping_edges=[]))
+    assert main(["tandem-analyze", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: overall rate is not positive on macrostate (0, 1)\n"
+    )
 
 
 def test_table_output_contains_header(capsys, model_path):

@@ -13,10 +13,12 @@ from passandswap import (
     StructureError,
     SwappingGraph,
     TandemNetwork,
+    UsageError,
     adheres,
     adheres_tandem,
     analyze_closed,
     analyze_tandem,
+    analyze_tandem_macrostates,
     balance,
     build_generator,
     closed_step,
@@ -28,11 +30,11 @@ from passandswap import (
     isomorphic_model,
     macrostate,
     order_from_state,
-    solve_unique,
     tandem_step,
     total_variation,
 )
 from passandswap import MultiServerRates
+from passandswap.oracle import unique_solution
 from conftest import (
     UnitIncrementRates,
     brute_reachability_partition,
@@ -308,7 +310,7 @@ def test_closed_distribution_matches_oracle(six_class_graph, six_class_order):
     gen = build_generator(
         transition_fn(cq), cq.initial_state()
     )
-    ref = solve_unique(gen)
+    ref = unique_solution(gen).distribution
     assert set(gen.states) == set(dist.states)
     assert total_variation(dict(dist.distribution), ref) < 1e-10
 
@@ -344,7 +346,7 @@ def test_tandem_distribution_matches_oracle(six_class_graph, six_class_order):
     )
     dist = analyze_tandem(net)
     gen = build_generator(transition_fn(net), net.initial_state())
-    ref = solve_unique(gen)
+    ref = unique_solution(gen).distribution
     assert total_variation(dict(dist.distribution), ref) < 1e-10
     marginal = {}
     for (c, _), p in dist.distribution.items():
@@ -457,7 +459,8 @@ def test_reducible_space_restricts_to_initial_class():
         assert p == pytest.approx(0.25)
     gen = build_generator(transition_fn(cq), initial)
     assert set(gen.states) == set(analysis.states)
-    assert total_variation(analysis.distribution, solve_unique(gen)) < 1e-12
+    ref = unique_solution(gen).distribution
+    assert total_variation(analysis.distribution, ref) < 1e-12
 
 
 # ----------------------------------------------------- duplicate splitting
@@ -541,7 +544,7 @@ def test_nonadhering_analysis_matches_oracle():
     analysis = analyze_closed(cq, initial)
     assert analysis.route == "isomorphic"
     gen = build_generator(transition_fn(cq), initial)
-    ref = solve_unique(gen)
+    ref = unique_solution(gen).distribution
     assert set(ref) == set(analysis.states)
     assert total_variation(dict(analysis.distribution), ref) < 1e-10
 
@@ -563,6 +566,23 @@ def test_tandem_rejects_nonadhering_initial(six_class_graph, six_class_order):
     )
     with pytest.raises(StructureError):
         analyze_tandem(net, (b(3, 1), b(2, 4, 5, 6)))
+
+
+def test_a_class_that_no_server_serves_is_refused():
+    # Class 1 (0-based) has no server in the first queue, so the overall
+    # rate of macrostate (0, 1) is 0.  The tandem analyses meet it in the
+    # recursion that sizes the space, the closed queue when it weighs the
+    # state (1, 0).
+    idle = MultiServerRates.build([1.0], [{0}, set()])
+    graph = SwappingGraph.edgeless(2)
+    net = TandemNetwork(idle, MultiServerRates.build([1.0], [{0}, {0}]),
+                        graph, (1, 1), PlacementOrder(2, frozenset()))
+    for analyze in (analyze_tandem_macrostates, analyze_tandem):
+        with pytest.raises(UsageError, match=r"not positive on macrostate "
+                                             r"\(0, 1\)$"):
+            analyze(net)
+    with pytest.raises(UsageError, match=r"not positive on prefix \(0, 1\)$"):
+        analyze_closed(ClosedQueue(idle, graph, (1, 1)), (0, 1))
 
 
 # ------------------------------------------- orders on random class DAGs

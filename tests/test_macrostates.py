@@ -162,21 +162,25 @@ def test_budget_is_checked_on_the_exact_count_before_any_search(monkeypatch):
     ct = compile_cluster(SPECS["cli"])
     net = ct.network
     assert analyze_tandem_macrostates(net, ct.initial, budget=96).space == 96
+    assert len(analyze_tandem(net, ct.initial, budget=96).states) == 96
 
-    def no_fallback(*args):
-        raise AssertionError("fell back to the microstate analysis")
+    def no_walk(*args):
+        raise AssertionError("walked before the budget was checked")
 
-    monkeypatch.setattr(closed, "analyze_tandem", no_fallback)
-    message = "needs 96 tandem states, budget 95"
-    with pytest.raises(ResourceError, match=message):
-        analyze_tandem_macrostates(net, ct.initial, budget=95)
+    for name in ("analyze_tandem", "enumerate_sigma", "enumerate_adhering",
+                 "_face_walk"):
+        monkeypatch.setattr(closed, name, no_walk)
+    message = "the adhering space needs 96 tandem states, budget 95"
+    for analyze in (analyze_tandem_macrostates, analyze_tandem):
+        with pytest.raises(ResourceError, match=message):
+            analyze(net, ct.initial, budget=95)
 
 
 def test_budget_messages_say_how_far_the_enumeration_got():
     net = compile_cluster(SPECS["cli"]).network
     for enumerate_, message in (
-        (lambda: enumerate_sigma(net, budget=50),
-         "tandem state enumeration needs 96 states, budget 50"),
+        (lambda: analyze_tandem(net, budget=50),
+         "the adhering space needs 96 tandem states, budget 50"),
         (lambda: closed.enumerate_adhering(net.order, net.population, 5),
          "adhering state enumeration reached 6 states, budget 5"),
         (lambda: first_queue_macrostates(net.order, net.population, 3),

@@ -24,6 +24,7 @@ from passandswap import (
     TableRates,
     UsageError,
     build_generator,
+    stationary_truncated,
 )
 from passandswap.closed import ProjectedRateFunction
 from passandswap.model import all_macrostates
@@ -100,12 +101,28 @@ def test_budget_fits_exactly_and_refuses_one_over(queue, capacity, count):
     _assert_same_generator(
         got, build_generator(open_successors(queue, capacity), ())
     )
-    with pytest.raises(ResourceError) as exc:
-        open_generator(queue, capacity, budget=count - 1)
-    assert str(exc.value) == (
-        f"the truncation at {capacity} customers needs {count} states, "
-        f"budget {count - 1}"
-    )
+    for refuse in (open_generator, stationary_truncated):
+        with pytest.raises(ResourceError) as exc:
+            refuse(queue, capacity, budget=count - 1)
+        assert str(exc.value) == (
+            f"truncation at {capacity} customers needs more than "
+            f"{count - 1} states, the budget"
+        )
+
+
+@pytest.mark.parametrize("capacity, budget", [(100_000, 200_000), (0, 0)])
+def test_both_builds_refuse_by_the_one_count(capacity, budget):
+    # Deep: no 3^100001 is formed (a huge int would fail to print).  Empty:
+    # the one empty state is counted against the budget too.
+    messages = set()
+    for refuse in (open_generator, stationary_truncated):
+        with pytest.raises(ResourceError) as exc:
+            refuse(PATH_QUEUE, capacity, budget=budget)
+        messages.add(str(exc.value))
+    assert messages == {
+        f"truncation at {capacity} customers needs more than {budget} "
+        "states, the budget"
+    }
 
 
 def test_open_generator_refuses_a_negative_capacity():

@@ -20,11 +20,11 @@ from passandswap import (
     build_generator,
     compile_cluster,
     solve_stationary,
-    solve_unique,
     total_variation,
 )
 from passandswap import oracle
 from passandswap.modelfile import parse_document
+from passandswap.oracle import unique_solution
 from conftest import (
     brute_reachability_partition,
     transition_fn,
@@ -59,7 +59,7 @@ def test_two_state_birth_death():
         return [((1,), lam)] if state == () else [((), mu_)]
 
     gen = build_generator(transitions, ())
-    dist = solve_unique(gen)
+    dist = unique_solution(gen).distribution
     assert dist[()] == pytest.approx(mu_ / (lam + mu_))
     assert dist[(1,)] == pytest.approx(lam / (lam + mu_))
 
@@ -78,7 +78,7 @@ def test_single_server_truncation_is_geometric():
         return moves
 
     gen = build_generator(transitions, (0,))
-    dist = solve_unique(gen)
+    dist = unique_solution(gen).distribution
     rho = lam / mu_
     z = sum(rho**k for k in range(n_max + 1))
     for k in range(n_max + 1):
@@ -102,13 +102,14 @@ def test_transient_states_are_excluded():
     assert dist[1] == pytest.approx(0.6)
     assert dist[2] == pytest.approx(0.4)
     with pytest.raises(UsageError):
-        solve_unique(gen)
+        unique_solution(gen)
 
 
 def test_uniformization_agrees_with_direct(two_class_queue):
     gen = build_generator(transition_fn(two_class_queue, 5), ())
-    direct = solve_unique(gen)
-    iterative = solve_unique(gen, direct_limit=0, residual_tol=1e-12)
+    direct = unique_solution(gen).distribution
+    iterative = unique_solution(gen, direct_limit=0,
+                                residual_tol=1e-12).distribution
     assert total_variation(direct, iterative) < 1e-10
 
 
@@ -456,7 +457,7 @@ def test_uniformization_stops_where_the_residual_stops_falling(
         1.0, np.abs(gen.matrix.diagonal()).max()
     )
     assert total_variation(
-        dict(zip(gen.states, pi)), solve_unique(gen)
+        dict(zip(gen.states, pi)), unique_solution(gen).distribution
     ) < 1e-10
 
 

@@ -15,7 +15,6 @@ from passandswap import (
     build_generator,
     flow_rates,
     macrostate_flow_identity,
-    solve_unique,
     stability_check,
     state_weight,
     stationary_truncated,
@@ -24,6 +23,7 @@ from passandswap import (
 )
 from passandswap import product_form
 from passandswap.closed import ProjectedRateFunction
+from passandswap.oracle import unique_solution
 from conftest import transition_fn
 from test_sim_moves import multi_server_rates, swapping_graphs
 
@@ -60,7 +60,7 @@ def test_truncation_at_zero_is_point_mass(two_class_queue):
 def test_truncated_distribution_matches_oracle(two_class_queue):
     dist = stationary_truncated(two_class_queue, 4)
     gen = build_generator(transition_fn(two_class_queue, 4), ())
-    ref = solve_unique(gen)
+    ref = unique_solution(gen).distribution
     assert total_variation(dist.probabilities(), ref) < 1e-10
 
 
