@@ -34,7 +34,13 @@ each side and their ratio (new over reference) go to the benchmark's
 * ``test_stationary_truncated_against_reference``: the integer walk of
   ``product_form.stationary_truncated`` against the tuple walk it replaced,
   ``reference_stationary_truncated`` of ``tests/conftest.py``, on the
-  open10 model: each side's log weights and log normalizer.
+  open10 model: each side's log weights and log normalizer;
+* ``test_analyze_tandem_against_reference``: ``closed.analyze_tandem``
+  (one weighted walk, and the face certificate before any flood) against
+  the route it replaced, ``reference_analyze_tandem`` of
+  ``tests/conftest.py`` (weigh each state by its contents, flood,
+  restrict), on the 7,560-state (2,2,2|1,1,1) tandem that
+  ``oracle-compare`` cross-checks in the benchmark.
 
 ``test_cold_start`` times a fresh interpreter importing the CLI module,
 the start-up cost every command pays before it reads its model.
@@ -50,7 +56,8 @@ from pathlib import Path
 import pytest
 
 import passandswap
-from passandswap.closed import ClosedQueue, _face_walk, _flood, successors
+from passandswap.closed import (ClosedQueue, _face_walk, _flood,
+                                 analyze_tandem, successors)
 from passandswap.cluster import compile_cluster
 from passandswap.dynamics import apply_completion, completions, predecessors
 from passandswap.model import all_states, macrostate
@@ -61,6 +68,7 @@ from passandswap.product_form import stationary_truncated
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from conftest import (  # noqa: E402
     open_successors,
+    reference_analyze_tandem,
     reference_stationary_truncated,
 )
 
@@ -68,6 +76,7 @@ ROUNDS = 5
 AB_ROUNDS = 15  # alternating pairs of the face walk's A/B
 GENERATOR_AB_ROUNDS = 9  # and of the generator build's, about 1 s a pair
 WALK_AB_ROUNDS = 15  # and of the truncated walk's, about 0.15 s a pair
+TANDEM_AB_ROUNDS = 11  # and of the tandem analysis's, about 0.15 s a pair
 
 # The (2,2,2|2,2,1) rung of the bipartite family at its base rates.
 CLUSTER_DOC = {
@@ -84,6 +93,10 @@ CLUSTER_DOC = {
     ],
 }
 FACE_CONTENTS = 4_032
+# The (2,2,2|1,1,1) rung: one buffer slot per machine.
+TANDEM_DOC = {**CLUSTER_DOC, "machines": [
+    {**m, "buffer": 1} for m in CLUSTER_DOC["machines"]]}
+TANDEM_STATES = 7_560
 
 # The 3-class path-graph open model of the CLI tests.
 OPEN_DOC = {
@@ -263,6 +276,22 @@ def test_stationary_truncated_against_reference(benchmark):
     assert _against_reference(
         benchmark, "walk", walk, reference, WALK_AB_ROUNDS, lambda n: n
     ) == OPEN_STATES
+
+
+def test_analyze_tandem_against_reference(benchmark):
+    ct = compile_cluster(parse_document(TANDEM_DOC).spec)
+    net, initial = ct.network, ct.initial
+    analyze = lambda: analyze_tandem(net, initial)
+    reference = lambda: reference_analyze_tandem(net, initial)
+    # Runs each side once before timing, as a warm-up.
+    got, want = analyze(), reference()
+    assert got.states == want.states
+    assert list(got.distribution.items()) == list(want.distribution.items())
+    assert got.partition == want.partition
+    assert _against_reference(
+        benchmark, "analyze", analyze, reference, TANDEM_AB_ROUNDS,
+        lambda a: len(a.states),
+    ) == TANDEM_STATES
 
 
 def test_cold_start(benchmark):

@@ -5,9 +5,12 @@ tandem routes it to the tail of the other queue.  Both preserve *adherence*
 to a placement order (an acyclic orientation of the swapping graph together
 with its reachability relation), which partitions the reachable states.
 This module enumerates adhering state spaces, normalizes the product-form
-weights of :mod:`passandswap.product_form` over them, partitions them into
-communicating classes, certifies irreducibility, and handles initial states
-that adhere to no order through a duplicate-class splitting construction.
+weights of :mod:`passandswap.product_form` over them, and handles initial
+states that adhere to no order through a duplicate-class splitting
+construction.  A tandem's states are listed and weighed in one walk, and
+its irreducibility is certified on a face of the tandem; only where that
+certificate is inconclusive, and always for a closed queue, are the states
+flooded into communicating classes.
 
 The open, closed and tandem models have two transition views, both built
 on :func:`~passandswap.dynamics.completions`.  :func:`queue_moves` gives
@@ -23,7 +26,9 @@ completion's next content and follows each chain itself.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -487,14 +492,69 @@ def enumerate_sigma(net: TandemNetwork) -> tuple[TandemState, ...]:
 
     Each adhering single-queue arrangement of the full population splits at
     every cut point into a first-queue prefix and a reversed second-queue
-    suffix; the correspondence is one-to-one.
+    suffix; the correspondence is one-to-one (see :func:`_walk_sigma`).
     """
-    total = sum(net.population)
-    return tuple(
-        (seq[:cut], tuple(reversed(seq[cut:])))
-        for seq in enumerate_adhering(net.order, net.population, math.inf)
-        for cut in range(total + 1)
-    )
+    xs = first_queue_macrostates(net.order, net.population, math.inf)
+    return _walk_sigma(net, xs, weigh=False)[0]
+
+
+def _walk_sigma(
+    net: TandemNetwork, xs: Sequence[Macrostate], weigh: bool = True
+) -> tuple[tuple[TandemState, ...], list[float]]:
+    """The adhering tandem states, each arrangement of
+    :func:`enumerate_adhering` cut at every point, and with ``weigh`` the
+    log weight ``log Phi_1(c) + log Phi_2(d)`` of each.
+
+    A prefix extends to an arrangement exactly when its macrostate occurs
+    in ``xs`` (:func:`first_queue_macrostates`), so the depth-first search
+    takes each class whose next macrostate occurs and meets no dead end.
+    It carries ``log Phi_1`` down the prefix and, at each arrangement,
+    builds ``log Phi_2`` along the reversed suffix: the subtractions of
+    :func:`~passandswap.product_form.memoized_log_balance`, in its order,
+    of one log rate read per macrostate, so the floats are the same.
+    """
+    full = net.population
+    total = sum(full)
+    index = {x: j for j, x in enumerate(xs)}
+    rate1 = rate2 = [0.0] * len(xs)
+    if weigh:  # xs[0] is empty and xs[-1] is full; neither rate is read
+        rate1 = [0.0] + [math.log(net.rate_fn_1.rate(x)) for x in xs[1:]]
+        rate2 = [math.log(net.rate_fn_2.rate(tuple(map(operator.sub, full, x))))
+                 for x in xs[:-1]] + [0.0]
+    # The frames that push each macrostate's children, highest class
+    # first, so that the lowest is popped first.
+    children = [
+        [(cls, index[y]) for cls in reversed(range(len(full)))
+         if x[cls] < full[cls]
+         and (y := x[:cls] + (x[cls] + 1,) + x[cls + 1:]) in index]
+        for x in xs
+    ]
+    size = [sum(x) for x in xs]
+    seq = [0] * total
+    # at each cut of the path: log Phi_1 of the first queue's content, and
+    # the log overall rate of the second queue's
+    phi1 = [0.0] * (total + 1)
+    mu2 = [0.0] * (total + 1)
+    states: list[TandemState] = []
+    log_w: list[float] = []
+    frames = [(-1, 0)]
+    while frames:
+        cls, j = frames.pop()
+        k = size[j]
+        mu2[k] = rate2[j]
+        if k:
+            seq[k - 1] = cls
+            phi1[k] = phi1[k - 1] - rate1[j]
+        if k < total:
+            frames += children[j]
+            continue
+        c = tuple(seq)
+        d = c[::-1]
+        states += [(c[:cut], d[:total - cut]) for cut in range(total + 1)]
+        phi2 = itertools.accumulate(mu2[total - 1::-1], operator.sub,
+                                    initial=0.0)
+        log_w += map(operator.add, phi1, reversed(list(phi2)))
+    return tuple(states), log_w
 
 
 def first_queue_macrostates(
@@ -509,27 +569,29 @@ def first_queue_macrostates(
     (``population - x > 0``) precedes a class in the first (``x > 0``).
     Dropping one customer of a class maximal in the first queue keeps that
     condition, so the set grows one customer at a time from the empty queue.
+    Given an occurring ``x``, ``x + e_i`` occurs exactly when no class
+    left after it precedes ``i``, so each macrostate carries its mask of
+    classes left.
     """
     n = order.n_classes
     earlier = order.earlier
-
-    def occurs(x: Macrostate) -> bool:
-        left = sum(1 << i for i in range(n) if x[i] < population[i])
-        return not any(x[b] and earlier[b] & left for b in range(n))
-
-    layer = [(0,) * n]
-    out = list(layer)
-    seen = set(layer)
+    layer = [((0,) * n, sum(1 << i for i in range(n) if population[i]))]
+    out = [layer[0][0]]
+    seen = set(out)
     while layer:
         grown = []
-        for x in layer:
+        for x, left in layer:
             for i in range(n):
-                if x[i] < population[i]:
-                    y = x[:i] + (x[i] + 1,) + x[i + 1:]
-                    if y not in seen and occurs(y):
+                k = x[i] + 1
+                if k > population[i]:
+                    continue
+                rest = left & ~(1 << i) if k == population[i] else left
+                if not earlier[i] & rest:
+                    y = x[:i] + (k,) + x[i + 1:]
+                    if y not in seen:
                         seen.add(y)
-                        grown.append(y)
-        out += grown
+                        grown.append((y, rest))
+        out += [y for y, _ in grown]
         if len(out) > budget:
             raise ResourceError(
                 f"first-queue macrostate enumeration reached {len(out)} "
@@ -616,29 +678,30 @@ _REDUCIBLE_WARNING = (
 
 
 def _solve(
-    states: Sequence[Hashable],
-    log_weight: Callable[[Any], float],
-    step: Callable[[Any], Iterable[tuple[Any, float]]],
+    states: tuple[Hashable, ...],
+    log_w: list[float],
+    step: Callable[[Any], Iterable[tuple[Any, float]]] | None,
     start: Hashable,
 ) -> tuple[
     tuple[Hashable, ...], dict[Hashable, float], ClassPartition, tuple[str, ...]
 ]:
-    """Weigh ``states`` in log space, partition them into communicating
-    classes of the moves of ``step`` (as :func:`successors` gives them),
-    and normalize the weights.
+    """Partition ``states`` into communicating classes of the moves of
+    ``step`` (as :func:`successors` gives them), or into one class if
+    ``step`` is None, and normalize their log weights ``log_w``.
 
     Irreducibility is verified, never assumed: when the space splits into
     several communicating classes, the distribution is restricted to the
     class of ``start`` and a warning marks that it need not be unique.
     Returns the support, the distribution, the partition and the warnings.
     """
-    # Weighing raises unless every overall rate is positive, which is what
-    # makes every class closed, as the partition requires.
-    log_w = [log_weight(s) for s in states]
-    partition = communicating_classes(
-        states, lambda s: [t for t, _ in step(s)]
-    )
-    support = tuple(states)
+    if step is None:
+        partition = ClassPartition(states, (0,) * len(states),
+                                   (tuple(range(len(states))),))
+    else:
+        partition = communicating_classes(
+            states, lambda s: [t for t, _ in step(s)]
+        )
+    support = states
     warnings: tuple[str, ...] = ()
     if partition.n_components > 1:
         warnings = (_REDUCIBLE_WARNING.format(k=partition.n_components),)
@@ -786,11 +849,12 @@ def analyze_closed(
         iso = isomorphic_model(cq, initial)
         work, start = iso.iso_queue, iso.iso_initial
         work_order = work.order
+    states = enumerate_adhering(work_order, work.population, budget)
+    # Weighing raises unless every overall rate is positive, which is what
+    # makes every class closed, as the partition requires.
+    log_weight = memoized_log_balance(work.rate_fn)
     support, dist, partition, warnings = _solve(
-        enumerate_adhering(work_order, work.population, budget),
-        memoized_log_balance(work.rate_fn),
-        successors(work),
-        start,
+        states, [log_weight(s) for s in states], successors(work), start
     )
     if iso is None:
         return ClosedAnalysis(
@@ -836,11 +900,11 @@ def _tandem_initial(
 
 def _tandem_space(net: TandemNetwork, budget: int):
     """The number of adhering tandem states of ``net``, refused over
-    ``budget`` before any state is listed; the log weight of each
-    first-queue macrostate ``x``, ``log Phi_1(x) + log Phi_2(population -
-    x)``, by total; and the face sizes, the states with every token in the
-    first queue and in the second.  The recursion of each ``Phi`` counts
-    its queue's adhering contents in integers."""
+    ``budget`` before any state is listed; the first-queue macrostates
+    ``x``, by total; the log weight of each, ``log Phi_1(x) + log
+    Phi_2(population - x)``; and the face sizes, the states with every
+    token in the first queue and in the second.  The recursion of each
+    ``Phi`` counts its queue's adhering contents in integers."""
     # There are never more macrostates than tandem states; a budget below
     # the default still gets the exact count in its message.
     xs = first_queue_macrostates(
@@ -859,7 +923,55 @@ def _tandem_space(net: TandemNetwork, budget: int):
             f"the adhering space needs {space} tandem states, budget {budget}"
         )
     log_w = {x: log_phi1[x] + log_phi2[y] for x, y in pairs}
-    return space, log_w, (count1[full], count2[full])
+    return space, xs, log_w, (count1[full], count2[full])
+
+
+def _face_certified(net: TandemNetwork, faces: tuple[int, int]) -> bool:
+    """True when a closed-queue walk covers a face of the tandem, which
+    proves the chain irreducible on its adhering space.  A *face* holds
+    every token in one queue; ``faces`` are their sizes, first queue
+    first, as :func:`_tandem_space` counts them.
+
+    1. Every state drains into each face.  The macrostate recursion
+       :func:`~passandswap.product_form.balance_function` of
+       :func:`_tandem_space` raises unless ``mu_1(x) > 0`` and
+       ``mu_2(population - x) > 0`` on every occurring macrostate, so
+       repeated completions in the first queue empty it, and so do those
+       in the second queue.
+    2. No state is transient.  The product-form measure is positive and
+       balanced on the whole space, so every communicating class is closed.
+    3. A one-customer round trip is a real path.  From a state with every
+       token in the second queue, content ``d``, a completion there sends
+       one token of class ``i`` to the empty first queue, which serves it
+       at rate ``mu_1(e_i) > 0`` (by 1) back to the tail of ``d``: exactly
+       :func:`closed_step` on ``d``, at a positive rate of ``rate_fn_2``.
+
+    So if that walk (:func:`_face_walk`) from one face state reaches every
+    state of the face, the face lies in one closed class (by 2 and 3),
+    every state reaches it (by 1) and so belongs to that class (by 2).  Any
+    face state will do as the start; the walk starts from that of
+    :meth:`TandemNetwork.initial_state`.  The mirror face, every token in
+    the first queue walked under ``rate_fn_1``, is walked only when the
+    first walk falls short.
+    """
+    face = net.initial_state()[1]  # every token in the second queue
+    return (
+        len(_face_walk(net.rate_fn_2, net.swapping, face)) == faces[1]
+        or len(_face_walk(net.rate_fn_1, net.swapping, face[::-1])) == faces[0]
+    )
+
+
+def _tandem_states(
+    net: TandemNetwork, initial: TandemState, xs: Sequence[Macrostate],
+    certified: bool,
+) -> TandemAnalysis:
+    """The microstate analysis of a sized tandem, whose states form one
+    class if ``certified``."""
+    states, log_w = _walk_sigma(net, xs)
+    support, dist, partition, warnings = _solve(
+        states, log_w, None if certified else successors(net), initial
+    )
+    return TandemAnalysis(initial, support, dist, partition, warnings)
 
 
 def analyze_tandem(
@@ -870,18 +982,12 @@ def analyze_tandem(
     """Stationary distribution of the tandem started in ``initial``
     (default: every token available in the second queue).  A space of
     more than ``budget`` tandem states is refused, with its exact count,
-    before any state is listed (see :func:`_tandem_space`)."""
+    before any state is listed (see :func:`_tandem_space`).  The flood of
+    :func:`communicating_classes` partitions the states only when the face
+    certificate (:func:`_face_certified`) fails."""
     initial = _tandem_initial(net, initial)
-    _tandem_space(net, budget)
-    log_b1 = memoized_log_balance(net.rate_fn_1)
-    log_b2 = memoized_log_balance(net.rate_fn_2)
-    support, dist, partition, warnings = _solve(
-        enumerate_sigma(net),
-        lambda s: log_b1(s[0]) + log_b2(s[1]),
-        successors(net),
-        initial,
-    )
-    return TandemAnalysis(initial, support, dist, partition, warnings)
+    _, xs, _, faces = _tandem_space(net, budget)
+    return _tandem_states(net, initial, xs, _face_certified(net, faces))
 
 
 def first_queue_marginal(
@@ -901,9 +1007,9 @@ class MacrostateAnalysis:
 
     ``space`` counts the adhering tandem states and ``states`` those in the
     communicating class of the initial state; they agree exactly when the
-    chain is irreducible, which a walk over one face of the tandem
-    certifies, or else the class partition of :func:`analyze_tandem`
-    decides (see :func:`analyze_tandem_macrostates`).
+    chain is irreducible, which the face certificate proves, or else the
+    flood of :func:`communicating_classes` decides (see
+    :func:`analyze_tandem_macrostates`).
     """
 
     space: int
@@ -960,50 +1066,22 @@ def analyze_tandem_macrostates(
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> MacrostateAnalysis:
     """Stationary law of the first-queue macrostate of the tandem started
-    in ``initial``, without enumerating tandem states unless no face of
-    the tandem certifies its irreducibility.
+    in ``initial``, without listing tandem states unless the face
+    certificate (:func:`_face_certified`) fails.
 
     The product form ``pi(c, d) ~ Phi_1(c) Phi_2(d)`` sums over the tandem
     states sharing a first-queue macrostate ``x`` to
     ``pi(x) ~ Phi_1(x) Phi_2(population - x)``.  That law is the only one
-    when the chain is irreducible on the adhering space.  A *face* of the
-    tandem holds every token in one queue; it has ``space / (|population|
-    + 1)`` states, the count the recursion gives at ``population``.  The
-    chain is irreducible when a closed-queue walk covers one face:
-
-    1. Every state drains into each face.  The macrostate recursion
-       :func:`~passandswap.product_form.balance_function` raises unless
-       ``mu_1(x) > 0`` and ``mu_2(population - x) > 0`` on every occurring
-       macrostate, so repeated completions in the first queue empty it,
-       and so do those in the second queue.
-    2. No state is transient.  The product-form measure is positive and
-       balanced on the whole space, so every communicating class is closed.
-    3. A one-customer round trip is a real path.  From a state with every
-       token in the second queue, content ``d``, a completion there sends
-       one token of class ``i`` to the empty first queue, which serves it
-       at rate ``mu_1(e_i) > 0`` (by 1) back to the tail of ``d``: exactly
-       :func:`closed_step` on ``d``, at a positive rate of ``rate_fn_2``.
-
-    So if that walk (:func:`_face_walk`) from one face state reaches every
-    state of the face, the face lies in one closed class (by 2 and 3),
-    every state reaches it (by 1) and so belongs to that class (by 2).  Any
-    face state will do as the start, whatever ``initial`` is; the walk
-    starts from that of :meth:`TandemNetwork.initial_state`.  The mirror
-    face, every token in the first queue walked under ``rate_fn_1``, is
-    tried next.  When both walks fall short, the microstate analysis of
-    :func:`analyze_tandem` partitions the tandem states once.  One class
-    leaves the law above standing; several restrict the law to the class
-    of ``initial``, whose first-queue marginal is returned with the
-    partition's warning.
+    when the chain is irreducible on the adhering space.  When the
+    certificate fails, the tandem states are listed and flooded once, from
+    the same sizing.  One class leaves the law above standing; several
+    restrict the law to the class of ``initial``, whose first-queue
+    marginal is returned with the partition's warning.
     """
     initial = _tandem_initial(net, initial)
-    space, log_w, (face1, face2) = _tandem_space(net, budget)
-    face = net.initial_state()[1]  # every token in the second queue
-    if not (
-        len(_face_walk(net.rate_fn_2, net.swapping, face)) == face2
-        or len(_face_walk(net.rate_fn_1, net.swapping, face[::-1])) == face1
-    ):
-        micro = analyze_tandem(net, initial, budget)
+    space, xs, log_w, faces = _tandem_space(net, budget)
+    if not _face_certified(net, faces):
+        micro = _tandem_states(net, initial, xs, False)
         if micro.partition.n_components > 1:
             return MacrostateAnalysis(
                 space,

@@ -23,12 +23,18 @@ from passandswap import (
 from passandswap.closed import (
     ClosedQueue,
     Move,
+    PlacementOrder,
+    TandemAnalysis,
     TandemNetwork,
     _handoff,
+    communicating_classes,
+    enumerate_adhering,
     queue_moves,
+    successors,
 )
 from passandswap.dynamics import completions
 from passandswap.oracle import GeneratorMatrix, _check_row_sums
+from passandswap.product_form import _logsumexp, memoized_log_balance
 from passandswap.sim import (
     ProtocolSimulator,
     SimConfig,
@@ -457,6 +463,72 @@ def brute_reachability_partition(states, successors):
         )
         closed.append(not leaves)
     return classes, closed
+
+
+def reference_first_queue_macrostates(
+    order: PlacementOrder, population
+) -> tuple:
+    """``closed.first_queue_macrostates`` as it was before each macrostate
+    carried its mask: every candidate rebuilds the mask of classes left
+    and tests every class of the first queue against it."""
+    n = order.n_classes
+    earlier = order.earlier
+
+    def occurs(x) -> bool:
+        left = sum(1 << i for i in range(n) if x[i] < population[i])
+        return not any(x[b] and earlier[b] & left for b in range(n))
+
+    layer = [(0,) * n]
+    out = list(layer)
+    seen = set(layer)
+    while layer:
+        grown = []
+        for x in layer:
+            for i in range(n):
+                if x[i] < population[i]:
+                    y = x[:i] + (x[i] + 1,) + x[i + 1:]
+                    if y not in seen and occurs(y):
+                        seen.add(y)
+                        grown.append(y)
+        out += grown
+        layer = grown
+    return tuple(out)
+
+
+def reference_analyze_tandem(net: TandemNetwork, initial=None) -> TandemAnalysis:
+    """``closed.analyze_tandem``'s former route: cut every arrangement of
+    ``enumerate_adhering`` at every point, weigh each state by hashing
+    its contents into ``memoized_log_balance``, flood every state with
+    ``communicating_classes``, and restrict the law to the class of
+    ``initial`` when there are several."""
+    if initial is None:
+        initial = net.initial_state()
+    total = sum(net.population)
+    states = tuple(
+        (seq[:cut], tuple(reversed(seq[cut:])))
+        for seq in enumerate_adhering(net.order, net.population, math.inf)
+        for cut in range(total + 1)
+    )
+    log_b1 = memoized_log_balance(net.rate_fn_1)
+    log_b2 = memoized_log_balance(net.rate_fn_2)
+    log_w = [log_b1(c) + log_b2(d) for c, d in states]
+    step = successors(net)
+    partition = communicating_classes(
+        states, lambda s: [t for t, _ in step(s)]
+    )
+    support, warnings = states, ()
+    if partition.n_components > 1:
+        warnings = (
+            f"the adhering state space splits into {partition.n_components} "
+            "communicating classes; the reported distribution is stationary "
+            "but may not be the only one",
+        )
+        idxs = partition.classes[partition.component_of(initial)]
+        support = tuple(states[i] for i in idxs)
+        log_w = [log_w[i] for i in idxs]
+    z = _logsumexp(log_w)
+    dist = {s: math.exp(w - z) for s, w in zip(support, log_w)}
+    return TandemAnalysis(initial, support, dist, partition, warnings)
 
 
 # The reference event loop: the simulators' loop before it ran over

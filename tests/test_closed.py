@@ -38,6 +38,7 @@ from passandswap.oracle import unique_solution
 from conftest import (
     UnitIncrementRates,
     brute_reachability_partition,
+    reference_first_queue_macrostates,
     transition_fn,
 )
 
@@ -283,6 +284,31 @@ def test_first_queue_macrostates(six_class_order):
     assert xs == from_sigma
 
 
+@st.composite
+def orders_and_populations(draw):
+    """A random acyclic orientation of a random loop-free graph on up to
+    seven classes, by ranking the classes, and a population of up to three
+    customers per class, some classes possibly empty."""
+    n = draw(st.integers(1, 7))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    rank = draw(st.permutations(range(n)))
+    order = PlacementOrder(n, frozenset(
+        (a, b) if rank[a] < rank[b] else (b, a) for a, b in edges
+    ))
+    population = tuple(draw(st.lists(st.integers(0, 3), min_size=n,
+                                     max_size=n)))
+    return order, population
+
+
+@given(orders_and_populations())
+def test_first_queue_macrostates_match_the_former_search(drawn):
+    order, population = drawn
+    assert first_queue_macrostates(order, population) == (
+        reference_first_queue_macrostates(order, population)
+    )
+
+
 # ------------------------------------------------------- stationary laws
 
 
@@ -399,8 +425,12 @@ def test_tandem_unit_increments_single_closed_class(
         (1,) * 6,
         six_class_order,
     )
-    dist = analyze_tandem(net)
-    assert dist.partition.n_components == 1
+    step = transition_fn(net)
+    partition = communicating_classes(
+        enumerate_sigma(net), lambda s: [t for t, _ in step(s)]
+    )
+    assert partition.n_components == 1
+    assert analyze_tandem(net).partition == partition
 
 
 def test_analytic_distributions_satisfy_global_balance(

@@ -2,11 +2,14 @@
 
 On every cluster fixture and on seeded random bipartite and grouped specs,
 ``analyze_tandem_macrostates`` must count the adhering tandem states, give
-the irreducibility verdict of ``communicating_classes``, and yield the
-cluster metrics of ``analyze_tandem`` to 1e-12.  Every irreducible spec of
-``SPECS`` must be certified on a face of the tandem without the microstate
-fallback; the reducible ones, and two irreducible bipartite specs that no
-face certifies, must run that fallback once.
+the irreducibility verdict of ``communicating_classes`` over
+``enumerate_sigma``, and yield the cluster metrics of ``analyze_tandem`` to
+1e-12; ``analyze_tandem``'s partition must be that flood's.  Every
+irreducible spec of ``SPECS`` must be certified on a face of the tandem
+without the microstate flood; the reducible ones, and two irreducible
+bipartite specs that no face certifies, must run that flood once per
+engine.  That fallback sizes the space once and walks each face at most
+once.
 """
 
 import random
@@ -20,6 +23,7 @@ from passandswap import (
     ResourceError,
     analyze_tandem,
     analyze_tandem_macrostates,
+    communicating_classes,
     compile_cluster,
     enumerate_sigma,
     first_queue_macrostates,
@@ -125,8 +129,12 @@ def _compare(spec: ClusterSpec) -> bool:
     ct = compile_cluster(spec)
     macro = analyze_tandem_macrostates(ct.network, ct.initial)
     micro = analyze_tandem(ct.network, ct.initial)
-    assert macro.space == len(enumerate_sigma(ct.network))
-    irreducible = micro.partition.n_components == 1
+    states = enumerate_sigma(ct.network)
+    assert macro.space == len(states)
+    step = closed.successors(ct.network)
+    flood = communicating_classes(states, lambda s: [t for t, _ in step(s)])
+    assert micro.partition == flood
+    irreducible = flood.n_components == 1
     assert (macro.states == macro.space) == irreducible
     assert macro.states == len(micro.states)
     assert macro.warnings == micro.warnings
@@ -190,11 +198,28 @@ def test_budget_messages_say_how_far_the_enumeration_got():
             enumerate_()
 
 
+def _count_calls(monkeypatch, *names) -> dict[str, list]:
+    """Record the arguments of every call to each of ``names`` in
+    ``closed``, which still runs."""
+    calls: dict[str, list] = {}
+    for name in names:
+        original = getattr(closed, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name].append(args)
+            return _original(*args)
+
+        calls[name] = []
+        monkeypatch.setattr(closed, name, counted)
+    return calls
+
+
 def test_face_walks_certify_every_irreducible_spec(monkeypatch):
     def no_fallback(*args):
-        raise AssertionError("fell back to the microstate analysis")
+        raise AssertionError("fell back to the microstate partition")
 
-    monkeypatch.setattr(closed, "analyze_tandem", no_fallback)
+    # ``_compare`` floods through the package's own binding, not this one
+    monkeypatch.setattr(closed, "communicating_classes", no_fallback)
     for name in sorted(set(SPECS) - set(REDUCIBLE)):
         assert not _compare(SPECS[name]), name
 
@@ -202,13 +227,11 @@ def test_face_walks_certify_every_irreducible_spec(monkeypatch):
 def test_reducible_specs_reach_the_search_and_the_microstate_fallback(
     monkeypatch,
 ):
-    fell_back = []
-    fallback = closed.analyze_tandem
-    monkeypatch.setattr(closed, "analyze_tandem",
-                        lambda *a: fell_back.append(a) or fallback(*a))
+    calls = _count_calls(monkeypatch, "communicating_classes")
     for name in REDUCIBLE:
         assert _compare(SPECS[name]), name
-    assert len(fell_back) == len(REDUCIBLE)
+    # once in each engine
+    assert len(calls["communicating_classes"]) == 2 * len(REDUCIBLE)
 
 
 @pytest.mark.parametrize("seed", [155, 191])
@@ -218,13 +241,29 @@ def test_uncertified_irreducible_specs_keep_the_macrostate_law(
     # Neither face walk covers its face on these draws, so the microstate
     # partition decides; it finds one class, and the macrostate law stands.
     ct = compile_cluster(_random_bipartite(random.Random(seed)))
-    fell_back = []
-    fallback = closed.analyze_tandem
-    monkeypatch.setattr(closed, "analyze_tandem",
-                        lambda *a: fell_back.append(a) or fallback(*a))
+    calls = _count_calls(monkeypatch, "communicating_classes")
     macro = analyze_tandem_macrostates(ct.network, ct.initial)
-    assert len(fell_back) == 1
+    assert len(calls["communicating_classes"]) == 1
     assert macro.states == macro.space
     assert macro.warnings == ()
     micro = analyze_tandem(ct.network, ct.initial)
     _assert_same_metrics(ct, macro.distribution, micro.distribution)
+
+
+def test_the_fallback_sizes_once_and_walks_each_face_once(monkeypatch):
+    from test_certificate import uncertified_five_class
+
+    net = uncertified_five_class()
+    names = ("_tandem_space", "_face_walk", "communicating_classes")
+    for analyze in (analyze_tandem_macrostates, analyze_tandem):
+        calls = _count_calls(monkeypatch, *names)
+        analyze(net)
+        assert {name: len(calls[name]) for name in names} == {
+            "_tandem_space": 1, "_face_walk": 2, "communicating_classes": 1
+        }
+        # one walk per face: every token in the second queue, then the first
+        assert [args[0] for args in calls["_face_walk"]] == [
+            net.rate_fn_2, net.rate_fn_1
+        ]
+    macro = analyze_tandem_macrostates(net)
+    assert (macro.space, macro.states, macro.warnings) == (168, 168, ())
