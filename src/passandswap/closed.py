@@ -961,19 +961,6 @@ def _face_certified(net: TandemNetwork, faces: tuple[int, int]) -> bool:
     )
 
 
-def _tandem_states(
-    net: TandemNetwork, initial: TandemState, xs: Sequence[Macrostate],
-    certified: bool,
-) -> TandemAnalysis:
-    """The microstate analysis of a sized tandem, whose states form one
-    class if ``certified``."""
-    states, log_w = _walk_sigma(net, xs)
-    support, dist, partition, warnings = _solve(
-        states, log_w, None if certified else successors(net), initial
-    )
-    return TandemAnalysis(initial, support, dist, partition, warnings)
-
-
 def analyze_tandem(
     net: TandemNetwork,
     initial: TandemState | None = None,
@@ -987,7 +974,11 @@ def analyze_tandem(
     certificate (:func:`_face_certified`) fails."""
     initial = _tandem_initial(net, initial)
     _, xs, _, faces = _tandem_space(net, budget)
-    return _tandem_states(net, initial, xs, _face_certified(net, faces))
+    step = None if _face_certified(net, faces) else successors(net)
+    support, dist, partition, warnings = _solve(
+        *_walk_sigma(net, xs), step, initial
+    )
+    return TandemAnalysis(initial, support, dist, partition, warnings)
 
 
 def first_queue_marginal(
@@ -1081,13 +1072,13 @@ def analyze_tandem_macrostates(
     initial = _tandem_initial(net, initial)
     space, xs, log_w, faces = _tandem_space(net, budget)
     if not _face_certified(net, faces):
-        micro = _tandem_states(net, initial, xs, False)
-        if micro.partition.n_components > 1:
+        support, micro, partition, warnings = _solve(
+            *_walk_sigma(net, xs), successors(net), initial
+        )
+        if partition.n_components > 1:
             return MacrostateAnalysis(
-                space,
-                len(micro.states),
-                first_queue_marginal(micro.distribution, net.n_classes),
-                micro.warnings,
+                space, len(support),
+                first_queue_marginal(micro, net.n_classes), warnings,
             )
     z = _logsumexp(list(log_w.values()))
     dist = {x: math.exp(w - z) for x, w in log_w.items()}
