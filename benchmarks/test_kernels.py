@@ -40,12 +40,22 @@ each side and their ratio (new over reference) go to the benchmark's
   the route it replaced, ``reference_analyze_tandem`` of
   ``tests/conftest.py`` (weigh each state by its contents, flood,
   restrict), on the 7,560-state (2,2,2|1,1,1) tandem that
-  ``oracle-compare`` cross-checks in the benchmark.
+  ``oracle-compare`` cross-checks in the benchmark;
+* ``test_tandem_generator_against_reference``: ``oracle.tandem_generator``
+  (content ids, a numpy step per breadth-first level) against the route
+  it replaced, ``oracle.build_generator`` over ``closed.successors``, on
+  the same tandem.
+
+Three stages of the oracle's solve run on the open10 chain's generator, as
+``oracle.solve_stationary`` calls them: ``_solve_uniformized`` with the
+trial's budget (it gives up after two checkpoints), ``_factor_size`` with
+the default ``direct_limit``, and ``_solve_direct``.
 
 ``test_cold_start`` times a fresh interpreter importing the CLI module,
 the start-up cost every command pays before it reads its model.
 """
 
+import inspect
 import os
 import statistics
 import subprocess
@@ -62,7 +72,8 @@ from passandswap.cluster import compile_cluster
 from passandswap.dynamics import apply_completion, completions, predecessors
 from passandswap.model import all_states, macrostate
 from passandswap.modelfile import parse_document
-from passandswap.oracle import build_generator, open_generator
+from passandswap import oracle
+from passandswap.oracle import build_generator, open_generator, tandem_generator
 from passandswap.product_form import stationary_truncated
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -77,6 +88,7 @@ AB_ROUNDS = 15  # alternating pairs of the face walk's A/B
 GENERATOR_AB_ROUNDS = 9  # and of the generator build's, about 1 s a pair
 WALK_AB_ROUNDS = 15  # and of the truncated walk's, about 0.15 s a pair
 TANDEM_AB_ROUNDS = 11  # and of the tandem analysis's, about 0.15 s a pair
+TANDEM_GENERATOR_AB_ROUNDS = 11  # and of the tandem build's, about 0.2 s
 
 # The (2,2,2|2,2,1) rung of the bipartite family at its base rates.
 CLUSTER_DOC = {
@@ -292,6 +304,51 @@ def test_analyze_tandem_against_reference(benchmark):
         benchmark, "analyze", analyze, reference, TANDEM_AB_ROUNDS,
         lambda a: len(a.states),
     ) == TANDEM_STATES
+
+
+def test_tandem_generator_against_reference(benchmark):
+    ct = compile_cluster(parse_document(TANDEM_DOC).spec)
+    net, initial = ct.network, ct.initial
+    build = lambda: tandem_generator(net, initial)
+    reference = lambda: build_generator(successors(net), initial)
+    # Runs each side once before timing, as a warm-up.
+    got, want = build(), reference()
+    assert got.states == want.states
+    for name in ("indptr", "indices", "data"):
+        assert (getattr(got.matrix, name).tobytes()
+                == getattr(want.matrix, name).tobytes()), name
+    assert _against_reference(
+        benchmark, "build", build, reference, TANDEM_GENERATOR_AB_ROUNDS,
+        lambda g: g.n_states,
+    ) == TANDEM_STATES
+
+
+@pytest.fixture(scope="module")
+def open10_matrix():
+    """The generator of the open10 chain, as ``oracle-compare -N 10``
+    solves it."""
+    return open_generator(parse_document(OPEN_DOC).queue,
+                          OPEN_CAPACITY).matrix
+
+
+def test_solve_uniformized(benchmark, open10_matrix):
+    tol = inspect.signature(oracle.solve_stationary).parameters[
+        "residual_tol"].default
+    pi, history = _run(benchmark, lambda: oracle._solve_uniformized(
+        open10_matrix, tol, oracle._TRIAL_ITERATIONS))
+    assert pi is None and len(history) == 2
+
+
+def test_factor_size(benchmark, open10_matrix):
+    limit = inspect.signature(oracle.solve_stationary).parameters[
+        "direct_limit"].default
+    assert 0 < _run(benchmark, lambda: oracle._factor_size(
+        open10_matrix, limit)) <= limit
+
+
+def test_solve_direct(benchmark, open10_matrix):
+    pi = _run(benchmark, lambda: oracle._solve_direct(open10_matrix))
+    assert len(pi) == OPEN_STATES and abs(pi.sum() - 1.0) < 1e-12
 
 
 def test_cold_start(benchmark):

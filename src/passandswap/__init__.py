@@ -45,6 +45,7 @@ from .product_form import (
     stability_check,
     state_weight,
     stationary_truncated,
+    truncation_tables,
     verify_partial_balance,
 )
 from .closed import (
@@ -72,6 +73,7 @@ from .closed import (
     order_from_state,
     successors,
     tandem_step,
+    tandem_tables,
     tandem_transitions,
 )
 from .cluster import (
@@ -88,6 +90,7 @@ from .oracle import (
     build_generator,
     open_generator,
     solve_stationary,
+    tandem_generator,
     total_variation,
 )
 from .sim import (

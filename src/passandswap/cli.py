@@ -25,6 +25,7 @@ from .closed import (
     analyze_tandem_macrostates,
     isomorphic_model,
     successors,
+    tandem_tables,
 )
 from .cluster import compile_cluster, macrostate_metrics
 from .dynamics import apply_completion
@@ -46,11 +47,13 @@ from .oracle import (
     build_generator,
     compare_laws,
     open_generator,
+    tandem_generator,
     unique_solution,
 )
 from .product_form import (
     stability_check,
     stationary_truncated,
+    truncation_tables,
 )
 from .sim import SimConfig, simulate, simulate_protocol
 from .model import validate_rate_function
@@ -408,33 +411,56 @@ def _cmd_simulate(args, loaded) -> tuple[dict, list[str]]:
     return payload, []
 
 
-def _cmd_oracle_compare(args, loaded) -> tuple[dict, list[str]]:
-    model, start, key = _CHAINS[type(loaded)](loaded)
-    # The laws are compared as arrays in the analytic law's order, ``q[j]``
-    # the generator's probability of the analytic side's ``j``-th state;
-    # states are built only for the residuals reported.
-    if isinstance(loaded, LoadedOpen):
-        dist = stationary_truncated(model, args.capacity, budget=args.budget)
-        gen = open_generator(model, args.capacity, budget=args.budget)
-        pi = unique_solution(gen).pi
-        p, positions, state_of = (dist.probability_list, dist.shortlex,
-                                  dist.state_at)
-    else:
-        law = _analyze(model, start, args.budget).distribution
-        gen = build_generator(successors(model), start, budget=args.budget)
-        pi = unique_solution(gen).pi
-        states = list(law)
-        positions = [gen.index.get(s, -1) for s in states]
-        if len(states) != gen.n_states or -1 in positions:
-            raise UsageError("distributions have mismatched supports")
-        p, state_of = list(law.values()), states.__getitem__
-    tv, residuals = compare_laws(p, pi[positions], state_of)
-    if args.dump_matrix:
+def _solve(gen, dump_matrix: str | None, locate: bool = True):
+    """The stationary law of the chain ``gen``, which must be irreducible,
+    and with ``locate`` its :meth:`~passandswap.oracle.GeneratorMatrix.locator`,
+    which holds no reference to the matrix.  The generator is written to
+    ``dump_matrix`` if given.  Callers pass ``gen`` as a temporary, so the
+    matrix is freed on return."""
+    pi = unique_solution(gen).pi
+    if dump_matrix:
         lines = [f"# states {gen.n_states}"]
         coo = gen.matrix.tocoo()
         for u, v, val in zip(coo.row, coo.col, coo.data):
             lines.append(f"{int(u)} {int(v)} {float(val)!r}")
-        Path(args.dump_matrix).write_text("\n".join(lines) + "\n")
+        Path(dump_matrix).write_text("\n".join(lines) + "\n")
+    return pi, gen.locator() if locate else None
+
+
+def _cmd_oracle_compare(args, loaded) -> tuple[dict, list[str]]:
+    model, start, key = _CHAINS[type(loaded)](loaded)
+    # The laws are compared as arrays in the analytic law's order, ``q[j]``
+    # the generator's probability of the analytic side's ``j``-th state;
+    # states are built only for the residuals reported.  Each stage holds
+    # only what the next reads: the generator is freed once solved.  Where
+    # the analytic side can refuse before it walks, it does, and walks
+    # after the solve, so that its states and the solver's matrices never
+    # meet; a closed queue refuses during its walk, so it walks first.
+    if isinstance(loaded, LoadedOpen):
+        tables = truncation_tables(model, args.capacity, budget=args.budget)
+        pi, _ = _solve(open_generator(model, args.capacity, budget=args.budget),
+                       args.dump_matrix, locate=False)
+        dist = stationary_truncated(model, args.capacity, tables=tables)
+        p, positions, state_of = (dist.probability_list, dist.shortlex,
+                                  dist.state_at)
+    else:
+        if isinstance(model, TandemNetwork):
+            tables = tandem_tables(model, start, budget=args.budget)
+            pi, locate = _solve(
+                tandem_generator(model, start, budget=args.budget),
+                args.dump_matrix)
+            law = analyze_tandem(model, tables=tables).distribution
+        else:
+            law = analyze_closed(model, start, budget=args.budget).distribution
+            pi, locate = _solve(
+                build_generator(successors(model), start, budget=args.budget),
+                args.dump_matrix)
+        states = list(law)
+        positions = locate(states)
+        if len(states) != len(pi) or (positions < 0).any():
+            raise UsageError("distributions have mismatched supports")
+        p, state_of = list(law.values()), states.__getitem__
+    tv, residuals = compare_laws(p, pi[positions], state_of)
     payload = {
         "states": len(p),
         "total_variation": _fmt(tv),

@@ -18,7 +18,9 @@ the simulators each queue's moves with the counters they add to;
 :func:`successors` gives the oracle's generator build and the analyses'
 class partitions each closed or tandem state's ``(next_state, rate)``
 pairs (an open queue's generator is built in closed form by
-``oracle.open_generator``).  The one walk outside both is the
+``oracle.open_generator``, and a tandem's over content ids by
+``oracle.tandem_generator``, which the build over :func:`successors`
+checks).  The one walk outside both is the
 irreducibility certificate's face walk, which needs only each
 completion's next content and follows each chain itself.
 """
@@ -425,7 +427,9 @@ def successors(
     completions, then its second's, the departing customer joining the
     other queue's tail.  An open queue's truncated generator is built by
     ``oracle.open_generator``, which knows every state's index in closed
-    form.
+    form, and ``oracle-compare`` builds a tandem's with
+    ``oracle.tandem_generator``, over content ids, to the bits of the
+    build over these successors.
 
     A tandem's completions are memoized per content of each queue, which
     every traversal meets again under many contents of the other.  A
@@ -961,19 +965,37 @@ def _face_certified(net: TandemNetwork, faces: tuple[int, int]) -> bool:
     )
 
 
+def tandem_tables(
+    net: TandemNetwork,
+    initial: TandemState | None = None,
+    budget: int = DEFAULT_STATE_BUDGET,
+) -> tuple[TandemState, tuple[Macrostate, ...], tuple[int, int]]:
+    """What :func:`analyze_tandem` reads before its walk: the initial
+    state, checked (see :func:`_tandem_initial`), the first-queue
+    macrostates and the two face sizes (see :func:`_tandem_space`).
+    Making them takes every refusal of the analysis, in its order."""
+    initial = _tandem_initial(net, initial)
+    _, xs, _, faces = _tandem_space(net, budget)
+    return initial, xs, faces
+
+
 def analyze_tandem(
     net: TandemNetwork,
     initial: TandemState | None = None,
     budget: int = DEFAULT_STATE_BUDGET,
+    tables: tuple[TandemState, tuple[Macrostate, ...],
+                  tuple[int, int]] | None = None,
 ) -> TandemAnalysis:
     """Stationary distribution of the tandem started in ``initial``
     (default: every token available in the second queue).  A space of
     more than ``budget`` tandem states is refused, with its exact count,
     before any state is listed (see :func:`_tandem_space`).  The flood of
     :func:`communicating_classes` partitions the states only when the face
-    certificate (:func:`_face_certified`) fails."""
-    initial = _tandem_initial(net, initial)
-    _, xs, _, faces = _tandem_space(net, budget)
+    certificate (:func:`_face_certified`) fails.  A caller that takes the
+    refusals first, and walks after other work, passes the
+    :func:`tandem_tables` of the same network, initial state and budget
+    as ``tables``."""
+    initial, xs, faces = tables or tandem_tables(net, initial, budget)
     step = None if _face_certified(net, faces) else successors(net)
     support, dist, partition, warnings = _solve(
         *_walk_sigma(net, xs), step, initial

@@ -5,13 +5,17 @@ Nothing in this module consults balance weights or any other closed-form
 expression; it only replays the transition mechanism to build the generator
 of the continuous-time Markov chain and solves it numerically, so agreement
 with the analytic distributions is a genuine cross-check.  A closed queue's
-or a tandem's generator is the breadth-first closure of its successors
-(:func:`build_generator`); an open queue's truncated generator is built by
-:func:`open_generator`, which knows the breadth-first order in closed form
-and scans every chain with numpy, to the same bits.  Its states and index,
-and a solved class's law as a mapping, are built only when read:
-:func:`compare_laws` compares two laws as arrays and builds states only for
-the residuals it ranks.
+generator is the breadth-first closure of its successors
+(:func:`build_generator`).  A tandem's is the same closure, to the same
+bits, built by :func:`tandem_generator` over ids of each queue's contents,
+one numpy step per breadth-first level.  An open queue's truncated
+generator is built by :func:`open_generator`, which knows the breadth-first
+order in closed form and scans every chain with numpy, to the same bits.
+The states and index of these two, and a solved class's law as a mapping,
+are built only when read: :func:`compare_laws` compares two laws as arrays
+and builds states only for the residuals it ranks.  The solve holds its
+class partition's scratch only until the classes are known, and the
+uniformized solve makes one copy of a class's generator.
 
 This is the only module that uses numpy and scipy, and each function loads
 them on first use rather than at import: every other answer comes from
@@ -21,6 +25,7 @@ generator start without paying for them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -28,12 +33,16 @@ from functools import cached_property
 from typing import (TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping,
                     Sequence)
 
+from .dynamics import completions
 from .errors import ConvergenceError, ResourceError, UsageError
-from .model import PandsQueue, all_macrostates, all_states, shortlex_starts
+from .model import (PandsQueue, RateFunction, State, SwappingGraph,
+                    all_macrostates, all_states, shortlex_starts)
 
 if TYPE_CHECKING:
     import numpy as np
     import scipy.sparse as sp
+
+    from .closed import TandemNetwork
 
 TransitionFn = Callable[[Any], Iterable[tuple[Any, float]]]
 
@@ -60,6 +69,15 @@ class GeneratorMatrix:
     @property
     def n_states(self) -> int:
         return self.matrix.shape[0]
+
+    def locator(self) -> Callable[[Sequence[Hashable]], np.ndarray]:
+        """A function giving the row of each of a list of states, -1 for a
+        state not reached.  It holds no reference to the matrix, which can
+        be freed while the function is kept."""
+        import numpy as np
+        index = self.index
+        return lambda states: np.array([index.get(s, -1) for s in states],
+                                       dtype=np.int64)
 
 
 class _ShortlexGenerator(GeneratorMatrix):
@@ -316,6 +334,283 @@ def open_generator(
     return _ShortlexGenerator(n, capacity, _csr(indptr, cols, vals))
 
 
+# A tandem state's code: the id of its first queue's content, shifted, and
+# of its second's.
+_SHIFT = 32
+_MASK = (1 << _SHIFT) - 1
+
+
+class _Contents:
+    """The contents that one queue of a tandem meets, each given an id
+    once, with its completions (listed by :meth:`complete`) and the id of
+    the content that a customer joining its tail leaves (resolved by
+    :meth:`joined` where a move needs it)."""
+
+    def __init__(self, rate_fn: RateFunction, graph: SwappingGraph):
+        import numpy as np
+        self.rate_fn, self.graph = rate_fn, graph
+        self.ids: dict[State, int] = {}
+        self.contents: list[State] = []
+        # The completions of content i, head first, are entries starts[i]
+        # to starts[i + 1]: their rates, next contents and handed classes.
+        self.starts = np.zeros(1, dtype=np.int64)
+        self.rates = np.zeros(0)
+        self.next = np.zeros(0, dtype=np.int64)
+        self.handed = np.zeros(0, dtype=np.int64)
+        # join[i, c]: the id of content i with a class-c customer at its
+        # tail, or -1 until a move needs it
+        self.join = np.zeros((0, graph.n_classes), dtype=np.int64)
+
+    def id(self, content: State) -> int:
+        i = self.ids.setdefault(content, len(self.contents))
+        if i == len(self.contents):
+            self.contents.append(content)
+        return i
+
+    def complete(self) -> None:
+        """List the completions of every content met, and of the contents
+        that they leave, which the chain reaches too."""
+        import numpy as np
+        ids, contents = self.ids, self.contents
+        counts: list[int] = []
+        rates: list[float] = []
+        nexts: list[int] = []
+        handed: list[int] = []
+        # the loop meets the contents that it appends, too
+        for content in itertools.islice(contents, len(self.starts) - 1, None):
+            moves = completions(self.rate_fn, self.graph, content)
+            counts.append(len(moves))
+            for _, inc, after, cls in moves:
+                i = ids.setdefault(after, len(contents))
+                if i == len(contents):
+                    contents.append(after)
+                rates.append(inc)
+                nexts.append(i)
+                handed.append(cls)
+        self.starts = np.append(self.starts, self.starts[-1] + np.cumsum(
+            np.array(counts, dtype=np.int64)))
+        self.rates = np.append(self.rates, rates)
+        self.next = np.append(self.next, np.array(nexts, dtype=np.int64))
+        self.handed = np.append(self.handed, np.array(handed, dtype=np.int64))
+
+    def joined(self, ids: np.ndarray, classes: np.ndarray) -> np.ndarray:
+        """The id of each content ``ids[j]`` with a ``classes[j]``
+        customer joined at its tail."""
+        import numpy as np
+        n = self.join.shape[1]
+        grow = len(self.contents) - len(self.join)
+        if grow:
+            self.join = np.concatenate(
+                [self.join, np.full((grow, n), -1, dtype=np.int64)])
+        out = self.join[ids, classes]
+        missing = out < 0
+        if missing.any():
+            for key in np.unique(ids[missing] * n + classes[missing]).tolist():
+                i, c = divmod(key, n)
+                self.join[i, c] = self.id(self.contents[i] + (c,))
+            out = self.join[ids, classes]
+        return out
+
+
+def _entries(starts: np.ndarray, ids: np.ndarray):
+    """The entries ``starts[ids[j]]`` to ``starts[ids[j] + 1]`` of each
+    ``j`` in turn: the count per ``j``, and each entry's ``j`` and index."""
+    import numpy as np
+    counts = starts[ids + 1] - starts[ids]
+    owner = np.repeat(np.arange(len(ids)), counts)
+    entry = np.arange(len(owner)) + (starts[ids] - np.cumsum(counts)
+                                     + counts)[owner]
+    return counts, owner, entry
+
+
+class _TandemRows:
+    """The rows of a tandem's states, found through the ids of their two
+    queues' contents: called on a list of states, it gives the row of
+    each, -1 for a state not reached."""
+
+    def __init__(self, ids: tuple[dict, dict], contents: tuple[list, list],
+                 codes: np.ndarray, rows: np.ndarray):
+        self.ids, self.contents = ids, contents
+        self.codes, self.rows = codes, rows  # every code met, sorted; rows
+
+    def states(self) -> tuple[Hashable, ...]:
+        """Every state, in row order."""
+        import numpy as np
+        first, second = self.contents
+        codes = np.empty(len(self.codes), dtype=np.int64)
+        codes[self.rows] = self.codes
+        return tuple((first[x >> _SHIFT], second[x & _MASK])
+                     for x in codes.tolist())
+
+    def __call__(self, states: Sequence[Hashable]) -> np.ndarray:
+        import numpy as np
+        first, second = self.ids
+        a = np.fromiter((first.get(c, -1) for c, _ in states), np.int64,
+                        len(states))
+        b = np.fromiter((second.get(d, -1) for _, d in states), np.int64,
+                        len(states))
+        codes = a << _SHIFT | b
+        at = np.minimum(np.searchsorted(self.codes, codes),
+                        len(self.codes) - 1)
+        found = (a >= 0) & (b >= 0) & (self.codes[at] == codes)
+        return np.where(found, self.rows[at], -1)
+
+
+class _TandemGenerator(GeneratorMatrix):
+    """A tandem's generator, whose states are known by the ids of their two
+    queues' contents (see :class:`_TandemRows`).  Its states and index are
+    built on first read."""
+
+    def __init__(self, rows: _TandemRows, matrix: sp.csr_matrix):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_rows", rows)
+
+    @cached_property
+    def states(self) -> tuple[Hashable, ...]:
+        return self._rows.states()
+
+    @cached_property
+    def index(self) -> Mapping[Hashable, int]:
+        return dict(zip(self.states, range(self.n_states)))
+
+    def locator(self) -> Callable[[Sequence[Hashable]], np.ndarray]:
+        return self._rows
+
+
+def tandem_generator(
+    net: TandemNetwork, initial: Hashable, budget: int = 200_000
+) -> GeneratorMatrix:
+    """Generator of the tandem ``net`` from ``initial``, built with numpy:
+    bit for bit what :func:`build_generator` makes from
+    ``closed.successors(net)``, the same states in the same order and the
+    same CSR ``indptr``, ``indices`` and ``data``, and the same refusal,
+    frontier size included, once more than ``budget`` states are reached.
+
+    No state is hashed.  Each queue's content gets an id once, and its
+    completions come from :func:`~passandswap.dynamics.completions`, the
+    kernel of ``closed.successors``; the id of the content that a handed
+    customer joins is resolved only where a move needs it.  A state is
+    coded by its two content ids, and the breadth-first search runs over
+    the codes one level at a time: a level's new targets, taken in (state,
+    move) order and each kept at its first occurrence, are exactly the
+    states that a FIFO search appends while it walks that level.  A
+    completion shortens one queue and lengthens the other, so no move
+    returns to its state.  Rows are assembled as in :func:`open_generator`:
+    moves reaching the same state are summed in move order, and the
+    diagonal is minus a sum that starts at 0.0 and adds those sums in the
+    order of their first move.  The states and index are built on first
+    read.
+    """
+    import numpy as np
+    queues = first, second = (_Contents(net.rate_fn_1, net.swapping),
+                              _Contents(net.rate_fn_2, net.swapping))
+    level = np.array([first.id(initial[0]) << _SHIFT | second.id(initial[1])])
+    # every code met, sorted, and its row
+    codes, rows = level.copy(), np.zeros(1, dtype=np.int64)
+    csr = array("q", [0]), array("q"), array("d")
+    while len(level):
+        for queue in queues:
+            queue.complete()
+        level, codes, rows = _tandem_level(queues, level, codes, rows, budget,
+                                           csr)
+    ids, contents = zip(*((queue.ids, queue.contents) for queue in queues))
+    del queues, first, second  # their completion and join tables
+    return _TandemGenerator(_TandemRows(ids, contents, codes, rows),
+                            _csr(*csr))
+
+
+def _tandem_moves(queues: tuple[_Contents, _Contents], level: np.ndarray):
+    """Every move of the states coded ``level``, in (state, move) order:
+    its state's position in ``level``, its index among that state's moves,
+    its target's code and its rate.  A state's moves are its first queue's
+    completions, the handed customer joining the second queue's tail, then
+    its second queue's."""
+    import numpy as np
+    first, second = queues
+    a, b = level >> _SHIFT, level & _MASK
+    c1, p1, k1 = _entries(first.starts, a)
+    c2, p2, k2 = _entries(second.starts, b)
+    target = np.concatenate([
+        first.next[k1] << _SHIFT | second.joined(b[p1], first.handed[k1]),
+        first.joined(a[p2], second.handed[k2]) << _SHIFT | second.next[k2],
+    ])
+    rate = np.concatenate([first.rates[k1], second.rates[k2]])
+    # into (state, move) order: a stable merge of two sorted runs
+    by_state = np.argsort(np.concatenate([p1, p2]), kind="stable")
+    count = c1 + c2
+    state = np.repeat(np.arange(len(level)), count)
+    move = np.arange(len(state)) - (np.cumsum(count) - count)[state]
+    return state, move, target[by_state], rate[by_state]
+
+
+def _tandem_level(queues, level, codes, rows, budget, csr):
+    """One level of :func:`tandem_generator`'s search: number the new
+    states that the states coded ``level`` reach, append the level's rows
+    to the CSR buffers ``csr``, and return the next level and the codes
+    and rows met, each a new array.  The level's scratch is freed on
+    return."""
+    import numpy as np
+    state, move, target, rate = _tandem_moves(queues, level)
+    m, n = len(level), len(codes)
+    low = n - m  # the level's first row
+    # the targets' rows, new states numbered in order of first move
+    at = np.minimum(np.searchsorted(codes, target), n - 1)
+    row = rows[at]
+    new = np.flatnonzero(codes[at] != target)
+    fresh, first_move, which = np.unique(
+        target[new], return_index=True, return_inverse=True)
+    by_first = np.argsort(first_move)
+    limit = max(budget, 1)  # the row of the state that passes the budget
+    if limit - n < len(fresh):
+        u = low + state[new[first_move[by_first[limit - n]]]]
+        raise ResourceError(
+            f"reachable state count exceeded budget {budget} "
+            f"(frontier size {limit - u - 1})"
+        )
+    rank = np.empty(len(fresh), dtype=np.int64)
+    rank[by_first] = np.arange(n, n + len(fresh))
+    row[new] = rank[which]
+    at = np.searchsorted(codes, fresh)
+    codes, rows = np.insert(codes, at, fresh), np.insert(rows, at, rank)
+    n += len(fresh)
+    # merge moves by (state, target): groups sorted by state, then row
+    uniq, group = np.unique(state * n + row, return_inverse=True)
+    # a state has one move of each index, so no index repeats a group
+    by_move = np.split(np.argsort(move, kind="stable"),
+                       np.cumsum(np.bincount(move))[:-1])
+    merged = np.zeros(len(uniq))
+    for sel in by_move:
+        merged[group[sel]] += rate[sel]
+    exit_rates = np.zeros(m)
+    seen = np.zeros(len(uniq), dtype=bool)
+    for sel in by_move:
+        g = group[sel]
+        once = ~seen[g]
+        exit_rates[state[sel[once]]] += merged[g[once]]
+        seen[g[once]] = True
+    # each row's columns in order, the diagonal among them
+    g_state, g_col = uniq // n, uniq % n
+    per_state = np.bincount(g_state, minlength=m)
+    below = np.bincount(g_state[g_col < low + g_state], minlength=m)
+    lengths = per_state + 1
+    starts = np.cumsum(lengths) - lengths
+    slot = (starts[g_state] + np.arange(len(uniq))
+            - (np.cumsum(per_state) - per_state)[g_state]
+            + (g_col > low + g_state))
+    row_cols = np.empty(lengths.sum(), dtype=np.int64)
+    row_vals = np.empty(len(row_cols))
+    row_cols[slot] = g_col
+    row_vals[slot] = merged
+    diag = starts + below
+    row_cols[diag] = np.arange(low, low + m)
+    row_vals[diag] = -exit_rates
+    indptr, cols, vals = csr
+    indptr.frombytes((len(cols) + starts + lengths).tobytes())
+    cols.frombytes(row_cols.tobytes())
+    vals.frombytes(row_vals.tobytes())
+    return fresh[by_first], codes, rows
+
+
 def _check_row_sums(matrix: sp.csr_matrix) -> None:
     """Raise unless every row of ``matrix`` sums to zero within
     ``ROW_SUM_TOL`` per unit of the row's exit rate ``|q_ii|`` (at least
@@ -402,8 +697,11 @@ def _solve_direct(q_sub: sp.csr_matrix, fix_first: bool = False) -> np.ndarray:
             f"direct solve broke down ({exc}): the reduced balance system "
             "is singular in floating point"
         ) from None
-    pi = np.insert(lu.solve(b), fixed, 1.0)
-    return pi / pi.sum()
+    # A law that overflows is not finite, which ``solve_stationary`` reads
+    # as a miss of its residual bound: no warning is due.
+    with np.errstate(invalid="ignore", over="ignore"):
+        pi = np.insert(lu.solve(b), fixed, 1.0)
+        return pi / pi.sum()
 
 
 # Classes of at most this many states skip the uniformized trial of
@@ -502,18 +800,29 @@ def _solve_uniformized(
     scale = max(1.0, top)
     floor = _FLOOR_MULTIPLE * np.finfo(float).eps * scale
     lam = _UNIFORMIZATION_MARGIN * top
-    # transposed once here: ``pi @ p`` would build a transpose every step
-    p_t = (sp.eye(n, format="csr") + q_sub / lam).transpose().tocsr()
-    q_t = q_sub.transpose().tocsr()
+    # ``P`` transposed, for a gathering product each step (``pi @ p``
+    # builds no transpose but is slower: its product scatters each state's
+    # terms across the output).  ``P^T`` in CSR is ``P`` in CSC: one copy
+    # of ``Q``, scaled and shifted in place, to the bits of ``(I + Q /
+    # lam)^T``, since scipy divides by multiplying by ``1 / lam``.
+    p_t = q_sub.tocsc()
+    p_t.data *= 1.0 / lam
+    p_t = sp.csr_matrix((p_t.data, p_t.indices, p_t.indptr), shape=(n, n))
+    p_t.setdiag(p_t.diagonal() + 1.0)
     pi = np.full(n, 1.0 / n)
     history: list[float] = []
     for it in range(budget or _MAX_ITERATIONS):
-        pi = (1.0 - _DAMPING) * pi + _DAMPING * (p_t @ pi)
-        pi = np.maximum(pi, 0.0)
+        # (1 - d) pi + d pi P, in place, each product and sum as written
+        step = p_t @ pi
+        step *= _DAMPING
+        pi *= 1.0 - _DAMPING
+        pi += step
+        np.maximum(pi, 0.0, out=pi)
         pi /= pi.sum()
         if it % _CHECKPOINT:
             continue
-        residual = float(np.abs(q_t @ pi).max())
+        # over ``Q``'s CSC view, each output's terms in ``Q^T``'s order
+        residual = float(np.abs(pi @ q_sub).max())
         last = history[-1] if history else math.inf
         history.append(residual)
         if residual <= floor or last <= residual <= residual_tol * scale:
@@ -538,6 +847,24 @@ def _residual(pi: np.ndarray, q_sub: sp.csr_matrix) -> float:
     if not np.isfinite(pi).all():
         return math.inf
     return float(np.abs(pi @ q_sub).max()) if len(pi) > 1 else 0.0
+
+
+def _partition(q: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """The strongly connected class of each state of the generator ``q``,
+    and whether each class is closed: no positive rate leaves it.  The
+    classes follow ``q``'s pattern, every stored entry an edge, whatever
+    its value; the scratch, the class of each entry's two ends, is freed on
+    return, before any class is solved."""
+    import numpy as np
+    from scipy.sparse.csgraph import connected_components
+    n_comp, labels = connected_components(
+        q, directed=True, connection="strong"
+    )
+    leaving = np.repeat(labels, np.diff(q.indptr))
+    entering = labels[q.indices]
+    closed = np.ones(n_comp, dtype=bool)
+    closed[leaving[(q.data > 0.0) & (leaving != entering)]] = False
+    return labels, closed
 
 
 def solve_stationary(
@@ -567,18 +894,10 @@ def solve_stationary(
     |q_ii|`` (at least one).
     """
     import numpy as np
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
     n = g.n_states
     q = g.matrix
-    adjacency = sp.csr_matrix((np.ones(q.nnz), q.indices, q.indptr), shape=(n, n))
-    n_comp, labels = connected_components(
-        adjacency, directed=True, connection="strong"
-    )
-    coo = q.tocoo()
-    leaving, entering = labels[coo.row], labels[coo.col]
-    closed = np.ones(n_comp, dtype=bool)
-    closed[leaving[(coo.data > 0.0) & (leaving != entering)]] = False
+    labels, closed = _partition(q)
+    n_comp = len(closed)
     _, first = np.unique(labels, return_index=True)
     by_label = np.argsort(labels, kind="stable")
     ends = np.cumsum(np.bincount(labels, minlength=n_comp))

@@ -191,8 +191,26 @@ def _log_rates(
     return log_rate, after
 
 
-def stationary_truncated(
+def truncation_tables(
     queue: PandsQueue, capacity: int, budget: int = DEFAULT_STATE_BUDGET
+) -> tuple[list[int], list[float], list[list[int]]]:
+    """The tables that the walk of :func:`stationary_truncated` reads: the
+    shortlex index of the first state of each length, and each
+    macrostate's log rate and successors (see :func:`_log_rates`).  Making
+    them takes every refusal of the walk, in its order: a negative
+    capacity, then more than ``budget`` states (``model.shortlex_starts``),
+    then a macrostate whose overall rate is not positive."""
+    if capacity < 0:
+        raise UsageError("capacity must be non-negative")
+    first = shortlex_starts(queue.n_classes, capacity, budget)
+    return (first, *_log_rates(queue.rate_fn, capacity))
+
+
+def stationary_truncated(
+    queue: PandsQueue,
+    capacity: int,
+    budget: int = DEFAULT_STATE_BUDGET,
+    tables: tuple[list[int], list[float], list[list[int]]] | None = None,
 ) -> TruncatedDistribution:
     """Product-form stationary distribution truncated at ``capacity``
     customers.
@@ -204,13 +222,14 @@ def stationary_truncated(
     its parent's plus the log arrival rate of its last customer, minus the
     log rate of its macrostate, and the log normalizer sums the weights in
     the order they are listed, so no tuple is built.  More than ``budget``
-    states are refused before the walk, by ``model.shortlex_starts``.
+    states are refused before the walk, by ``model.shortlex_starts``.  A
+    caller that takes the refusals first, and walks after other work,
+    passes the :func:`truncation_tables` of the same queue, capacity and
+    budget as ``tables``.
     """
-    if capacity < 0:
-        raise UsageError("capacity must be non-negative")
     n = queue.n_classes
-    first = shortlex_starts(n, capacity, budget)
-    log_rate, after = _log_rates(queue.rate_fn, capacity)
+    first, log_rate, after = tables or truncation_tables(queue, capacity,
+                                                         budget)
     classes = list(enumerate(math.log(l) for l in queue.arrival_rates))
     backwards = classes[::-1]
     log_weights = [0.0]

@@ -327,6 +327,49 @@ def reference_build_generator(transitions, initial, budget=200_000):
     return GeneratorMatrix(tuple(order), index, matrix)
 
 
+# The reference uniformized solve: ``oracle._solve_uniformized`` as it stood
+# when it built ``P^T`` through ``(I + Q / lam)^T`` and kept a transposed
+# copy of ``Q`` for its checkpoint residual.  The solve that builds ``P^T``
+# from one copy and reads the residual as ``pi @ Q`` must give the same
+# residual history and the same ``pi``, bit for bit.
+
+
+def reference_solve_uniformized(q_sub, residual_tol, budget=None):
+    import numpy as np
+    import scipy.sparse as sp
+    from passandswap import oracle
+    n = q_sub.shape[0]
+    out_rates = -q_sub.diagonal()
+    top = float(out_rates.max()) if n else 0.0
+    if top <= 0.0:
+        return np.full(n, 1.0 / n), [0.0]
+    scale = max(1.0, top)
+    floor = oracle._FLOOR_MULTIPLE * np.finfo(float).eps * scale
+    lam = oracle._UNIFORMIZATION_MARGIN * top
+    p_t = (sp.eye(n, format="csr") + q_sub / lam).transpose().tocsr()
+    q_t = q_sub.transpose().tocsr()
+    pi = np.full(n, 1.0 / n)
+    history: list[float] = []
+    damping = oracle._DAMPING
+    for it in range(budget or oracle._MAX_ITERATIONS):
+        pi = (1.0 - damping) * pi + damping * (p_t @ pi)
+        pi = np.maximum(pi, 0.0)
+        pi /= pi.sum()
+        if it % oracle._CHECKPOINT:
+            continue
+        residual = float(np.abs(q_t @ pi).max())
+        last = history[-1] if history else math.inf
+        history.append(residual)
+        if residual <= floor or last <= residual <= residual_tol * scale:
+            return pi, history
+        if budget and last < math.inf:
+            ratio = residual / last
+            if ratio >= 1.0 or it + oracle._CHECKPOINT * math.log(
+                    floor / residual) / math.log(ratio) > budget:
+                return None, history
+    return None, history
+
+
 # The reference open successors: the open-queue branch of
 # ``closed.successors`` as it stood before ``oracle.open_generator`` built
 # the truncated generator in closed form.  ``build_generator`` over them is

@@ -523,6 +523,100 @@ def test_a_class_that_no_server_serves_exits_2(capsys, model_path):
     )
 
 
+# ``oracle-compare`` takes the analytic side's refusals before it builds or
+# solves a generator, whichever side it computes first.  A class that no
+# server serves makes the generator's chain reducible too, but the
+# analytic refusal is the one reported.
+IDLE_OPEN_DOC = dict(TWO_CLASS_DOC, rate_function={
+    "kind": "multi_server", "server_rates": [1.0], "compat": [[1], []]})
+IDLE_TANDEM_DOC = dict(
+    TANDEM_DOC, rate_function_1=dict(TANDEM_DOC["rate_function_1"],
+                                     compat=[[1], []]),
+    swapping_edges=[],
+)
+
+
+@pytest.mark.parametrize("doc, flags", [
+    (IDLE_OPEN_DOC, ["-N", "3"]),
+    (IDLE_TANDEM_DOC, []),
+], ids=["open", "tandem"])
+def test_oracle_compare_refuses_an_idle_class_before_solving(
+    capsys, model_path, doc, flags
+):
+    assert main(["oracle-compare", model_path(doc), *flags]) == 2
+    assert capsys.readouterr().err == (
+        "error: overall rate is not positive on macrostate (0, 1)\n"
+    )
+
+
+@pytest.mark.parametrize("doc, flags, code, message", [
+    (OPEN_DOC, ["-N", "10", "--budget", "88572"], 3,
+     "truncation at 10 customers needs more than 88572 states, the budget"),
+    (IDLE_OPEN_DOC, ["-N", "6", "--budget", "126"], 3,
+     "truncation at 6 customers needs more than 126 states, the budget"),
+    (IDLE_OPEN_DOC, ["-N", "-1"], 2, "capacity must be non-negative"),
+    (TANDEM_DOC, ["--budget", "2"], 3,
+     "the adhering space needs 3 tandem states, budget 2"),
+    # the tandem's rates are read while its space is counted
+    (IDLE_TANDEM_DOC, ["--budget", "2"], 2,
+     "overall rate is not positive on macrostate (0, 1)"),
+], ids=["open", "open-idle", "open-negative", "tandem", "tandem-idle"])
+def test_oracle_compare_refusals_keep_their_order(
+    capsys, model_path, doc, flags, code, message
+):
+    assert main(["oracle-compare", model_path(doc), *flags]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_oracle_compare_retries_a_direct_solve_that_overflows(
+    capsys, model_path
+):
+    # Arrivals at 1e-300 and service at 1e300: with the full state's
+    # probability fixed at 1 the empty state's overflows, so the law is not
+    # finite and the solve fixes the empty state instead, silently.
+    extreme = dict(
+        OPEN_DOC, classes=1, arrival_rates=[1e-300], swapping_edges=[],
+        rate_function={"kind": "multi_server", "server_rates": [1e300],
+                       "compat": [[1]]},
+    )
+    assert main(["oracle-compare", model_path(extreme), "-N", "1",
+                 "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    result = json.loads(out)["result"]
+    assert (result["states"], result["total_variation"]) == (2, "0")
+
+
+@pytest.mark.parametrize("doc", [CLOSED_DOC, TANDEM_DOC],
+                         ids=["closed", "tandem"])
+@pytest.mark.parametrize("fault", ["missing", "foreign"])
+def test_oracle_compare_refuses_laws_on_different_states(
+    capsys, model_path, monkeypatch, doc, fault
+):
+    # The cross-check catches an analytic side that loses a state, or
+    # lists one the chain never reaches in its place: one with a token
+    # more.
+    from passandswap import cli
+
+    name = "analyze_tandem" if doc is TANDEM_DOC else "analyze_closed"
+    analyze = getattr(cli, name)
+
+    def faulty(*args, **kwargs):
+        law = dict(analyze(*args, **kwargs).distribution)
+        state, p = law.popitem()
+        if fault == "foreign":
+            law[(state[0] + (0,), state[1]) if doc is TANDEM_DOC
+                else state + (0,)] = p
+        return type("Faulty", (), {"distribution": law})
+
+    monkeypatch.setattr(cli, name, faulty)
+    assert main(["oracle-compare", model_path(doc)]) == 2
+    assert capsys.readouterr().err == (
+        "error: distributions have mismatched supports\n"
+    )
+
+
 def test_table_output_contains_header(capsys, model_path):
     assert main(["stability", model_path(TWO_CLASS_DOC)]) == 0
     out = capsys.readouterr().out

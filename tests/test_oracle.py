@@ -27,6 +27,7 @@ from passandswap.modelfile import parse_document
 from passandswap.oracle import unique_solution
 from conftest import (
     brute_reachability_partition,
+    reference_solve_uniformized,
     transition_fn,
 )
 
@@ -50,6 +51,15 @@ def test_rows_sum_to_zero(two_class_queue):
 def test_budget_exceeded(two_class_queue):
     with pytest.raises(ResourceError):
         build_generator(transition_fn(two_class_queue, 8), (), budget=10)
+
+
+def test_a_negative_rate_is_refused_and_a_zero_rate_dropped():
+    gen = build_generator(lambda s: [(1, 0.0)] if s == 0 else [], 0)
+    assert gen.states == (0,)
+    assert gen.matrix.toarray().tolist() == [[-0.0]]
+    # a usage error: exit 2 from the command line
+    with pytest.raises(UsageError, match=r"^negative rate -1.0 from state 0$"):
+        build_generator(lambda s: [(1, -1.0)], 0)
 
 
 def test_two_state_birth_death():
@@ -289,6 +299,16 @@ def test_direct_breakdown_is_a_convergence_error():
         solve_stationary(_generator(18, rates))
 
 
+def test_a_law_above_the_residual_bound_is_a_convergence_error():
+    # No float law meets a bound of 1e-20 on the 3,280-state chain: both
+    # direct solves miss it, and so does the uniformized one at its floor.
+    gen = _open_generator(7)
+    for limit in (20_000_000, 0):
+        with pytest.raises(ConvergenceError,
+                           match=r"^stationary solve residual .* above "):
+            solve_stationary(gen, direct_limit=limit, residual_tol=1e-20)
+
+
 def test_two_closed_classes_with_transient_states():
     # 0 -> 1 -> {2, 4}; 2 <-> 3 and the cycle 4 -> 5 -> 6 -> 4 are closed
     moves = {
@@ -488,6 +508,42 @@ def test_uniformization_without_a_budget_raises_past_its_limit(
     with pytest.raises(ConvergenceError, match="failed to converge; "
                        "residual history tail"):
         oracle._solve_uniformized(gen.matrix, RESIDUAL_TOL)
+
+
+def _assert_same_iteration(q, budget=None):
+    pi, history = oracle._solve_uniformized(q, RESIDUAL_TOL, budget)
+    want_pi, want_history = reference_solve_uniformized(q, RESIDUAL_TOL,
+                                                        budget)
+    assert history == want_history
+    if want_pi is None:
+        assert pi is None
+    else:
+        assert pi.dtype == want_pi.dtype and pi.tobytes() == want_pi.tobytes()
+    return history
+
+
+def test_uniformization_is_the_former_iteration_on_the_open_chains(
+    monkeypatch,
+):
+    # P^T from one copy of Q and the residual read as pi Q: the same
+    # floats as (I + Q / lam)^T and a transposed copy of Q.
+    assert len(_assert_same_iteration(_open_generator(7).matrix)) > 50
+    big = oracle.open_generator(parse_document(OPEN_DOC).queue, 10).matrix
+    assert big.shape[0] == 88_573
+    # The trial gives up after two checkpoints; a floor raised within
+    # reach stops the full iteration after three, with a law.
+    assert len(_assert_same_iteration(big, oracle._TRIAL_ITERATIONS)) == 2
+    monkeypatch.setattr(oracle, "_FLOOR_MULTIPLE", 1e11)
+    assert len(_assert_same_iteration(big)) == 3
+
+
+def test_uniformization_is_the_former_iteration_on_the_tandem():
+    ct = compile_cluster(parse_document(_bipartite_doc((1, 1, 1))).spec)
+    gen = oracle.tandem_generator(ct.network, ct.initial)
+    assert gen.n_states == 7_560
+    history = _assert_same_iteration(gen.matrix, oracle._TRIAL_ITERATIONS)
+    assert history[-1] <= oracle._FLOOR_MULTIPLE * EPS * max(
+        1.0, np.abs(gen.matrix.diagonal()).max())
 
 
 def _bipartite_doc(buffers):
