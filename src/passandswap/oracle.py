@@ -13,9 +13,9 @@ generator is built by :func:`open_generator`, which knows the breadth-first
 order in closed form and scans every chain with numpy, to the same bits.
 The states and index of these two, and a solved class's law as a mapping,
 are built only when read: :func:`compare_laws` compares two laws as arrays
-and builds states only for the residuals it ranks.  The solve holds its
-class partition's scratch only until the classes are known, and the
-uniformized solve makes one copy of a class's generator.
+and builds states only for the residuals it ranks.  The solve frees its
+class partition's scratch before any class is solved, and the uniformized
+solve makes one copy of a class's generator.
 
 This is the only module that uses numpy and scipy, and each function loads
 them on first use rather than at import: every other answer comes from
@@ -376,7 +376,8 @@ class _Contents:
         rates: list[float] = []
         nexts: list[int] = []
         handed: list[int] = []
-        # the loop meets the contents that it appends, too
+        # The loop meets the contents that it appends, too; ``id`` is
+        # inlined, as it runs once per completion.
         for content in itertools.islice(contents, len(self.starts) - 1, None):
             moves = completions(self.rate_fn, self.graph, content)
             counts.append(len(moves))
@@ -428,15 +429,15 @@ class _TandemRows:
     queues' contents: called on a list of states, it gives the row of
     each, -1 for a state not reached."""
 
-    def __init__(self, ids: tuple[dict, dict], contents: tuple[list, list],
-                 codes: np.ndarray, rows: np.ndarray):
-        self.ids, self.contents = ids, contents
+    def __init__(self, ids: tuple[dict, dict], codes: np.ndarray,
+                 rows: np.ndarray):
+        self.ids = ids  # each queue's contents, in the order of their ids
         self.codes, self.rows = codes, rows  # every code met, sorted; rows
 
     def states(self) -> tuple[Hashable, ...]:
         """Every state, in row order."""
         import numpy as np
-        first, second = self.contents
+        first, second = map(list, self.ids)
         codes = np.empty(len(self.codes), dtype=np.int64)
         codes[self.rows] = self.codes
         return tuple((first[x >> _SHIFT], second[x & _MASK])
@@ -513,10 +514,9 @@ def tandem_generator(
             queue.complete()
         level, codes, rows = _tandem_level(queues, level, codes, rows, budget,
                                            csr)
-    ids, contents = zip(*((queue.ids, queue.contents) for queue in queues))
+    ids = first.ids, second.ids
     del queues, first, second  # their completion and join tables
-    return _TandemGenerator(_TandemRows(ids, contents, codes, rows),
-                            _csr(*csr))
+    return _TandemGenerator(_TandemRows(ids, codes, rows), _csr(*csr))
 
 
 def _tandem_moves(queues: tuple[_Contents, _Contents], level: np.ndarray):
@@ -821,7 +821,8 @@ def _solve_uniformized(
         pi /= pi.sum()
         if it % _CHECKPOINT:
             continue
-        # over ``Q``'s CSC view, each output's terms in ``Q^T``'s order
+        # ``pi Q`` reads ``Q`` as its transpose in CSC and adds each
+        # output's terms in the order that a transposed copy would
         residual = float(np.abs(pi @ q_sub).max())
         last = history[-1] if history else math.inf
         history.append(residual)
@@ -847,24 +848,6 @@ def _residual(pi: np.ndarray, q_sub: sp.csr_matrix) -> float:
     if not np.isfinite(pi).all():
         return math.inf
     return float(np.abs(pi @ q_sub).max()) if len(pi) > 1 else 0.0
-
-
-def _partition(q: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """The strongly connected class of each state of the generator ``q``,
-    and whether each class is closed: no positive rate leaves it.  The
-    classes follow ``q``'s pattern, every stored entry an edge, whatever
-    its value; the scratch, the class of each entry's two ends, is freed on
-    return, before any class is solved."""
-    import numpy as np
-    from scipy.sparse.csgraph import connected_components
-    n_comp, labels = connected_components(
-        q, directed=True, connection="strong"
-    )
-    leaving = np.repeat(labels, np.diff(q.indptr))
-    entering = labels[q.indices]
-    closed = np.ones(n_comp, dtype=bool)
-    closed[leaving[(q.data > 0.0) & (leaving != entering)]] = False
-    return labels, closed
 
 
 def solve_stationary(
@@ -894,10 +877,18 @@ def solve_stationary(
     |q_ii|`` (at least one).
     """
     import numpy as np
+    from scipy.sparse.csgraph import connected_components
     n = g.n_states
     q = g.matrix
-    labels, closed = _partition(q)
-    n_comp = len(closed)
+    # Every stored entry of ``q`` is an edge, whatever its value.
+    n_comp, labels = connected_components(
+        q, directed=True, connection="strong"
+    )
+    leaving = np.repeat(labels, np.diff(q.indptr))
+    entering = labels[q.indices]
+    closed = np.ones(n_comp, dtype=bool)
+    closed[leaving[(q.data > 0.0) & (leaving != entering)]] = False
+    del leaving, entering  # scratch, freed before any class is solved
     _, first = np.unique(labels, return_index=True)
     by_label = np.argsort(labels, kind="stable")
     ends = np.cumsum(np.bincount(labels, minlength=n_comp))
