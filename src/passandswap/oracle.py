@@ -11,11 +11,13 @@ bits, built by :func:`tandem_generator` over ids of each queue's contents,
 one numpy step per breadth-first level.  An open queue's truncated
 generator is built by :func:`open_generator`, which knows the breadth-first
 order in closed form and scans every chain with numpy, to the same bits.
-The states and index of these two, and a solved class's law as a mapping,
-are built only when read: :func:`compare_laws` compares two laws as arrays
-and builds states only for the residuals it ranks.  The solve frees its
-class partition's scratch before any class is solved, and the uniformized
-solve makes one copy of a class's generator.
+Both lay out their rows with :func:`_append_rows`, which states the rule
+by which the generic build sums a row.  The states and index of these two,
+and a solved class's law as a mapping, are built only when read:
+:func:`compare_laws` compares two laws as arrays and builds states only for
+the residuals it ranks.  The solve frees its class partition's scratch
+before any class is solved, and the uniformized solve makes one copy of a
+class's generator.
 
 This is the only module that uses numpy and scipy, and each function loads
 them on first use rather than at import: every other answer comes from
@@ -80,22 +82,28 @@ class GeneratorMatrix:
                                        dtype=np.int64)
 
 
-class _ShortlexGenerator(GeneratorMatrix):
-    """The truncated generator of an open queue, whose states (every state
-    of at most ``capacity`` customers, in shortlex order) and index are
-    built on first read."""
+class _ListedGenerator(GeneratorMatrix):
+    """A generator whose states, listed in row order by ``list_states``,
+    and index are built on first read.  Its locator is ``locate`` if
+    given, else the index's."""
 
-    def __init__(self, n_classes: int, capacity: int, matrix: sp.csr_matrix):
+    def __init__(self, matrix: sp.csr_matrix,
+                 list_states: Callable[[], Iterable[Hashable]],
+                 locate: Callable | None = None):
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_space", (n_classes, capacity))
+        object.__setattr__(self, "_list_states", list_states)
+        object.__setattr__(self, "_locate", locate)
 
     @cached_property
     def states(self) -> tuple[Hashable, ...]:
-        return tuple(all_states(*self._space))
+        return tuple(self._list_states())
 
     @cached_property
     def index(self) -> Mapping[Hashable, int]:
         return dict(zip(self.states, range(self.n_states)))
+
+    def locator(self) -> Callable[[Sequence[Hashable]], np.ndarray]:
+        return self._locate or super().locator()
 
 
 def build_generator(
@@ -165,6 +173,71 @@ def _csr(indptr: array, cols: array, vals: array) -> sp.csr_matrix:
     return matrix
 
 
+def _append_rows(csr: tuple[array, array, array], low: int, m: int,
+                 row: np.ndarray, move: np.ndarray, col: np.ndarray,
+                 rate: np.ndarray, arrivals: tuple[np.ndarray, np.ndarray]
+                 | None = None) -> None:
+    """Append rows ``low`` to ``low + m - 1`` of a generator to the CSR
+    buffers ``csr`` (``indptr``, ``indices``, ``data``), bit for bit as
+    :func:`build_generator` assembles them.
+
+    Move ``j`` leaves row ``low + row[j]`` for column ``col[j]`` at
+    ``rate[j]``, and is its row's ``move[j]``-th: no two moves of a row
+    share a place, and none returns to its row.  Moves from a row to one
+    column are summed in move order, and the diagonal is minus a sum that
+    starts at 0.0 and adds those sums in the order of their first move.
+    ``arrivals``, a pair ``(cols, rates)``, gives rows ``low`` to ``low +
+    len(cols) - 1`` leading moves, to ``cols[i]`` at ``rates`` in class
+    order.  No other move reaches their columns, which lie past the row's
+    others, so they are not merged; their rates are added to the
+    diagonal's sum first.  Each row's columns come out sorted.
+    """
+    import numpy as np
+    width = int(col.max(initial=0)) + 1
+    uniq, group = np.unique(row * width + col, return_inverse=True)
+    # a row has one move of each place, so no place repeats a group
+    by_move = np.split(np.argsort(move, kind="stable"),
+                       np.cumsum(np.bincount(move))[:-1])
+    merged = np.zeros(len(uniq))
+    for sel in by_move:
+        merged[group[sel]] += rate[sel]
+    exit_rates = np.zeros(m)
+    lead_cols, lead_rates = arrivals or (np.zeros((0, 0), np.int64), ())
+    for r in lead_rates:
+        exit_rates[:len(lead_cols)] += r
+    seen = np.zeros(len(uniq), dtype=bool)
+    for sel in by_move:
+        g = group[sel]
+        once = ~seen[g]
+        exit_rates[row[sel[once]]] += merged[g[once]]
+        seen[g[once]] = True
+    # each row's columns in order, the diagonal among them, arrivals last
+    g_row, g_col = uniq // width, uniq % width
+    per_row = np.bincount(g_row, minlength=m)
+    below = np.bincount(g_row[g_col < low + g_row], minlength=m)
+    lengths = per_row + 1
+    lengths[:len(lead_cols)] += lead_cols.shape[1]
+    starts = np.cumsum(lengths) - lengths
+    slot = (starts[g_row] + np.arange(len(uniq))
+            - (np.cumsum(per_row) - per_row)[g_row]
+            + (g_col > low + g_row))
+    row_cols = np.empty(lengths.sum(), dtype=np.int64)
+    row_vals = np.empty(len(row_cols))
+    row_cols[slot] = g_col
+    row_vals[slot] = merged
+    diag = starts + below
+    row_cols[diag] = np.arange(low, low + m)
+    row_vals[diag] = -exit_rates
+    slots = (starts + per_row + 1)[:len(lead_cols), None] + np.arange(
+        lead_cols.shape[1])
+    row_cols[slots] = lead_cols
+    row_vals[slots] = lead_rates
+    indptr, cols, vals = csr
+    indptr.frombytes((len(cols) + starts + lengths).tobytes())
+    cols.frombytes(row_cols.tobytes())
+    vals.frombytes(row_vals.tobytes())
+
+
 # States per chunk in ``open_generator``: each numpy call covers thousands
 # of states, and a chunk's arrays (a row of digits per state) stay small
 # beside the matrix, up to ``_CELLS`` digits however long the states are.
@@ -204,11 +277,9 @@ def open_generator(
     state of the chunk can be served at a later one (a table over the
     macrostates ahead, filled bottom up from the increments), and a chain
     scan once no moving class has a neighbour, the rest of each state then
-    following as it is.  Completions that reach the same state are
-    summed in position order, and the diagonal is minus a sum that starts
-    at 0.0, adds the arrival rates in class order, then the merged
-    completions in the order of their first position, as in the generic
-    build.
+    following as it is.  :func:`_append_rows` assembles the rows, each
+    state's arrivals leading its completions, which come in position
+    order.
 
     Each length's first index comes from ``model.shortlex_starts``, which
     refuses a truncation of more than ``budget`` states before any work.
@@ -251,13 +322,7 @@ def open_generator(
     scale = np.append(np.full(n, n), 1)
     digit = np.append(np.arange(n), 0)
     power = n ** np.arange(capacity + 1)
-    lam = np.array(queue.arrival_rates)
-    arrivals = 0.0  # in class order, as a row of the generic build; sum()
-    for rate in queue.arrival_rates:  # may compensate
-        arrivals += rate
-    indptr = array("q", [0])
-    cols = array("q")
-    vals = array("d")
+    csr = array("q", [0]), array("q"), array("d")
     chunk = max(1, min(_CHUNK, _CELLS // max(1, capacity)))
     for lo in range(0, count, chunk):
         u = np.arange(lo, min(lo + chunk, count))
@@ -297,41 +362,15 @@ def open_generator(
             rows.append(at)
             targets.append(first[k[at] - 1] + target)
             rates.append(rate[at])
-        # merge completions by (row, target): one group per distinct next
-        # state, groups sorted by row then target
-        keys = [r * count + t for r, t in zip(rows, targets)]
-        uniq, group = np.unique(np.concatenate(keys), return_inverse=True)
-        group = np.split(group, np.cumsum([len(r) for r in rows])[:-1])
-        merged = np.zeros(len(uniq))
-        for g, r in zip(group, rates):
-            merged[g] += r
-        arriving = k < capacity
-        exit_rates = np.where(arriving, arrivals, 0.0)
-        seen = np.zeros(len(uniq), dtype=bool)
-        for g, r in zip(group, rows):
-            new = ~seen[g]
-            exit_rates[r[new]] += merged[g[new]]
-            seen[g[new]] = True
-        g_row = uniq // count
-        per_row = np.bincount(g_row, minlength=m)
-        lengths = per_row + 1 + n * arriving
-        starts = np.cumsum(lengths) - lengths
-        row_cols = np.empty(lengths.sum(), dtype=np.int64)
-        row_vals = np.empty(len(row_cols))
-        slot = starts[g_row] + np.arange(len(uniq)) - (
-            np.cumsum(per_row) - per_row)[g_row]
-        row_cols[slot] = uniq % count
-        row_vals[slot] = merged
-        diag = starts + per_row
-        row_cols[diag] = u
-        row_vals[diag] = -exit_rates
-        slots = diag[arriving, None] + 1 + np.arange(n)
-        row_cols[slots] = (first[k + 1] + v * n)[arriving, None] + np.arange(n)
-        row_vals[slots] = lam
-        indptr.frombytes((len(cols) + starts + lengths).tobytes())
-        cols.frombytes(row_cols.tobytes())
-        vals.frombytes(row_vals.tobytes())
-    return _ShortlexGenerator(n, capacity, _csr(indptr, cols, vals))
+        # a state's arrivals, to longer states, lead its row's moves; the
+        # arriving states lead the chunk
+        a = np.count_nonzero(k < capacity)
+        _append_rows(csr, lo, m, np.concatenate(rows),
+                     np.repeat(np.arange(len(rows)), [len(r) for r in rows]),
+                     np.concatenate(targets), np.concatenate(rates),
+                     ((first[k[:a] + 1] + v[:a] * n)[:, None] + np.arange(n),
+                      queue.arrival_rates))
+    return _ListedGenerator(_csr(*csr), lambda: all_states(n, capacity))
 
 
 # A tandem state's code: the id of its first queue's content, shifted, and
@@ -457,27 +496,6 @@ class _TandemRows:
         return np.where(found, self.rows[at], -1)
 
 
-class _TandemGenerator(GeneratorMatrix):
-    """A tandem's generator, whose states are known by the ids of their two
-    queues' contents (see :class:`_TandemRows`).  Its states and index are
-    built on first read."""
-
-    def __init__(self, rows: _TandemRows, matrix: sp.csr_matrix):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_rows", rows)
-
-    @cached_property
-    def states(self) -> tuple[Hashable, ...]:
-        return self._rows.states()
-
-    @cached_property
-    def index(self) -> Mapping[Hashable, int]:
-        return dict(zip(self.states, range(self.n_states)))
-
-    def locator(self) -> Callable[[Sequence[Hashable]], np.ndarray]:
-        return self._rows
-
-
 def tandem_generator(
     net: TandemNetwork, initial: Hashable, budget: int = 200_000
 ) -> GeneratorMatrix:
@@ -496,11 +514,8 @@ def tandem_generator(
     move) order and each kept at its first occurrence, are exactly the
     states that a FIFO search appends while it walks that level.  A
     completion shortens one queue and lengthens the other, so no move
-    returns to its state.  Rows are assembled as in :func:`open_generator`:
-    moves reaching the same state are summed in move order, and the
-    diagonal is minus a sum that starts at 0.0 and adds those sums in the
-    order of their first move.  The states and index are built on first
-    read.
+    returns to its state.  :func:`_append_rows` assembles the rows.  The
+    states and index are built on first read.
     """
     import numpy as np
     queues = first, second = (_Contents(net.rate_fn_1, net.swapping),
@@ -516,7 +531,8 @@ def tandem_generator(
                                            csr)
     ids = first.ids, second.ids
     del queues, first, second  # their completion and join tables
-    return _TandemGenerator(_TandemRows(ids, codes, rows), _csr(*csr))
+    locate = _TandemRows(ids, codes, rows)
+    return _ListedGenerator(_csr(*csr), locate.states, locate)
 
 
 def _tandem_moves(queues: tuple[_Contents, _Contents], level: np.ndarray):
@@ -572,42 +588,7 @@ def _tandem_level(queues, level, codes, rows, budget, csr):
     row[new] = rank[which]
     at = np.searchsorted(codes, fresh)
     codes, rows = np.insert(codes, at, fresh), np.insert(rows, at, rank)
-    n += len(fresh)
-    # merge moves by (state, target): groups sorted by state, then row
-    uniq, group = np.unique(state * n + row, return_inverse=True)
-    # a state has one move of each index, so no index repeats a group
-    by_move = np.split(np.argsort(move, kind="stable"),
-                       np.cumsum(np.bincount(move))[:-1])
-    merged = np.zeros(len(uniq))
-    for sel in by_move:
-        merged[group[sel]] += rate[sel]
-    exit_rates = np.zeros(m)
-    seen = np.zeros(len(uniq), dtype=bool)
-    for sel in by_move:
-        g = group[sel]
-        once = ~seen[g]
-        exit_rates[state[sel[once]]] += merged[g[once]]
-        seen[g[once]] = True
-    # each row's columns in order, the diagonal among them
-    g_state, g_col = uniq // n, uniq % n
-    per_state = np.bincount(g_state, minlength=m)
-    below = np.bincount(g_state[g_col < low + g_state], minlength=m)
-    lengths = per_state + 1
-    starts = np.cumsum(lengths) - lengths
-    slot = (starts[g_state] + np.arange(len(uniq))
-            - (np.cumsum(per_state) - per_state)[g_state]
-            + (g_col > low + g_state))
-    row_cols = np.empty(lengths.sum(), dtype=np.int64)
-    row_vals = np.empty(len(row_cols))
-    row_cols[slot] = g_col
-    row_vals[slot] = merged
-    diag = starts + below
-    row_cols[diag] = np.arange(low, low + m)
-    row_vals[diag] = -exit_rates
-    indptr, cols, vals = csr
-    indptr.frombytes((len(cols) + starts + lengths).tobytes())
-    cols.frombytes(row_cols.tobytes())
-    vals.frombytes(row_vals.tobytes())
+    _append_rows(csr, low, m, state, move, row, rate)
     return fresh[by_first], codes, rows
 
 
@@ -843,9 +824,10 @@ def _solve_uniformized(
 
 
 def _residual(pi: np.ndarray, q_sub: sp.csr_matrix) -> float:
-    """``max |pi Q|``, or infinity where ``pi`` is not finite."""
+    """``max |pi Q|``, or infinity where an entry of ``pi`` is negative or
+    not finite."""
     import numpy as np
-    if not np.isfinite(pi).all():
+    if not (np.isfinite(pi).all() and pi.min() >= 0.0):
         return math.inf
     return float(np.abs(pi @ q_sub).max()) if len(pi) > 1 else 0.0
 
@@ -870,8 +852,9 @@ def solve_stationary(
     minimum degree on ``A^T + A``, without pivoting, which is safe because
     the reduced system is a nonsingular M-matrix (see ``_solve_direct``).
     The last state is fixed first; if that factor breaks down or its law
-    misses the residual bound below, the solve runs once more with the
-    first state fixed.  Classes over the limit iterate without a budget.
+    misses the residual bound below, or has a negative entry, the solve
+    runs once more with the first state fixed, whose law must have none.
+    Classes over the limit iterate without a budget.
     Either way the final residual ``max |pi Q|`` must come in below
     ``residual_tol`` per unit of the class's largest exit rate ``max
     |q_ii|`` (at least one).

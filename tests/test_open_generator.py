@@ -125,6 +125,12 @@ def test_both_builds_refuse_by_the_one_count(capacity, budget):
     }
 
 
+def test_open_generator_locates_states_through_its_index():
+    gen = open_generator(PATH_QUEUE, 3)
+    rows = gen.locator()([*gen.states, (0, 1, 2, 0)])
+    assert rows.tolist() == [*range(gen.n_states), -1]
+
+
 def test_open_generator_refuses_a_negative_capacity():
     with pytest.raises(UsageError, match="capacity must be non-negative"):
         open_generator(PATH_QUEUE, -1)

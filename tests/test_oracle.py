@@ -20,6 +20,7 @@ from passandswap import (
     build_generator,
     compile_cluster,
     solve_stationary,
+    stationary_truncated,
     total_variation,
 )
 from passandswap import oracle
@@ -307,6 +308,40 @@ def test_a_law_above_the_residual_bound_is_a_convergence_error():
         with pytest.raises(ConvergenceError,
                            match=r"^stationary solve residual .* above "):
             solve_stationary(gen, direct_limit=limit, residual_tol=1e-20)
+
+
+LIGHT_DOC = {
+    "schema": "pands-open/1",
+    "classes": 1,
+    "arrival_rates": [1e-20],
+    "rate_function": {
+        "kind": "multi_server", "server_rates": [1.0], "compat": [[1]],
+    },
+    "swapping_edges": [],
+}
+
+
+def test_a_direct_law_with_a_negative_entry_is_solved_again():
+    # Arrivals at 1e-20 against a server of rate 1: with the last state
+    # fixed, the law has entries near -1e-40 where the exact ones fall to
+    # 1e-160, and its residual passes.  Fixing the first state gets them.
+    queue = parse_document(LIGHT_DOC).queue
+    gen = oracle.open_generator(queue, 8)
+    assert oracle._solve_direct(gen.matrix).min() < 0.0
+    (cls,) = solve_stationary(gen).solutions
+    exact = min(stationary_truncated(queue, 8).probability_list)
+    assert cls.method == "direct" and cls.pi.min() >= 0.0
+    assert abs(cls.pi.min() - exact) <= 1e-12 * exact
+
+
+def test_a_law_that_stays_negative_is_a_convergence_error(monkeypatch):
+    gen = oracle.open_generator(parse_document(LIGHT_DOC).queue, 8)
+    solve = oracle._solve_direct
+    monkeypatch.setattr(oracle, "_solve_direct",
+                        lambda q, fix_first=False: solve(q))
+    with pytest.raises(ConvergenceError,
+                       match=r"^stationary solve residual inf above "):
+        solve_stationary(gen)
 
 
 def test_two_closed_classes_with_transient_states():
