@@ -4,13 +4,14 @@ A closed queue re-appends the departing customer at the tail; a closed
 tandem routes it to the tail of the other queue.  Both preserve *adherence*
 to a placement order (an acyclic orientation of the swapping graph together
 with its reachability relation), which partitions the reachable states.
-This module enumerates adhering state spaces, normalizes the product-form
-weights of :mod:`passandswap.product_form` over them, and handles initial
-states that adhere to no order through a duplicate-class splitting
-construction.  A tandem's states are listed and weighed in one walk, and
-its irreducibility is certified on a face of the tandem; only where that
-certificate is inconclusive, and always for a closed queue, are the states
-flooded into communicating classes.
+One depth-first walk lists the adhering arrangements, each with its path
+of prefix macrostates: a closed queue's states, or cut at every point a
+tandem's.  Both weigh a state along its path, one log rate per macrostate,
+as :func:`~passandswap.product_form.balance` does, and normalize.  Initial
+states that adhere to no order go through a duplicate-class splitting
+construction.  A tandem's irreducibility is certified on a face of the
+tandem; only where that certificate is inconclusive, and always for a
+closed queue, are the states flooded into communicating classes.
 
 The open, closed and tandem models have two transition views, both built
 on :func:`~passandswap.dynamics.completions`.  :func:`queue_moves` gives
@@ -52,7 +53,6 @@ from .product_form import (
     DEFAULT_STATE_BUDGET,
     _logsumexp,
     balance_function,
-    memoized_log_balance,
 )
 
 TandemState = tuple[State, State]
@@ -231,13 +231,7 @@ def order_from_state(
             arcs.append((b, a))
         else:
             return None
-    order = PlacementOrder.orient(graph, arcs)
-    if not adheres(tuple(state), order):
-        raise StructureError(
-            "edge orientation succeeded but the state does not adhere; "
-            "the swapping graph is inconsistent"
-        )
-    return order
+    return PlacementOrder.orient(graph, arcs)
 
 
 @dataclass(frozen=True)
@@ -456,38 +450,78 @@ def successors(
     ]
 
 
+def _adhering_walk(
+    xs: Sequence[Macrostate],
+) -> Iterable[tuple[State, tuple[int, ...]]]:
+    """The arrangements of ``xs[-1]`` whose prefixes' macrostates occur in
+    ``xs``, with the ids of those macrostates, the empty one first.  Over
+    :func:`first_queue_macrostates` these are the adhering arrangements,
+    and every prefix extends to one, so the depth-first search, lowest
+    class first, lists them in lexicographic order with no dead end."""
+    index = {x: j for j, x in enumerate(xs)}
+    # The frames that push each macrostate's children, highest class
+    # first, so that the lowest is popped first.
+    children = [
+        [(cls, index[y]) for cls in reversed(range(len(x)))
+         if (y := x[:cls] + (x[cls] + 1,) + x[cls + 1:]) in index]
+        for x in xs
+    ]
+    size = [sum(x) for x in xs]
+    total = size[-1]
+    seq = [0] * total
+    ids = [0] * (total + 1)
+    frames = [(-1, 0)]
+    while frames:
+        cls, j = frames.pop()
+        k = size[j]
+        ids[k] = j
+        if k:
+            seq[k - 1] = cls
+        if k < total:
+            frames += children[j]
+            continue
+        yield tuple(seq), tuple(ids)
+
+
+def _closed_walk(
+    order: PlacementOrder, population: Macrostate, budget: float
+) -> tuple[tuple[Macrostate, ...], list[tuple[State, tuple[int, ...]]]]:
+    """The prefix macrostates of ``order`` and ``population``, and what
+    :func:`_adhering_walk` over them yields, refused past ``budget``.  A
+    length has no more macrostates than arrangements, so more than ``(total
+    + 1) * budget`` are refused so too; the default budget caps them."""
+    if len(population) != order.n_classes:
+        raise UsageError("population length must match the class count")
+    over = (sum(population) + 1) * budget
+    cap = max(budget, DEFAULT_STATE_BUDGET)
+    stop = None if budget == math.inf else max(math.floor(budget), 0) + 1
+    try:
+        xs = first_queue_macrostates(order, population, min(over, cap))
+        walked = list(itertools.islice(_adhering_walk(xs), stop))
+    except ResourceError:
+        if over > cap:
+            raise
+        walked = None
+    if walked is None or len(walked) > budget:
+        raise ResourceError(f"adhering state enumeration reached {stop} "
+                            f"states, budget {budget}")
+    return xs, walked
+
+
 def enumerate_adhering(
     order: PlacementOrder,
     population: Macrostate,
     budget: float = DEFAULT_STATE_BUDGET,
 ) -> tuple[State, ...]:
     """All states with macrostate ``population`` that adhere to ``order``."""
-    if len(population) != order.n_classes:
-        raise UsageError("population length must match the class count")
-    later = order.later
-    total = sum(population)
-    out: list[State] = []
-    # Depth first, lower classes first, on an explicit stack of (prefix,
-    # mask of its classes, customers left per class) frames, so a long
-    # queue needs no recursion.
-    frames = [((), 0, tuple(population))]
-    while frames:
-        prefix, placed, left = frames.pop()
-        if len(prefix) == total:
-            out.append(prefix)
-            if len(out) > budget:
-                raise ResourceError(
-                    f"adhering state enumeration reached {len(out)} states, "
-                    f"budget {budget}"
-                )
-            continue
-        frames += [
-            (prefix + (cls,), placed | 1 << cls,
-             left[:cls] + (left[cls] - 1,) + left[cls + 1:])
-            for cls in reversed(range(len(left)))
-            if left[cls] and not later[cls] & placed
-        ]
-    return tuple(out)
+    return tuple(c for c, _ in _closed_walk(order, population, budget)[1])
+
+
+def _cuts(c: State) -> list[TandemState]:
+    """The tandem states of the arrangement ``c``: each prefix of ``c`` in
+    the first queue, and the rest of ``c`` reversed in the second."""
+    d = c[::-1]
+    return [(c[:cut], d[:len(c) - cut]) for cut in range(len(c) + 1)]
 
 
 def enumerate_sigma(net: TandemNetwork) -> tuple[TandemState, ...]:
@@ -496,68 +530,37 @@ def enumerate_sigma(net: TandemNetwork) -> tuple[TandemState, ...]:
 
     Each adhering single-queue arrangement of the full population splits at
     every cut point into a first-queue prefix and a reversed second-queue
-    suffix; the correspondence is one-to-one (see :func:`_walk_sigma`).
+    suffix (:func:`_cuts`); the correspondence is one-to-one.
     """
     xs = first_queue_macrostates(net.order, net.population, math.inf)
-    return _walk_sigma(net, xs, weigh=False)[0]
+    return tuple(itertools.chain.from_iterable(
+        _cuts(c) for c, _ in _adhering_walk(xs)
+    ))
 
 
 def _walk_sigma(
-    net: TandemNetwork, xs: Sequence[Macrostate], weigh: bool = True
+    net: TandemNetwork, xs: Sequence[Macrostate]
 ) -> tuple[tuple[TandemState, ...], list[float]]:
-    """The adhering tandem states, each arrangement of
-    :func:`enumerate_adhering` cut at every point, and with ``weigh`` the
-    log weight ``log Phi_1(c) + log Phi_2(d)`` of each.
-
-    A prefix extends to an arrangement exactly when its macrostate occurs
-    in ``xs`` (:func:`first_queue_macrostates`), so the depth-first search
-    takes each class whose next macrostate occurs and meets no dead end.
-    It carries ``log Phi_1`` down the prefix and, at each arrangement,
-    builds ``log Phi_2`` along the reversed suffix: the subtractions of
-    :func:`~passandswap.product_form.memoized_log_balance`, in its order,
-    of one log rate read per macrostate, so the floats are the same.
-    """
+    """The adhering tandem states, the arrangements of
+    :func:`_adhering_walk` over ``xs`` cut at every point (:func:`_cuts`),
+    and the log weight ``log Phi_1(c) + log Phi_2(d)`` of each: one log
+    rate per macrostate, subtracted along the path of macrostate ids for
+    ``Phi_1`` and back along it for ``Phi_2``, as
+    :func:`~passandswap.product_form.balance` does, float for float."""
     full = net.population
-    total = sum(full)
-    index = {x: j for j, x in enumerate(xs)}
-    rate1 = rate2 = [0.0] * len(xs)
-    if weigh:  # xs[0] is empty and xs[-1] is full; neither rate is read
-        rate1 = [0.0] + [math.log(net.rate_fn_1.rate(x)) for x in xs[1:]]
-        rate2 = [math.log(net.rate_fn_2.rate(tuple(map(operator.sub, full, x))))
-                 for x in xs[:-1]] + [0.0]
-    # The frames that push each macrostate's children, highest class
-    # first, so that the lowest is popped first.
-    children = [
-        [(cls, index[y]) for cls in reversed(range(len(full)))
-         if x[cls] < full[cls]
-         and (y := x[:cls] + (x[cls] + 1,) + x[cls + 1:]) in index]
-        for x in xs
-    ]
-    size = [sum(x) for x in xs]
-    seq = [0] * total
-    # at each cut of the path: log Phi_1 of the first queue's content, and
-    # the log overall rate of the second queue's
-    phi1 = [0.0] * (total + 1)
-    mu2 = [0.0] * (total + 1)
+    # xs[0] is empty and xs[-1] is full; neither rate is read, and each
+    # 0.0 starts its queue's sums
+    rate1 = [0.0] + [math.log(net.rate_fn_1.rate(x)) for x in xs[1:]]
+    rate2 = [math.log(net.rate_fn_2.rate(tuple(map(operator.sub, full, x))))
+             for x in xs[:-1]] + [0.0]
     states: list[TandemState] = []
     log_w: list[float] = []
-    frames = [(-1, 0)]
-    while frames:
-        cls, j = frames.pop()
-        k = size[j]
-        mu2[k] = rate2[j]
-        if k:
-            seq[k - 1] = cls
-            phi1[k] = phi1[k - 1] - rate1[j]
-        if k < total:
-            frames += children[j]
-            continue
-        c = tuple(seq)
-        d = c[::-1]
-        states += [(c[:cut], d[:total - cut]) for cut in range(total + 1)]
-        phi2 = itertools.accumulate(mu2[total - 1::-1], operator.sub,
-                                    initial=0.0)
-        log_w += map(operator.add, phi1, reversed(list(phi2)))
+    sums = functools.partial(itertools.accumulate, func=operator.sub)
+    for c, ids in _adhering_walk(xs):
+        states += _cuts(c)
+        phi2 = list(sums(map(rate2.__getitem__, ids[::-1])))
+        log_w += map(operator.add, sums(map(rate1.__getitem__, ids)),
+                     reversed(phi2))
     return tuple(states), log_w
 
 
@@ -567,7 +570,9 @@ def first_queue_macrostates(
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> tuple[Macrostate, ...]:
     """First-queue macrostates of the adhering tandem states, listed by
-    total.
+    total: the macrostates of the prefixes of the arrangements of
+    ``population`` that adhere to ``order``, which prune
+    :func:`_adhering_walk`.
 
     ``x`` occurs exactly when no class left in the second queue
     (``population - x > 0``) precedes a class in the first (``x > 0``).
@@ -853,12 +858,23 @@ def analyze_closed(
         iso = isomorphic_model(cq, initial)
         work, start = iso.iso_queue, iso.iso_initial
         work_order = work.order
-    states = enumerate_adhering(work_order, work.population, budget)
-    # Weighing raises unless every overall rate is positive, which is what
-    # makes every class closed, as the partition requires.
-    log_weight = memoized_log_balance(work.rate_fn)
+    xs, walked = _closed_walk(work_order, work.population, budget)
+    states, paths = zip(*walked)
+    # A rate is read where weighing the states in order first meets it, and
+    # must be positive, which makes every class closed, as _solve requires.
+    log_rate = [0.0] * len(xs)
+    for j in dict.fromkeys(itertools.chain.from_iterable(paths)):
+        if j:
+            r = work.rate_fn.rate(xs[j])
+            if r <= 0.0:
+                raise UsageError(f"overall rate is not positive on prefix "
+                                 f"{xs[j]}")
+            log_rate[j] = math.log(r)
+    # every path starts at the empty macrostate, whose 0.0 starts the sum
+    log_w = [functools.reduce(operator.sub, map(log_rate.__getitem__, p))
+             for p in paths]
     support, dist, partition, warnings = _solve(
-        states, [log_weight(s) for s in states], successors(work), start
+        states, log_w, successors(work), start
     )
     if iso is None:
         return ClosedAnalysis(

@@ -20,7 +20,6 @@ from .closed import (
     PlacementOrder,
     TandemNetwork,
     TandemState,
-    adheres_tandem,
     first_queue_marginal,
 )
 from .errors import (
@@ -282,9 +281,6 @@ def compile_cluster(spec: ClusterSpec) -> CompiledTandem:
         [spec.type_rates[t] for t in spec.job_types], second_compat
     )
     network = TandemNetwork(rf1, rf2, swapping, tuple(counts), order)
-    initial = network.initial_state()
-    if not adheres_tandem(initial, order):
-        raise StructureError("compiled initial state fails adherence")
     return CompiledTandem(
         spec,
         network,
@@ -295,7 +291,7 @@ def compile_cluster(spec: ClusterSpec) -> CompiledTandem:
         tuple(second_compat),
         minimal,
         maximal,
-        initial,
+        network.initial_state(),
     )
 
 

@@ -8,6 +8,7 @@ and unknown schema versions are rejected rather than guessed at.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -90,11 +91,18 @@ def _number(value: Any, where: str) -> float:
     return float(value)
 
 
+def _finite(value: Any, where: str) -> float:
+    number = _number(value, where)
+    if not math.isfinite(number):  # json reads bare NaN and Infinity
+        raise ModelFormatError(f"{where}: must be finite")
+    return number
+
+
 def _positive(value: Any, where: str) -> float:
     number = _number(value, where)
     if not number > 0:  # refuses NaN too, which compares false
         raise ModelFormatError(f"{where}: must be positive")
-    return number
+    return _finite(number, where)
 
 
 def _slots(value: Any, where: str) -> float:
@@ -184,7 +192,7 @@ def _rate_function(obj: Any, n_classes: int, where: str) -> RateFunction:
             error, named as its later row gives it."""
             out = {}
             rows = _table(obj[field], f"{where}.{field}",
-                          **{key: read}, rate=_number)
+                          **{key: read}, rate=_finite)
             for row, (k, rate) in zip(obj[field], rows):
                 if k in out:
                     raise ModelFormatError(

@@ -9,10 +9,11 @@ states over integers and records each one's index in the oracle's
 generator, so the oracle's cross-check compares the two laws by index and
 builds tuples only for its output.  The partial balance and flow
 identities are checked on that same walk, so they verify the weights that
-the analyses report.  :func:`balance_function` sums the
-balance weights of a closed queue per macrostate.  Weights accumulate in
-log space to stay finite for deep truncations, and the checks compare
-ratios of weights, so they stay in log space too.
+the analyses report.  :func:`balance` weighs one state of a closed queue
+(``closed`` weighs whole spaces the same way along its walk), and
+:func:`balance_function` sums those weights per macrostate.  Weights
+accumulate in log space to stay finite for deep truncations, and the
+checks compare ratios of weights, so they stay in log space too.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .dynamics import completions, predecessors
 from .errors import ResourceError, UsageError
@@ -31,44 +32,21 @@ from .model import (Macrostate, PandsQueue, RateFunction, State,
 DEFAULT_STATE_BUDGET = 1_000_000
 
 
-def memoized_log_balance(
-    rate_fn: RateFunction,
-) -> Callable[[Sequence[int]], float]:
-    """Log balance weight of a state, with one memo entry per queue
-    content: minus the sum of the logs of the overall rates of its
-    prefixes.  The empty state has log weight 0.
-
-    A content's log weight is its parent's (the content without its last
-    customer) minus the log of the overall rate of its macrostate.
-    """
-    memo: dict[tuple[int, ...], float] = {(): 0.0}
-
-    def log_weight(state: Sequence[int]) -> float:
-        state = tuple(state)
-        known = len(state)
-        while state[:known] not in memo:
-            known -= 1
-        log_value = memo[state[:known]]
-        counts = [0] * rate_fn.n_classes
-        for end, cls in enumerate(state, 1):
-            counts[cls] += 1
-            if end <= known:
-                continue
-            r = rate_fn.rate(tuple(counts))
-            if r <= 0.0:
-                raise UsageError(
-                    f"overall rate is not positive on prefix {tuple(counts)}"
-                )
-            log_value -= math.log(r)
-            memo[state[:end]] = log_value
-        return log_value
-
-    return log_weight
-
-
 def balance(rate_fn: RateFunction, state: Sequence[int]) -> float:
-    """Log balance weight of ``state`` (see :func:`memoized_log_balance`)."""
-    return memoized_log_balance(rate_fn)(state)
+    """Log balance weight of ``state``: minus the logs of the overall rates
+    of its prefixes, subtracted from 0.0 shortest first.  The empty state
+    has log weight 0."""
+    log_value = 0.0
+    counts = [0] * rate_fn.n_classes
+    for cls in state:
+        counts[cls] += 1
+        r = rate_fn.rate(tuple(counts))
+        if r <= 0.0:
+            raise UsageError(
+                f"overall rate is not positive on prefix {tuple(counts)}"
+            )
+        log_value -= math.log(r)
+    return log_value
 
 
 def state_weight(queue: PandsQueue, state: Sequence[int]) -> float:

@@ -34,7 +34,7 @@ from passandswap.closed import (
 )
 from passandswap.dynamics import completions
 from passandswap.oracle import GeneratorMatrix, _check_row_sums
-from passandswap.product_form import _logsumexp, memoized_log_balance
+from passandswap.product_form import _logsumexp, balance
 from passandswap.sim import (
     ProtocolSimulator,
     SimConfig,
@@ -540,8 +540,8 @@ def reference_first_queue_macrostates(
 
 def reference_analyze_tandem(net: TandemNetwork, initial=None) -> TandemAnalysis:
     """``closed.analyze_tandem``'s former route: cut every arrangement of
-    ``enumerate_adhering`` at every point, weigh each state by hashing
-    its contents into ``memoized_log_balance``, flood every state with
+    ``enumerate_adhering`` at every point, weigh each queue's content of
+    each state by ``product_form.balance``, flood every state with
     ``communicating_classes``, and restrict the law to the class of
     ``initial`` when there are several."""
     if initial is None:
@@ -552,9 +552,8 @@ def reference_analyze_tandem(net: TandemNetwork, initial=None) -> TandemAnalysis
         for seq in enumerate_adhering(net.order, net.population, math.inf)
         for cut in range(total + 1)
     )
-    log_b1 = memoized_log_balance(net.rate_fn_1)
-    log_b2 = memoized_log_balance(net.rate_fn_2)
-    log_w = [log_b1(c) + log_b2(d) for c, d in states]
+    log_w = [balance(net.rate_fn_1, c) + balance(net.rate_fn_2, d)
+             for c, d in states]
     step = successors(net)
     partition = communicating_classes(
         states, lambda s: [t for t, _ in step(s)]

@@ -410,34 +410,72 @@ def test_repeated_runs_are_byte_identical(capsys, model_path):
     assert first == second
 
 
-def _with_nan(doc, *path):
-    """A copy of ``doc`` with NaN at ``path``, which ``json.dumps`` writes
-    as a bare ``NaN`` token and ``json.loads`` reads back."""
+def _with(value, doc, *path):
+    """A copy of ``doc`` with ``value`` at ``path``.  ``json.dumps`` writes
+    NaN and the infinities as bare ``NaN`` and ``Infinity`` tokens, which
+    ``json.loads`` reads back."""
     doc = json.loads(json.dumps(doc))
     *parents, last = path
     node = doc
     for key in parents:
         node = node[key]
-    node[last] = float("nan")
+    node[last] = value
     return doc
 
 
+NAN, INF = float("nan"), float("inf")
+# One class served at the rates of a table; zero and negative entries load,
+# so that ``validate`` can report them.
+TABLE_DOC = dict(TWO_CLASS_DOC, classes=1, arrival_rates=[0.5],
+                 rate_function={"kind": "table", "entries": [
+                     {"macrostate": [1], "rate": 1.0},
+                     {"macrostate": [2], "rate": 1.0}]})
+
+
+# ``where`` names the field, followed by the complaint unless the complaint
+# is the sign.
 @pytest.mark.parametrize("command, doc, extra, where", [
-    ("analyze", _with_nan(TWO_CLASS_DOC, "arrival_rates", 0), ["-N", "2"],
+    ("analyze", _with(NAN, TWO_CLASS_DOC, "arrival_rates", 0), ["-N", "2"],
      "arrival_rates"),
-    ("analyze", _with_nan(TWO_CLASS_DOC, "rate_function", "server_rates", 1),
+    ("analyze", _with(NAN, TWO_CLASS_DOC, "rate_function", "server_rates", 1),
      ["-N", "2"], "rate_function.server_rates"),
-    ("cluster-analyze", _with_nan(CLUSTER_DOC, "job_types", 0, "rate"), [],
+    ("cluster-analyze", _with(NAN, CLUSTER_DOC, "job_types", 0, "rate"), [],
      "job_types.rate"),
-    ("cluster-analyze", _with_nan(CLUSTER_DOC, "machines", 2, "rate"), [],
+    ("cluster-analyze", _with(NAN, CLUSTER_DOC, "machines", 2, "rate"), [],
      "machines.rate"),
+    ("analyze", _with(INF, TWO_CLASS_DOC, "arrival_rates", 0), ["-N", "2"],
+     "arrival_rates: must be finite"),
+    ("analyze", _with(INF, TWO_CLASS_DOC, "rate_function", "server_rates", 1),
+     ["-N", "2"], "rate_function.server_rates: must be finite"),
+    ("analyze", _with(NAN, TABLE_DOC, "rate_function", "entries", 0, "rate"),
+     ["-N", "2"], "rate_function.entries.rate: must be finite"),
+    ("validate", _with(NAN, TABLE_DOC, "rate_function", "entries", 0, "rate"),
+     [], "rate_function.entries.rate: must be finite"),
+    ("validate", _with(INF, TABLE_DOC, "rate_function", "entries", 1, "rate"),
+     [], "rate_function.entries.rate: must be finite"),
+    ("validate", _with(-INF, TABLE_DOC, "rate_function", "entries", 1, "rate"),
+     [], "rate_function.entries.rate: must be finite"),
 ])
 def test_a_nan_rate_is_refused_at_load(capsys, model_path, command, doc,
                                         extra, where):
     path = model_path(doc)
-    assert "NaN" in Path(path).read_text()
+    text = Path(path).read_text()
+    assert "NaN" in text or "Infinity" in text
     assert main([command, path] + extra) == 2
-    assert capsys.readouterr() == ("", f"error: {where}: must be positive\n")
+    message = where if ": " in where else f"{where}: must be positive"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_zero_and_negative_table_entries_load_for_validate(capsys,
+                                                          model_path):
+    doc = _with(0.0, _with(-1.0, TABLE_DOC, "rate_function", "entries", 1,
+                           "rate"), "rate_function", "entries", 0, "rate")
+    code, out = run_json(capsys, ["validate", model_path(doc), "--max-total",
+                                  "2"])
+    assert code == 0
+    assert [(v["kind"], v["witness"]) for v in out["result"]["violations"]
+            if v["kind"] == "positivity"] == [
+        ("positivity", "((1,), 0.0)"), ("positivity", "((2,), -1.0)")]
 
 
 def test_parse_error_exit_code(capsys, tmp_path):
@@ -493,6 +531,31 @@ def test_closed_budget_admits_an_exact_fit(capsys, model_path):
     assert doc["result"]["states"] == 6
     assert main(["closed-analyze", path, "--budget", "5"]) == 3
     assert "reached 6 states, budget 5" in capsys.readouterr().err
+
+
+# Class 3 has no server, so the overall rate of every prefix holding only
+# class-3 customers is 0.
+IDLE_CLOSED_DOC = dict(
+    CLOSED_DOC, swapping_edges=[], initial_state=[1, 2, 3],
+    rate_function=dict(CLOSED_DOC["rate_function"], compat=[[1], [2], []]),
+)
+
+
+@pytest.mark.parametrize("command", ["closed-analyze", "oracle-compare",
+                                     "classes"])
+def test_closed_budget_is_refused_before_an_idle_class(capsys, model_path,
+                                                       command):
+    path = model_path(IDLE_CLOSED_DOC)
+    assert main([command, path, "--budget", "5"]) == 3
+    assert capsys.readouterr().err == (
+        "error: adhering state enumeration reached 6 states, budget 5\n"
+    )
+    # within the budget, the first prefix that weighing the states in
+    # their order meets is the one named
+    assert main([command, path, "--budget", "6"]) == 2
+    assert capsys.readouterr().err == (
+        "error: overall rate is not positive on prefix (0, 0, 1)\n"
+    )
 
 
 def test_cluster_budget_names_the_exact_state_count(capsys, model_path,

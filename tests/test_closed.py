@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from passandswap import (
@@ -33,14 +33,16 @@ from passandswap import (
     tandem_step,
     total_variation,
 )
-from passandswap import MultiServerRates
+from passandswap import MultiServerRates, TableRates
 from passandswap.oracle import unique_solution
+from passandswap.product_form import _logsumexp
 from conftest import (
     UnitIncrementRates,
     brute_reachability_partition,
     reference_first_queue_macrostates,
     transition_fn,
 )
+from test_partition import closed_queues
 
 
 def b(*vals):
@@ -185,12 +187,26 @@ def test_enumerate_adhering_simple():
     assert enumerate_adhering(order, (1, 1)) == ((0, 1),)
 
 
-def test_enumerate_adhering_budget_is_exact():
+def test_enumerate_adhering_budget_is_exact(monkeypatch):
     # three unordered classes: 3! = 6 adhering states
     order = PlacementOrder(3, frozenset())
     assert len(enumerate_adhering(order, (1, 1, 1), 6)) == 6
     with pytest.raises(ResourceError, match="reached 6 states, budget 5"):
         enumerate_adhering(order, (1, 1, 1), 5)
+    # 101**3 prefix macrostates: a length has no more of them than there
+    # are states, so a few thousand prove more than five states
+    with pytest.raises(ResourceError, match=r"reached 6 states, budget 5$"):
+        enumerate_adhering(order, (100, 100, 100), 5)
+    for budget in (0, -1):
+        with pytest.raises(ResourceError,
+                           match=rf"reached 1 states, budget {budget}$"):
+            enumerate_adhering(order, (1, 1, 1), budget)
+    # Capped at 10, the 27 prefix macrostates of (2, 2, 2) prove nothing
+    # about its states against a budget of 5, so the cap's refusal stands.
+    monkeypatch.setattr("passandswap.closed.DEFAULT_STATE_BUDGET", 10)
+    with pytest.raises(ResourceError, match="first-queue macrostate "
+                       "enumeration reached 17 macrostates, budget 10"):
+        enumerate_adhering(order, (2, 2, 2), 5)
 
 
 def test_enumerate_adhering_counts_linear_extensions(six_class_order):
@@ -602,7 +618,7 @@ def test_a_class_that_no_server_serves_is_refused():
     # Class 1 (0-based) has no server in the first queue, so the overall
     # rate of macrostate (0, 1) is 0.  The tandem analyses meet it in the
     # recursion that sizes the space, the closed queue when it weighs the
-    # state (1, 0).
+    # state (1, 0), and so does ``balance``.
     idle = MultiServerRates.build([1.0], [{0}, set()])
     graph = SwappingGraph.edgeless(2)
     net = TandemNetwork(idle, MultiServerRates.build([1.0], [{0}, {0}]),
@@ -613,6 +629,59 @@ def test_a_class_that_no_server_serves_is_refused():
             analyze(net)
     with pytest.raises(UsageError, match=r"not positive on prefix \(0, 1\)$"):
         analyze_closed(ClosedQueue(idle, graph, (1, 1)), (0, 1))
+    with pytest.raises(UsageError, match=r"not positive on prefix \(0, 1\)$"):
+        balance(idle, (1, 0))
+
+
+def test_the_prefix_named_is_the_first_the_states_meet():
+    # (2, 0) and (0, 1) both have rate 0.  The first state, (0, 0, 1),
+    # meets (2, 0) first, although (0, 1) has fewer customers.
+    rates = TableRates.build(2, {(1, 0): 1.0, (2, 0): 0.0, (0, 1): 0.0,
+                                 (1, 1): 1.0, (2, 1): 1.0})
+    cq = ClosedQueue(rates, SwappingGraph.edgeless(2), (2, 1))
+    with pytest.raises(UsageError, match=r"not positive on prefix \(2, 0\)$"):
+        analyze_closed(cq, (0, 0, 1))
+
+
+@st.composite
+def closed_queues_and_starts(draw):
+    """A random closed queue of ``tests/test_partition.py`` and any
+    arrangement of its customers: on a graph with edges, most interleave
+    two joined classes and take the isomorphic route."""
+    cq, _ = draw(closed_queues())
+    customers = [cls for cls, k in enumerate(cq.population) for _ in range(k)]
+    return cq, tuple(draw(st.permutations(customers)))
+
+
+_EDGE = SwappingGraph.from_pairs(2, [(0, 1)])
+_SERVED = MultiServerRates.build([1.0, 2.0], [{0}, {0, 1}])
+
+
+@given(closed_queues_and_starts())
+@example((ClosedQueue(_SERVED, _EDGE, (2, 1)), (0, 0, 1)))
+@example((ClosedQueue(_SERVED, _EDGE, (2, 1)), (0, 1, 0)))
+def test_closed_law_is_the_normalized_balance_weights(case):
+    # The law, bit for bit, of weighing each state of the initial state's
+    # class by ``balance`` and normalizing, on the split queue for the
+    # isomorphic route, projected back.
+    cq, initial = case
+    analysis = analyze_closed(cq, initial)
+    iso = analysis.iso
+    assert (iso is None) == (order_from_state(cq.swapping, initial)
+                             is not None)
+    work, start, project = (
+        (cq, initial, tuple) if iso is None
+        else (iso.iso_queue, iso.iso_initial, iso.project_state)
+    )
+    partition = analysis.partition
+    support = [partition.states[i]
+               for i in partition.classes[partition.component_of(start)]]
+    log_w = [balance(work.rate_fn, s) for s in support]
+    z = _logsumexp(log_w)
+    law = {}
+    for s, w in zip(support, log_w):
+        law[project(s)] = law.get(project(s), 0.0) + math.exp(w - z)
+    assert analysis.distribution == law
 
 
 # ------------------------------------------- orders on random class DAGs

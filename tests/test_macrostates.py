@@ -176,7 +176,7 @@ def test_budget_is_checked_on_the_exact_count_before_any_search(monkeypatch):
         raise AssertionError("walked before the budget was checked")
 
     for name in ("analyze_tandem", "enumerate_sigma", "enumerate_adhering",
-                 "_face_walk"):
+                 "_adhering_walk", "_face_walk"):
         monkeypatch.setattr(closed, name, no_walk)
     message = "the adhering space needs 96 tandem states, budget 95"
     for analyze in (analyze_tandem_macrostates, analyze_tandem):
