@@ -53,21 +53,42 @@ the default ``direct_limit``, and ``_solve_direct``.
 
 ``test_cold_start`` times a fresh interpreter importing the CLI module,
 the start-up cost every command pays before it reads its model.
+
+Two simulator kernels run on ``sim_tandem``, the (2,2,2|2,2,2) cluster's
+tandem at its base rates (157,248 states, 36,955 contents of each queue,
+the model of the ``cluster_sim`` benchmark):
+
+* ``test_table_id``: ``sim._Table.id`` over every content of both queues,
+  into a run's two tables, from moves read beforehand, so that the table's
+  own row build is timed;
+* ``test_aggregate``: ``sim._aggregate`` on one replication whose
+  occupancy has 115,000 of the tandem's states as keys, about what one
+  ``cluster_sim`` replication visits;
+* ``test_table_against_reference``: the same two tables built by
+  ``sim._Table``, in flat per-move arrays, against ``_ReferenceTable``,
+  the per-part tuples and lists it replaced, both reading each content's
+  moves from ``closed.queue_moves``; ``extra_info`` adds the bytes that
+  each side's tables keep per part, as ``tracemalloc`` counts them.
 """
 
 import inspect
 import os
+import random
 import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
 
 import passandswap
+from passandswap import sim
 from passandswap.closed import (ClosedQueue, _face_walk, _flood,
-                                 analyze_tandem, successors)
+                                 analyze_tandem, enumerate_sigma, queue_moves,
+                                 successors)
 from passandswap.cluster import compile_cluster
 from passandswap.dynamics import apply_completion, completions, predecessors
 from passandswap.model import all_states, macrostate
@@ -89,6 +110,7 @@ GENERATOR_AB_ROUNDS = 9  # and of the generator build's, about 1 s a pair
 WALK_AB_ROUNDS = 15  # and of the truncated walk's, about 0.15 s a pair
 TANDEM_AB_ROUNDS = 11  # and of the tandem analysis's, about 0.15 s a pair
 TANDEM_GENERATOR_AB_ROUNDS = 11  # and of the tandem build's, about 0.2 s
+TABLE_AB_ROUNDS = 7  # and of the simulator tables', about 2.5 s a pair
 
 # The (2,2,2|2,2,1) rung of the bipartite family at its base rates.
 CLUSTER_DOC = {
@@ -124,6 +146,14 @@ OPEN_DOC = {
 }
 OPEN_CAPACITY = 10
 OPEN_STATES = 88_573
+
+# The (2,2,2|2,2,2) rung: two buffer slots per machine.
+SIM_DOC = {**CLUSTER_DOC, "machines": [
+    {**m, "buffer": 2} for m in CLUSTER_DOC["machines"]]}
+SIM_STATES = 157_248
+SIM_CONTENTS = 36_955  # of each queue
+SIM_MOVES = 110_772  # of each queue's contents
+AGGREGATE_KEYS = 115_000
 
 
 def _face():
@@ -321,6 +351,139 @@ def test_tandem_generator_against_reference(benchmark):
         benchmark, "build", build, reference, TANDEM_GENERATOR_AB_ROUNDS,
         lambda g: g.n_states,
     ) == TANDEM_STATES
+
+
+@pytest.fixture(scope="module")
+def sim_tandem():
+    """The (2,2,2|2,2,2) tandem and its states."""
+    net = compile_cluster(parse_document(SIM_DOC).spec).network
+    states = enumerate_sigma(net)
+    assert len(states) == SIM_STATES
+    return net, states
+
+
+def _contents(states):
+    """The contents of each queue, in first-seen order of ``states``."""
+    out = [list(dict.fromkeys(s[k] for s in states)) for k in (0, 1)]
+    assert list(map(len, out)) == [SIM_CONTENTS] * 2
+    return out
+
+
+def _tables(table, net, contents, rows_of):
+    """A tandem run's two tables of class ``table``, given every content of
+    ``contents``."""
+    first = table(rows_of[0], {}, width=net.n_classes)
+    second = table(rows_of[1], first.counter_ids, summed=False,
+                   width=net.n_classes)
+    for each, parts in zip((first, second), contents):
+        for part in parts:
+            each.id(part)
+    return first, second
+
+
+class _ReferenceTable:
+    """The layout ``sim._Table`` replaced: per part, a tuple of running
+    sums (or of rates), a list of next parts as given, tuples of handed
+    classes and counter ids, and a list of ``width`` tail slots."""
+
+    def __init__(self, rows_of, counter_ids, key_of=None, summed=True,
+                 width=0):
+        self.rows_of, self.counter_ids = rows_of, counter_ids
+        self.key_of, self.summed, self.width = key_of, summed, width
+        self.ids, self.parts, self.keys, self.code = {}, [], {}, []
+        self.cum, self.total, self.rates, self.next = [], [], [], []
+        self.handed, self.counter, self.appended = [], [], []
+
+    def id(self, part):
+        p = self.ids.get(part)
+        if p is not None:
+            return p
+        p = self.ids[part] = len(self.parts)
+        self.parts.append(part)
+        kid = p if self.key_of is None else self.keys.setdefault(
+            self.key_of(part), len(self.keys))
+        self.code.append(kid << sim._SHIFT)
+        rows = self.rows_of(part)
+        rates, nexts, handed, counts, _ = zip(*rows) if rows else ((),) * 5
+        if self.summed:
+            cum = tuple(accumulate(rates))
+            self.cum.append(cum)
+            self.total.append(cum[-1] if cum else 0.0)
+        else:
+            self.rates.append(rates)
+        self.next.append(list(nexts))
+        self.handed.append(handed)
+        ids = self.counter_ids
+        self.counter.append(tuple(
+            ids.setdefault(c, len(ids)) for c in counts))
+        if self.width:
+            self.appended.append([-1] * self.width)
+        return p
+
+
+def test_table_id(benchmark, sim_tandem):
+    net, states = sim_tandem
+    contents = _contents(states)
+    rows = [dict(zip(parts, map(moves, parts)))
+            for moves, parts in zip(queue_moves(net), contents)]
+    rows_of = [each.__getitem__ for each in rows]
+    assert _run(benchmark, lambda: [
+        len(each.next) for each in _tables(sim._Table, net, contents, rows_of)
+    ]) == [SIM_MOVES] * 2
+
+
+def test_aggregate(benchmark, sim_tandem):
+    _, states = sim_tandem
+    rng = random.Random(0)
+    occupancy = {s: rng.random() for s in states[:AGGREGATE_KEYS]}
+    counters = {"completions": 1.0, "departures:0": 1.0, "services:0": 1.0}
+    assert _run(benchmark, lambda: len(sim._aggregate(
+        [occupancy], [counters], [{}]).occupancy)) == AGGREGATE_KEYS
+
+
+def _bytes_per_part(build):
+    """The bytes that the tables ``build`` returns keep, per part, as
+    ``tracemalloc`` counts them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tables = build()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return kept / sum(len(each.parts) for each in tables)
+
+
+def test_table_against_reference(benchmark, sim_tandem):
+    net, states = sim_tandem
+    contents = _contents(states)
+    queues = queue_moves(net)
+    build = lambda: _tables(sim._Table, net, contents, queues)
+    reference = lambda: _tables(_ReferenceTable, net, contents, queues)
+    # Runs each side once before timing, as a warm-up: each part's rows
+    # agree, a next part as given or by its id.
+    for new, old in zip(build(), reference()):
+        assert new.parts == old.parts
+        sums = old.cum if old.summed else old.rates
+        flat = new.cum if new.summed else new.rates
+        for p, part in enumerate(new.parts):
+            lo, hi = new.lo[p], new.lo[p + 1]
+            assert tuple(flat[lo:hi]) == sums[p]
+            assert [new.parts[after] if type(after) is int else after
+                    for after in new.next[lo:hi]] == old.next[p]
+            assert tuple(new.handed[lo:hi]) == old.handed[p]
+            assert tuple(new.counter[lo:hi]) == old.counter[p]
+    kept = {"table": _bytes_per_part(build),
+            "reference": _bytes_per_part(reference)}
+    assert _against_reference(
+        benchmark, "table", build, reference, TABLE_AB_ROUNDS,
+        lambda tables: sum(len(each.parts) for each in tables),
+    ) == 2 * SIM_CONTENTS
+    benchmark.extra_info.update(
+        table_bytes_per_part=kept["table"],
+        reference_bytes_per_part=kept["reference"],
+        bytes_ratio=kept["table"] / kept["reference"],
+    )
 
 
 @pytest.fixture(scope="module")

@@ -552,6 +552,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args):
     """The model file of ``args``, checked against the command's kinds."""
+    # a budget counts states, and every run reaches at least one
+    budget = getattr(args, "budget", 1)
+    if budget < 1:
+        raise UsageError(f"--budget {budget} is not positive")
     loaded = load_path(args.model)
     kind = lambda cls: cls.__name__.removeprefix("Loaded").lower()
     if not isinstance(loaded, args.kinds):

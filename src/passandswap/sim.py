@@ -10,28 +10,32 @@ All four simulators share one event loop, :func:`_run_replication`, over
 integer-indexed tables.  A *part* is a protocol state, a single queue's
 state, or the content of one queue of a tandem.  A run gives a part an id
 the first time it visits it and reads the part's moves once, each a
-:data:`closed.Move` ``(rate, next, handed, counts, tag)``: the table keeps
-the part's occupancy-key id, the running sums of its move rates, and per
-move the next part (resolved to an id the first time the move is taken),
-the class handed to the other queue, and the counters it adds to.  The
-open, closed and tandem models' moves are those of
+:data:`closed.Move` ``(rate, next, handed, counts, tag)``, into flat
+per-move arrays that one per-part offset list slices: the running sums of
+the part's move rates, and per move the next part (its id if it has one
+when the row is built, else resolved to an id the first time the move is
+taken), the class handed to the other queue, and the counters it adds to.
+The open, closed and tandem models' moves are those of
 :func:`closed.queue_moves`, the protocol's are built from the pure
 ``ProtocolSimulator.transitions``, ``.apply`` and ``.held_counts``.  A
 tandem's state is a pair of ids, one per queue, and a departing customer
-reaches the other queue's tail through a table of ``(id, class) -> id``; a
-single-part model runs the same loop beside a second table whose one part
-has no moves.  Occupancy accumulates under integer codes, mapped back to
-keys in first-seen order at the end.  The tables live for one ``simulate``
-or ``simulate_protocol`` call and are shared by its replications; memory
-grows with the distinct parts a run visits, and nothing is evicted.  The
-loop draws, sums and compares exactly as a per-event recomputation of the
-moves would, so seeded results do not depend on the tables.
+reaches the other queue's tail through a flat table of ``(id, class) ->
+id``; a single-part model runs the same loop beside a second table whose
+one part has no moves.  Occupancy accumulates under integer codes, mapped
+back to keys in first-seen order at the end, after the int-keyed dict is
+copied into two arrays and freed.  The tables live for one ``simulate`` or
+``simulate_protocol`` call and are shared by its replications, then
+dropped before the replications are aggregated; memory grows with the
+distinct parts a run visits, and nothing is evicted.  The loop draws, sums
+and compares exactly as a per-event recomputation of the moves would, so
+seeded results do not depend on the tables.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
@@ -142,14 +146,19 @@ _LOW = (1 << _SHIFT) - 1
 
 class _Table:
     """The rows of the parts of one queue, or of the protocol, that a run
-    has visited, indexed by part id: each part's moves, as given.
+    has visited, stored flat: part ``p``'s moves, as given, are the entries
+    ``lo[p]`` to ``lo[p + 1]`` of the per-move arrays.
 
-    The first table of a run keeps the running sums of each part's move
-    rates and their total, to pick a move by bisection; the second keeps
-    the rates, which are added to the first's total one by one.  A part's
-    next parts stay as given by ``rows_of`` until a move is first taken,
-    and ``appended`` resolves, per part and class, the part that receives
-    that class at its tail, ``-1`` until first needed.
+    Per move, ``cum`` holds the running sum of the part's move rates in the
+    first table of a run, to pick a move by bisection, and ``rates`` the
+    rate in the second, whose rates are added to the first's total one by
+    one; ``next`` holds the next part's id, or the part as given while it
+    has none; ``handed`` the class handed to the other queue, ``-1`` for
+    none; ``counter`` the id of the counters the move adds to.  Per part,
+    the lists ``lo``, ``total`` (the first table's total rate) and ``code``
+    hand the event loop the objects they hold, where an array would box a
+    new one on every read, and ``appended`` holds ``width`` slots, the part
+    that receives each class at its tail, ``-1`` until first needed.
     """
 
     def __init__(
@@ -169,20 +178,23 @@ class _Table:
         self.parts: list = []
         self.keys: dict[Hashable, int] = {}
         self.code: list[int] = []  # key id << _SHIFT
-        self.cum: list[tuple[float, ...]] = []
+        self.lo = [0]
         self.total: list[float] = []
-        self.rates: list[tuple[float, ...]] = []
-        self.next: list[list] = []
-        self.handed: list[tuple[int | None, ...]] = []
-        self.counter: list[tuple[int, ...]] = []
-        self.appended: list[list[int]] = []
+        self.cum = array("d")
+        self.rates = array("d")
+        self.next: list = []
+        self.handed = array("q")
+        self.counter = array("q")
+        self.appended = array("q")
+        self._unset = array("q", [-1]) * width  # a new part's tail slots
 
     def id(self, part: Any) -> int:
         """The id of ``part``, reading its rows on first sight."""
-        p = self.ids.get(part)
+        ids = self.ids
+        p = ids.get(part)
         if p is not None:
             return p
-        p = self.ids[part] = len(self.parts)
+        p = ids[part] = len(self.parts)
         self.parts.append(part)
         kid = p if self.key_of is None else self.keys.setdefault(
             self.key_of(part), len(self.keys))
@@ -190,23 +202,23 @@ class _Table:
         rows = self.rows_of(part)
         rates, nexts, handed, counts, _ = zip(*rows) if rows else ((),) * 5
         if self.summed:
-            cum = tuple(accumulate(rates))
-            self.cum.append(cum)
-            self.total.append(cum[-1] if cum else 0.0)
+            self.cum.extend(accumulate(rates))
+            self.total.append(self.cum[-1] if rates else 0.0)
         else:
-            self.rates.append(rates)
-        self.next.append(list(nexts))
-        self.handed.append(handed)
-        ids = self.counter_ids
-        self.counter.append(tuple(
-            ids.setdefault(c, len(ids)) for c in counts))
-        if self.width:
-            self.appended.append([-1] * self.width)
+            self.rates.extend(rates)
+        self.next += [ids.get(after, after) for after in nexts]
+        self.handed.extend([-1 if cls is None else cls for cls in handed])
+        counter_ids = self.counter_ids
+        self.counter.extend([counter_ids.setdefault(c, len(counter_ids))
+                             for c in counts])
+        self.lo.append(len(self.next))
+        self.appended += self._unset
         return p
 
     def append(self, p: int, cls: int) -> int:
         """The id of part ``p`` with a ``cls`` customer joined at its tail."""
-        q = self.appended[p][cls] = self.id(self.parts[p] + (cls,))
+        q = self.appended[p * self.width + cls] = self.id(
+            self.parts[p] + (cls,))
         return q
 
     def key_names(self) -> list:
@@ -236,11 +248,12 @@ def _run_replication(
         second = _Table(_no_moves, first.counter_ids, summed=False)
         initial = (initial, None)
     i, j = first.id(initial[0]), second.id(initial[1])
-    code1, cum1, total1 = first.code, first.cum, first.total
+    lo1, code1, cum1, total1 = first.lo, first.code, first.cum, first.total
     next1, handed1, counter1 = first.next, first.handed, first.counter
-    rates2, next2, handed2, counter2 = (
-        second.rates, second.next, second.handed, second.counter)
-    appended1, appended2 = first.appended, second.appended
+    lo2, rates2, next2, handed2, counter2 = (
+        second.lo, second.rates, second.next, second.handed, second.counter)
+    appended1, width1 = first.appended, first.width
+    appended2, width2 = second.appended, second.width
     draw = rng.random
     occupancy: dict[int, float] = {}
     hits: dict[int, int] = {}
@@ -263,9 +276,10 @@ def _run_replication(
         elif now >= horizon_time:
             break
         total = first_total = total1[i]
-        r2 = rates2[j]
-        for rate in r2:
-            total += rate
+        start2, end2 = lo2[j], lo2[j + 1]
+        if end2 > start2:
+            for rate in rates2[start2:end2]:
+                total += rate
         if total <= 0.0:
             state = (first.parts[i], second.parts[j]) if pair else first.parts[i]
             raise DeadlockError(f"no enabled event in state {state!r}")
@@ -281,46 +295,46 @@ def _run_replication(
             occupancy[code] = occupancy.get(code, 0.0) + weight
             tracked += weight
         pick = draw() * total
+        # ``m`` indexes the flat rows of the chosen queue's table
         queue = 0
         if pick < first_total:
             # the first running sum above ``pick``, as a scan would find
-            m = bisect_right(cum1[i], pick)
-        elif r2:
+            m = bisect_right(cum1, pick, lo1[i], lo1[i + 1])
+        elif end2 > start2:
             # past the first queue's moves: scan the second's, falling
             # back on its last move
             queue = 1
             acc = first_total
-            for m, rate in enumerate(r2):
-                acc += rate
+            for m in range(start2, end2):
+                acc += rates2[m]
                 if pick < acc:
                     break
         else:
-            m = len(cum1[i]) - 1
+            m = lo1[i + 1] - 1
         if trace is not None:
             trace(now + dt, queue,
-                  second.parts[j] if queue else first.parts[i], m)
+                  second.parts[j] if queue else first.parts[i],
+                  m - (start2 if queue else lo1[i]))
         # Take the move; the two branches mirror each other, kept apart so
-        # that the hot path indexes no table of tables.
+        # that the hot path reads no table by queue.
         if queue == 0:
-            row = next1[i]
-            after = row[m]
+            after = next1[m]
             if type(after) is not int:
-                after = row[m] = first.id(after)
-            counter = counter1[i][m]
-            cls = handed1[i][m]
-            if cls is not None:
-                got = appended2[j][cls]
+                after = next1[m] = first.id(after)
+            counter = counter1[m]
+            cls = handed1[m]
+            if cls >= 0:
+                got = appended2[j * width2 + cls]
                 j = got if got >= 0 else second.append(j, cls)
             i = after
         else:
-            row = next2[j]
-            after = row[m]
+            after = next2[m]
             if type(after) is not int:
-                after = row[m] = second.id(after)
-            counter = counter2[j][m]
-            cls = handed2[j][m]
-            if cls is not None:
-                got = appended1[i][cls]
+                after = next2[m] = second.id(after)
+            counter = counter2[m]
+            cls = handed2[m]
+            if cls >= 0:
+                got = appended1[i * width1 + cls]
                 i = got if got >= 0 else first.append(i, cls)
             j = after
         if (step >= warm_events) if by_events else (now >= warm_time):
@@ -328,10 +342,13 @@ def _run_replication(
         now += dt
         step += 1
 
+    # the int-keyed dict is freed before the keyed result is built
+    codes, weights = array("q", occupancy), array("d", occupancy.values())
+    del occupancy
     keys1 = first.key_names()
     parts2 = second.parts
     out: dict[Hashable, float] = {}
-    for code, weight in occupancy.items():
+    for code, weight in zip(codes, weights):
         key = keys1[code >> _SHIFT]
         out[(key, parts2[code & _LOW]) if pair else key] = weight / tracked
     # Counting each move's whole counts tuple at once and expanding it
@@ -385,6 +402,7 @@ def simulate(
                          traced if rep == 0 and trace is not None else None)
         for rep in range(cfg.replications)
     ]
+    del first, second  # the tables, before the results are aggregated
     return _aggregate([occ for occ, _ in runs],
                       [counters for _, counters in runs], [{} for _ in runs])
 
@@ -553,4 +571,5 @@ def simulate_protocol(spec: ClusterSpec, cfg: SimConfig) -> SimResult:
                          None)
         for rep in range(cfg.replications)
     ]
+    del table
     return _protocol_result(sim.types, runs)

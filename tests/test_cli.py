@@ -510,6 +510,18 @@ def test_budget_exit_code(capsys, model_path):
     assert main(["analyze", path, "-N", "12", "--budget", "10"]) == 3
 
 
+@pytest.mark.parametrize("command", ["closed-analyze", "cluster-analyze"])
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_a_budget_that_is_not_positive_exits_2(capsys, model_path, command,
+                                               budget):
+    # no run fits in a budget of no state: a usage error, not an exceeded
+    # budget
+    doc = CLOSED_DOC if command == "closed-analyze" else CLUSTER_DOC
+    assert main([command, model_path(doc), "--budget", budget]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --budget {budget} is not positive\n")
+
+
 def test_deep_truncations_are_refused_at_once(capsys, model_path):
     # the states are counted one length at a time, up to the budget only
     path = model_path(OPEN_DOC)

@@ -252,3 +252,20 @@ def test_protocol_deterministic(two_class_queue):
     b = simulate_protocol(spec, cfg)
     assert a.occupancy == b.occupancy
     assert a.fractions == b.fractions
+
+
+def test_protocol_apply_refuses_an_idle_completion_and_an_unknown_tag():
+    # ``transitions`` never offers either event; a caller that asks for one
+    # gets a usage error, not a state with a negative job count
+    spec = ClusterSpec.bipartite(
+        [("A", 1.0, 1)],
+        [("1", 1.0, 1)],
+        {"A": ["1"]},
+    )
+    protocol = sim.ProtocolSimulator(spec)
+    start = protocol.start  # every token released: machine 0 is idle
+    assert (1.0, ("complete", 0)) not in protocol.transitions(start)
+    with pytest.raises(UsageError, match="machine 0 has no job to complete"):
+        protocol.apply(start, ("complete", 0))
+    with pytest.raises(UsageError, match="unknown event tag"):
+        protocol.apply(start, ("depart", 0))

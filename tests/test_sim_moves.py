@@ -9,7 +9,9 @@ graphs (loops allowed) and random ``MultiServerRates``, plus exactly one
 rejection self-move per class at capacity.  The protocol's rows in the
 simulator's indexed table must replay a fresh ``ProtocolSimulator``'s
 ``transitions``, ``apply`` and ``held_counts`` without changing the
-simulator they read;
+simulator they read, and on random open, closed and tandem models each
+part's slice of the simulator's flat rows must hold its ``queue_moves``
+rows;
 along the same walks no buffer or waiting room overflows, an arrival
 waits or is rejected only when no released token fits it, and a
 completion reseizes only when a compatible job waits.
@@ -201,6 +203,11 @@ def test_open_moves_equal_open_transitions_and_reject_at_capacity(
         assert got[: len(rejections)] == tuple(rejections)
 
 
+def _next_part(table, entry):
+    """The part a flat ``next`` entry names: an id or the part itself."""
+    return table.parts[entry] if type(entry) is int else entry
+
+
 @given(seed=st.integers(0, 10_000), picks=PICKS)
 def test_memoized_protocol_moves_replay_apply(seed, picks):
     spec = _spec("bipartite", seed)
@@ -210,17 +217,19 @@ def test_memoized_protocol_moves_replay_apply(seed, picks):
     state = fresh.start
     for pick in picks:
         p = table.id(state)
+        lo, hi = table.lo[p], table.lo[p + 1]
         key = table.key_names()[table.code[p] >> _SHIFT]
         assert key == fresh.held_counts(state)
         want = fresh.transitions(state)
-        assert table.cum[p] == tuple(accumulate(rate for rate, _ in want))
-        assert table.total[p] == table.cum[p][-1]
+        assert tuple(table.cum[lo:hi]) == tuple(
+            accumulate(rate for rate, _ in want))
+        assert table.total[p] == table.cum[hi - 1]
         m = pick % len(want)
         tag = want[m][1]
         after, result = fresh.apply(state, tag)
-        assert table.next[p][m] == after
-        assert table.handed[p][m] is None
-        counts = list(table.counter_ids)[table.counter[p][m]]
+        assert _next_part(table, table.next[lo + m]) == after
+        assert table.handed[lo + m] == -1
+        counts = list(table.counter_ids)[table.counter[lo + m]]
         state = after
         if tag[0] == "complete":
             assert counts == ("completions",)
@@ -230,6 +239,75 @@ def test_memoized_protocol_moves_replay_apply(seed, picks):
             assert counts == (f"arrivals:{name}",) + rejected
     # the rows read their simulator and never change it
     assert vars(memo_sim) == vars(fresh)
+
+
+def _assert_flat_rows(table, part, rows):
+    """``part``'s slice of ``table``'s flat rows holds ``rows``: the
+    running sums of their rates, or the rates in an unsummed table, each
+    next part or its id, the handed class (-1 for none) and the counter
+    names, in order, with the part's ``width`` tail slots."""
+    p = table.id(part)
+    lo, hi = table.lo[p], table.lo[p + 1]
+    rates = [rate for rate, _, _, _, _ in rows]
+    if table.summed:
+        assert list(table.cum[lo:hi]) == list(accumulate(rates))
+        assert table.total[p] == (table.cum[hi - 1] if rows else 0.0)
+    else:
+        assert list(table.rates[lo:hi]) == rates
+    # a next part that had an id when the row was built is stored as it
+    assert all(type(after) is int or table.ids.get(after, p + 1) > p
+               for after in table.next[lo:hi])
+    names = list(table.counter_ids)
+    assert [
+        (_next_part(table, after), handed, names[counter])
+        for after, handed, counter in zip(
+            table.next[lo:hi], table.handed[lo:hi], table.counter[lo:hi])
+    ] == [
+        (after, -1 if handed is None else handed, counts)
+        for _, after, handed, counts, _ in rows
+    ]
+    assert len(table.appended) == len(table.parts) * table.width
+
+
+@st.composite
+def simulated_models(draw):
+    """An open queue with its capacity, a closed queue, or a tandem, with
+    the state a walk starts from."""
+    kind = draw(st.sampled_from(["open", "closed", "tandem"]))
+    if kind == "open":
+        queue, capacity = draw(open_queues())
+        return queue, capacity, ()
+    if kind == "closed":
+        queue, start = draw(closed_queues())
+        return queue, None, start
+    ct = compile_cluster(_spec(draw(st.sampled_from(["bipartite",
+                                                      "grouped"])),
+                               draw(st.integers(0, 10_000))))
+    return ct.network, None, ct.initial
+
+
+@given(model=simulated_models(), picks=PICKS)
+def test_flat_rows_hold_each_parts_queue_moves(model, picks):
+    # The tables are built as ``simulate`` builds them, and each queue's
+    # parts along a random walk are checked against ``queue_moves``.
+    model, capacity, start = model
+    queues = queue_moves(model, capacity)
+    counter_ids = {}
+    width = model.n_classes if len(queues) == 2 else 0
+    tables = [_Table(rows_of, counter_ids, summed=k == 0, width=width)
+              for k, rows_of in enumerate(queues)]
+    parts = (lambda s: s) if len(queues) == 2 else (lambda s: (s,))
+    for state in _walk(moves(model, capacity), start, picks):
+        for table, rows_of, part in zip(tables, queues, parts(state)):
+            _assert_flat_rows(table, part, rows_of(part))
+
+
+def test_flat_rows_hold_every_class_id():
+    for cls in (0, 127, 128, 255, 2**31, 2**40):
+        table = _Table(lambda part: ((1.0, part, cls, ("c",), None),), {},
+                       width=1)
+        _assert_flat_rows(table, "part", [(1.0, "part", cls, ("c",), None)])
+        assert table.next == [0]  # its own id, known as its row is built
 
 
 @given(seed=st.integers(0, 10_000), picks=PICKS)
